@@ -12,8 +12,6 @@ full speed.  This is what the finite-difference and SPSA paths use.
 
 Kink conventions:
   * min2/max2 at an exact tie route the full partial to the FIRST argument.
-  * select() chooses between two operands based on an already-evaluated
-    condition; the condition itself carries no gradient.
 """
 
 from __future__ import annotations
@@ -92,14 +90,9 @@ class Tape:
         self._d1: list[float] = []
         self._d2: list[float] = []
         self._val: list[float] = []
-        self._input_ids: list[int] = []
 
     def __len__(self) -> int:
         return len(self._val)
-
-    @property
-    def input_ids(self) -> list[int]:
-        return list(self._input_ids)
 
     # ------------------------------------------------------------------
     # recording primitives
@@ -120,19 +113,9 @@ class Tape:
             return x.idx
         return -1
 
-    def lift(self, x) -> Var:
-        """Record `x` as a constant leaf (or return it if already a Var)."""
-        if isinstance(x, Var):
-            if x.tape is not self:
-                raise TapeError("variable belongs to a different tape")
-            return x
-        return self._rec(float(x), -1, 0.0, -1, 0.0)
-
     def input(self, val: float) -> Var:
-        """Register a differentiable input (leaf entry, marked)."""
-        v = self._rec(float(val), -1, 0.0, -1, 0.0)
-        self._input_ids.append(v.idx)
-        return v
+        """Register a differentiable input (a leaf entry)."""
+        return self._rec(float(val), -1, 0.0, -1, 0.0)
 
     # ------------------------------------------------------------------
     # elementary operations (Var-or-float in, Var-or-float out)
@@ -204,15 +187,6 @@ class Tape:
         if not isinstance(a, Var):
             return math.log(av)
         return self._rec(math.log(av), a.idx, 1.0 / av, -1, 0.0)
-
-    @staticmethod
-    def select(cond, then, other):
-        """Piecewise-constant branch: `then` if cond else `other`.
-
-        The condition is an evaluated boolean and carries zero gradient; the
-        chosen operand passes through with partial 1, the other with 0.
-        """
-        return then if cond else other
 
     # ------------------------------------------------------------------
     # sweeps

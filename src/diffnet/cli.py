@@ -5,8 +5,9 @@ All file outputs are written atomically (temp file + rename) as CSV with a
 single version header line; every subcommand prints a one-line summary
 with the objective value and wall time.
 
-Exit codes: 0 success; 1 scenario/validation error; 2 runtime numeric
-error; 3 I/O error.
+Exit codes: 0 success; 1 scenario/validation error, including malformed
+parameter tokens and objective or trip specs; 2 runtime error in the
+simulation (numeric failure, unreachable or unfinished trip); 3 I/O error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 
 from . import __version__
 from .adcore import value
-from .engine import Simulator, build_objective
+from .engine import EngineError, Simulator, build_objective, parse_trip
 from .ltm import fd_speed
 from .optimize import (
     AdamConfig,
@@ -115,10 +116,11 @@ def gradient_rows(report):
 
 def cmd_run(args) -> int:
     scn = load_scenario(args.scenario, args)
+    objective = build_objective(args.objective, lam=args.lam)
     t0 = time.perf_counter()
     sim = Simulator(scn, grad=False)
     res = sim.run()
-    J = value(build_objective(args.objective, lam=args.lam)(res))
+    J = value(objective(res))
     write_csv(os.path.join(args.out, "links.csv"), link_series_rows(res),
               ["t", "link", "N_up", "N_down", "density_avg", "speed_avg"])
     write_csv(os.path.join(args.out, "summary.csv"),
@@ -157,13 +159,13 @@ def cmd_fdcheck(args) -> int:
 
 def cmd_trace(args) -> int:
     scn = load_scenario(args.scenario, args)
+    trips = [parse_trip(spec) for spec in args.trip]
     t0 = time.perf_counter()
     sim = Simulator(scn, grad=False)
     res = sim.run()
     rows = []
-    for i, spec in enumerate(args.trip):
-        dep, orig, dest = spec.split(":")
-        tr = res.trace_trip(float(dep), orig, dest)
+    for i, (dep, orig, dest) in enumerate(trips):
+        tr = res.trace_trip(dep, orig, dest)
         for lid, ex in zip(tr.links, tr.exit_times):
             rows.append({
                 "trip": i, "t0": tr.t0, "origin": tr.origin,
@@ -279,7 +281,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
+    except (EngineError, ArithmeticError, ValueError, RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

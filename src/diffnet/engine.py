@@ -20,15 +20,15 @@ from .adcore import Tape, Var, value
 from .ltm import LinkDyn, interp
 from .nodemodel import inm_fixed
 from .routing import (
-    RoutingTable,
     build_routing,
     composition,
     fifo_split,
+    normalized_shares,
     travel_time_avg,
     travel_time_segments,
     turning_probs,
 )
-from .scenario import ParameterSet, Scenario
+from .scenario import ParameterSet, Scenario, ScenarioError
 
 __all__ = [
     "Simulator",
@@ -42,6 +42,7 @@ __all__ = [
     "inverse_cumcount",
     "vehicle_exit_time",
     "build_objective",
+    "parse_trip",
 ]
 
 
@@ -77,7 +78,6 @@ class SimResult:
         self.absorbed = sim.absorbed  # dest -> veh (Var/float)
         self.ttt_link = sim.ttt_link  # link id -> veh*s (Var/float)
         self.ttt_queue = sim.ttt_queue
-        self.routing_tables = sim.routing_log  # [(step, RoutingTable)]
         self.conservation_error = sim.conservation_error  # max abs (veh)
         self.forward_time = sim.forward_time
         self._sim = sim
@@ -122,11 +122,14 @@ class Simulator:
         for lp in scenario.links:
             over = self._link_over.get(lp.id, {})
             self.links[lp.id] = LinkDyn(self.tape, lp, dests, **over)
-        self.by_tail: dict[str, list[LinkDyn]] = {n: [] for n in scenario.nodes}
-        self.by_head: dict[str, list[LinkDyn]] = {n: [] for n in scenario.nodes}
-        for lk in self.links.values():
-            self.by_tail[lk.tail].append(lk)
-            self.by_head[lk.head].append(lk)
+        self.by_tail: dict[str, list[LinkDyn]] = {
+            n: [self.links[lp.id] for lp in scenario.outlinks(n)]
+            for n in scenario.nodes
+        }
+        self.by_head: dict[str, list[LinkDyn]] = {
+            n: [self.links[lp.id] for lp in scenario.inlinks(n)]
+            for n in scenario.nodes
+        }
 
         self.dests = dests
         self.queue: dict[str, dict[str, object]] = {
@@ -141,11 +144,9 @@ class Simulator:
         self.absorbed: dict[str, object] = {s: 0.0 for s in dests}
         self.ttt_link: dict[str, object] = {lid: 0.0 for lid in self.links}
         self.ttt_queue: object = 0.0
-        self.routing_log: list[tuple[int, RoutingTable]] = []
         self.conservation_error = 0.0
         self.forward_time = 0.0
         self._probs: dict[str, dict[str, dict | None]] = {}
-        self._table: RoutingTable | None = None
 
     # ------------------------------------------------------------------
     # parameter-aware accessors
@@ -177,7 +178,7 @@ class Simulator:
     def all_toll_values(self):
         """Every toll scalar (Var where registered), for regularization terms."""
         out = []
-        n_periods = max(1, int(round(self.scn.config.T_max / self.scn.config.dt_toll)))
+        n_periods = self.scn.config.n_toll_periods
         tolled = set(self.scn.tolls.values) | {lid for lid, _ in self._toll_over}
         for lid in sorted(tolled):
             for i in range(n_periods):
@@ -197,7 +198,7 @@ class Simulator:
             return travel_time_segments(self.tape, link, t, cfg.M, cfg.dt)
         return travel_time_avg(self.tape, link, t)
 
-    def _refresh_routing(self, t: int) -> RoutingTable:
+    def _refresh_routing(self, t: int) -> None:
         tape, scn = self.tape, self.scn
         t_sec = t * scn.config.dt
         weights = {}
@@ -213,19 +214,13 @@ class Simulator:
         # per-node routing fractions are fixed until the next refresh
         self._probs = {}
         for node, kind in scn.nodes.items():
-            if kind == "destination" or not self.by_tail[node]:
+            outlinks = self.by_tail[node]
+            if kind == "destination" or not outlinks:
                 continue
-            per_dest: dict[str, dict | None] = {}
-            for s in self.dests:
-                if any(lk.id in table.link_cost.get(s, {}) for lk in self.by_tail[node]):
-                    per_dest[s] = turning_probs(
-                        tape, table, node, self.by_tail[node], s, scn.config.mu
-                    )
-                else:
-                    per_dest[s] = None
-            self._probs[node] = per_dest
-        self.routing_log.append((t, table))
-        return table
+            self._probs[node] = {
+                s: turning_probs(tape, table, node, outlinks, s, scn.config.mu)
+                for s in self.dests
+            }
 
     def _node_probs(self, node: str, dest: str) -> dict:
         p = self._probs.get(node, {}).get(dest)
@@ -308,7 +303,6 @@ class Simulator:
             f_in: dict[str, object] = {lid: 0.0 for lid in self.links}
             f_out: dict[str, object] = {lid: 0.0 for lid in self.links}
             f_in_s: dict[str, dict] = {lid: {} for lid in self.links}
-            f_out_s: dict[str, dict] = {lid: {} for lid in self.links}
 
             # --- node transfers ----------------------------------------
             for node, kind in scn.nodes.items():
@@ -317,25 +311,23 @@ class Simulator:
                         f = D[lk.id]
                         f_out[lk.id] = f
                         splits = fifo_split(tape, lk, t, f, cfg.fifo_eps)
-                        f_out_s[lk.id] = splits
                         for s, fs in splits.items():
                             self.absorbed[s] = add(self.absorbed[s], mul(dt, fs))
                 elif kind == "origin":
                     # origins without any demand profile have no queue state
                     # and (having no inlinks) nothing to transfer
                     if node in self.queue:
-                        self._origin_step(node, t, dt, D, S, f_in, f_in_s,
+                        self._origin_step(node, t, dt, S, f_in, f_in_s,
                                           demand_by_origin.get(node, []))
                 else:
-                    self._junction_step(node, t, dt, D, S, f_in, f_out,
-                                        f_in_s, f_out_s)
+                    self._junction_step(node, t, D, S, f_in, f_out, f_in_s)
 
             # --- boundary updates --------------------------------------
             for lid, lk in self.links.items():
                 fi, fo = f_in[lid], f_out[lid]
                 if not (math.isfinite(value(fi)) and math.isfinite(value(fo))):
                     raise EngineError(f"non-finite flow on link {lid} at step {t}")
-                lk.update_boundaries(tape, dt, fi, fo, f_in_s[lid], f_out_s[lid])
+                lk.update_boundaries(tape, dt, fi, fo, f_in_s[lid])
             for orig in self.inj:
                 for s in self.dests:
                     cur = self.inj[orig][s]
@@ -347,7 +339,52 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    def _origin_step(self, node, t, dt, D, S, f_in, f_in_s, dm_indices):
+    def _transfer(self, node, D, comps, alpha, S, f_in, f_in_s):
+        """Node model at one node with outlinks.
+
+        Builds the turning-fraction rows from each inflow's destination
+        composition and the node's routing fractions, allocates flow with
+        the INM, and adds the aggregate and per-destination inflows to the
+        outlinks.  Returns the per-inflow totals and, per inflow, its
+        per-destination outflows.
+        """
+        tape = self.tape
+        add, mul = tape.add, tape.mul
+        outlinks = self.by_tail[node]
+        probs = [self._reachable_probs(node, c) for c in comps]
+        B = []
+        for c, ps in zip(comps, probs):
+            row = []
+            for ol in outlinks:
+                acc = 0.0
+                for s, p_s in ps.items():
+                    p = p_s[ol.id]
+                    if not (isinstance(p, float) and p == 0.0):
+                        acc = add(acc, mul(c[s], p))
+                row.append(acc)
+            B.append(row)
+
+        qin, qout = inm_fixed(tape, D, [S[ol.id] for ol in outlinks], B, alpha)
+        for ol, q in zip(outlinks, qout):
+            if isinstance(q, Var) or q != 0.0:
+                f_in[ol.id] = add(f_in[ol.id], q)
+
+        per_dest = []
+        for q, c, ps in zip(qin, comps, probs):
+            out = {}
+            if isinstance(q, Var) or q != 0.0:
+                for s, p_s in ps.items():
+                    fs = out[s] = mul(q, c[s])
+                    for ol in outlinks:
+                        p = p_s[ol.id]
+                        if not (isinstance(p, float) and p == 0.0):
+                            f_in_s[ol.id][s] = add(
+                                f_in_s[ol.id].get(s, 0.0), mul(fs, p)
+                            )
+            per_dest.append(out)
+        return qin, per_dest
+
+    def _origin_step(self, node, t, dt, S, f_in, f_in_s, dm_indices):
         tape = self.tape
         add, sub, mul = tape.add, tape.sub, tape.mul
         t_sec = t * dt
@@ -370,48 +407,18 @@ class Simulator:
         total = 0.0
         for q in pre.values():
             total = add(total, q)
-        if value(total) <= 0.0:
-            self.queue[node] = pre
-            return
-
-        outlinks = self.by_tail[node]
-        comp = {}
-        csum = 0.0
-        for s, q in pre.items():
-            if value(q) > 0.0:
-                sh = tape.divg(q, total)
-                comp[s] = sh
-                csum = add(csum, sh)
-        comp = {s: tape.div(sh, csum) for s, sh in comp.items()}
-
-        probs = {s: self._node_probs(node, s) for s in comp}
-        b_row = []
-        for lk in outlinks:
-            acc = 0.0
-            for s, c in comp.items():
-                p = probs[s][lk.id]
-                if not (isinstance(p, float) and p == 0.0):
-                    acc = add(acc, mul(c, p))
-            b_row.append(acc)
-
-        demand = tape.div(total, dt)
-        qin, qout = inm_fixed(
-            tape, [demand], [S[lk.id] for lk in outlinks], [b_row], [1.0]
-        )
-        f = qin[0]
-        for j, lk in enumerate(outlinks):
-            if value(qout[j]) != 0.0 or isinstance(qout[j], Var):
-                f_in[lk.id] = add(f_in[lk.id], qout[j])
-        for s, c in comp.items():
-            out_s = mul(f, c)
-            for lk in outlinks:
-                p = probs[s][lk.id]
-                if not (isinstance(p, float) and p == 0.0):
-                    f_in_s[lk.id][s] = add(
-                        f_in_s[lk.id].get(s, 0.0), mul(out_s, p)
-                    )
-            pre[s] = sub(pre[s], mul(dt, out_s))
-            self.inj[node][s].append(add(self.inj[node][s][-1], mul(dt, out_s)))
+        if value(total) > 0.0:
+            # the queue is one inflow whose composition is its queue shares
+            comp = normalized_shares(
+                tape, {s: q for s, q in pre.items() if value(q) > 0.0}, total
+            )
+            _, (out,) = self._transfer(
+                node, [tape.div(total, dt)], [comp], [1.0], S, f_in, f_in_s
+            )
+            for s, out_s in out.items():
+                pre[s] = sub(pre[s], mul(dt, out_s))
+                inj = self.inj[node][s]
+                inj.append(add(inj[-1], mul(dt, out_s)))
         self.queue[node] = pre
 
     def _flush_zero_queues(self, node, pre, S, f_in, f_in_s, dt):
@@ -436,19 +443,16 @@ class Simulator:
             )
             pre[s] = tape.sub(q, q)
 
-    def _junction_step(self, node, t, dt, D, S, f_in, f_out, f_in_s, f_out_s):
-        tape = self.tape
-        add, mul = tape.add, tape.mul
+    def _junction_step(self, node, t, D, S, f_in, f_out, f_in_s):
         inlinks = self.by_head[node]
-        outlinks = self.by_tail[node]
-        if not outlinks:
+        if not self.by_tail[node]:
             return  # dead end; routed flow never reaches here
         if all(value(D[lk.id]) <= 0.0 for lk in inlinks):
             return
 
         comps = []
         for lk in inlinks:
-            c = composition(tape, lk, t, self.scn.config.fifo_eps)
+            c = composition(self.tape, lk, t, self.scn.config.fifo_eps)
             if c is None:
                 c = self._neutral_composition(node)
                 if c is None:
@@ -457,47 +461,12 @@ class Simulator:
                     )
             comps.append(c)
 
-        B = []
-        for lk, c in zip(inlinks, comps):
-            row = []
-            probs = self._reachable_probs(node, c)
-            for ol in outlinks:
-                acc = 0.0
-                for s in probs:
-                    p = probs[s][ol.id]
-                    if not (isinstance(p, float) and p == 0.0):
-                        acc = add(acc, mul(c[s], p))
-                row.append(acc)
-            B.append(row)
-
-        qin, qout = inm_fixed(
-            tape,
-            [D[lk.id] for lk in inlinks],
-            [S[lk.id] for lk in outlinks],
-            B,
-            [lk.alpha for lk in inlinks],
+        qin, _ = self._transfer(
+            node, [D[lk.id] for lk in inlinks], comps,
+            [lk.alpha for lk in inlinks], S, f_in, f_in_s,
         )
-        for i, lk in enumerate(inlinks):
-            f_out[lk.id] = qin[i]
-        for j, ol in enumerate(outlinks):
-            f_in[ol.id] = add(f_in[ol.id], qout[j])
-
-        for i, lk in enumerate(inlinks):
-            if not isinstance(qin[i], Var) and value(qin[i]) == 0.0:
-                f_out_s[lk.id] = {}
-                continue
-            c = comps[i]
-            probs = self._reachable_probs(node, c)
-            for s in probs:
-                cs = c[s]
-                fs = mul(qin[i], cs)
-                f_out_s[lk.id][s] = fs
-                for ol in outlinks:
-                    p = probs[s][ol.id]
-                    if not (isinstance(p, float) and p == 0.0):
-                        f_in_s[ol.id][s] = add(
-                            f_in_s[ol.id].get(s, 0.0), mul(fs, p)
-                        )
+        for lk, q in zip(inlinks, qin):
+            f_out[lk.id] = q
 
     # ------------------------------------------------------------------
     # virtual vehicle tracing (post-scan, same tape)
@@ -523,7 +492,12 @@ class Simulator:
             raise TripIncompleteError(
                 f"vehicle departing {origin} at t={t0} never leaves the origin queue"
             )
-        t_enter = tape.mul(inverse_cumcount(tape, inj_curve, N0), dt)
+        # A departure between two injections (or outside the demand window)
+        # enters no earlier than t0; at an exact tie the injection curve
+        # keeps the gradient.
+        t_enter = tape.max2(
+            tape.mul(inverse_cumcount(tape, inj_curve, N0), dt), t0
+        )
 
         # earliest-arrival label setting on realized exit times (FIFO links)
         import heapq
@@ -541,7 +515,7 @@ class Simulator:
             if n == destination:
                 break
             for lk in self.by_tail[n]:
-                if not self.scn.reaches(lk.head, destination) and lk.head != destination:
+                if not self.scn.reaches(lk.head, destination):
                     continue
                 try:
                     t_exit = vehicle_exit_time(tape, lk, arrival[n], dt)
@@ -602,11 +576,11 @@ def inverse_cumcount(tape: Tape, curve: list, N):
     vals = [value(c) for c in curve]
     if Nv > vals[-1] + 1e-9:
         raise TripIncompleteError("target count exceeds the curve's final value")
-    i = bisect_left(vals, Nv)
+    # a target within the tolerance above the final value is reached where
+    # the curve first attains that value, not at the end of the horizon
+    i = bisect_left(vals, min(Nv, vals[-1]))
     if i == 0:
         return 0.0
-    if i >= len(vals):
-        return float(len(vals) - 1)
     denom = tape.sub(curve[i], curve[i - 1])
     frac = tape.div(tape.sub(N, curve[i - 1]), denom)
     return tape.add(float(i - 1), frac)
@@ -669,8 +643,7 @@ def build_objective(spec: str, lam: float = 0.0):
         lid = spec.split(":", 1)[1]
         return lambda res: objective_att(res, lid)
     if spec.startswith("trip:"):
-        _, t0, orig, dest = spec.split(":")
-        t0 = float(t0)
+        t0, orig, dest = parse_trip(spec[len("trip:"):])
         return lambda res: res.trace_trip(t0, orig, dest).travel_time
     if spec == "toll-J":
 
@@ -682,4 +655,15 @@ def build_objective(spec: str, lam: float = 0.0):
             return total
 
         return toll_obj
-    raise ValueError(f"unknown objective spec {spec!r}")
+    raise ScenarioError(f"unknown objective spec {spec!r}")
+
+
+def parse_trip(spec: str) -> tuple[float, str, str]:
+    """(t0, origin, destination) from a 'T0:ORIGIN:DEST' trip spec."""
+    parts = spec.split(":")
+    if len(parts) == 3:
+        try:
+            return float(parts[0]), parts[1], parts[2]
+        except ValueError:
+            pass
+    raise ScenarioError(f"malformed trip spec {spec!r}: expected T0:ORIGIN:DEST")

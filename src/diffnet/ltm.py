@@ -11,7 +11,7 @@ import math
 
 from .adcore import Tape, Var, value
 
-__all__ = ["LinkDyn", "interp", "newell_N", "fd_speed", "V_MIN", "K_TINY"]
+__all__ = ["LinkDyn", "interp", "fd_speed", "V_MIN", "K_TINY"]
 
 # congested-branch speed floor (m/s): caps travel time at jam density
 V_MIN = 0.01
@@ -87,9 +87,6 @@ class LinkDyn:
         "NU",
         "ND",
         "NU_s",
-        "ND_s",
-        "fin",
-        "fout",
     )
 
     def __init__(self, tape, params, dests, u=None, qmax=None, kappa=None,
@@ -116,9 +113,6 @@ class LinkDyn:
         self.NU = [0.0]
         self.ND = [0.0]
         self.NU_s = {s: [0.0] for s in dests}
-        self.ND_s = {s: [0.0] for s in dests}
-        self.fin: list = []
-        self.fout: list = []
 
     # ------------------------------------------------------------------
     def vehicles(self, tape, t: int):
@@ -151,20 +145,12 @@ class LinkDyn:
         raw = tape.div(tape.sub(room, self.NU[t]), dt)
         return tape.min2(tape.max2(raw, 0.0), self.qmax)
 
-    def update_boundaries(self, tape, dt: float, f_in, f_out, f_in_s, f_out_s):
-        """Extend both boundary curves (and per-destination curves) one step."""
+    def update_boundaries(self, tape, dt: float, f_in, f_out, f_in_s):
+        """Extend both boundary curves and the per-destination upstream
+        curves one step."""
         if value(f_in) < -1e-12 or value(f_out) < -1e-12:
             raise ValueError(f"link {self.id}: negative boundary flow")
         self.NU.append(tape.add(self.NU[-1], tape.mul(dt, f_in)))
         self.ND.append(tape.add(self.ND[-1], tape.mul(dt, f_out)))
         for s, curve in self.NU_s.items():
             curve.append(tape.add(curve[-1], tape.mul(dt, f_in_s.get(s, 0.0))))
-        for s, curve in self.ND_s.items():
-            curve.append(tape.add(curve[-1], tape.mul(dt, f_out_s.get(s, 0.0))))
-        self.fin.append(f_in)
-        self.fout.append(f_out)
-
-
-def newell_N(tape, link: LinkDyn, t, x, dt: float):
-    """Module-level alias for LinkDyn.newell_N."""
-    return link.newell_N(tape, t, x, dt)

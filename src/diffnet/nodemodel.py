@@ -33,18 +33,17 @@ def _blocked(l, qout_v, S_v, B_v):
 
 
 def _active_sets(qin_v, qout_v, D_v, S_v, B_v):
+    """Active inlinks, active outlinks and unblocked inlinks."""
     I, J = len(D_v), len(S_v)
-    act_in = [
-        D_v[l] - qin_v[l] > ACTIVE_EPS and not _blocked(l, qout_v, S_v, B_v)
-        for l in range(I)
-    ]
+    unblocked = [not _blocked(l, qout_v, S_v, B_v) for l in range(I)]
+    act_in = [unblocked[l] and D_v[l] - qin_v[l] > ACTIVE_EPS for l in range(I)]
     act_out = []
     for o in range(J):
         ok = S_v[o] - qout_v[o] > ACTIVE_EPS and any(
             act_in[l] and B_v[l][o] > B_EPS for l in range(I)
         )
         act_out.append(ok)
-    return act_in, act_out
+    return act_in, act_out, unblocked
 
 
 def inm_fixed(tape: Tape, D, S, B, alpha, n_iters: int | None = None):
@@ -71,8 +70,7 @@ def inm_fixed(tape: Tape, D, S, B, alpha, n_iters: int | None = None):
     for _ in range(K):
         qin_v = [value(x) for x in qin]
         qout_v = [value(x) for x in qout]
-        act_in, act_out = _active_sets(qin_v, qout_v, D_v, S_v, B_v)
-        unblocked = [not _blocked(l, qout_v, S_v, B_v) for l in range(I)]
+        act_in, act_out, unblocked = _active_sets(qin_v, qout_v, D_v, S_v, B_v)
 
         if not any(act_in):
             # Converged in value.  One residual demand pass keeps the
@@ -135,7 +133,7 @@ def inm_reference(D, S, B, alpha, max_iters: int = 1000):
     qin = [0.0] * I
     qout = [0.0] * J
     for _ in range(max_iters):
-        act_in, act_out = _active_sets(qin, qout, D, S, B)
+        act_in, act_out, _ = _active_sets(qin, qout, D, S, B)
         if not any(act_in):
             break
         phi_in = [alpha[l] if act_in[l] else 0.0 for l in range(I)]

@@ -20,17 +20,13 @@ __all__ = [
     "travel_time_segments",
     "RoutingTable",
     "build_routing",
-    "diverge_ratios",
     "turning_probs",
+    "normalized_shares",
+    "composition",
     "fifo_split",
-    "UnreachableError",
 ]
 
 INF = float("inf")
-
-
-class UnreachableError(Exception):
-    """A demanded destination cannot be reached on positive-cost links."""
 
 
 def travel_time_avg(tape: Tape, link: LinkDyn, t: int):
@@ -73,7 +69,6 @@ class RoutingTable:
         self.link_cost: dict[str, dict[str, float]] = {}
         self.link_cost_var: dict[str, dict] = {}
         self.next_link: dict[str, dict[str, str]] = {}
-        self.weights: dict[str, object] = {}  # link id -> toll-augmented weight
 
 
 def _bellman_ford(nodes, links, weights_f, dest):
@@ -103,7 +98,6 @@ def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: dict,
     structure, tape expressions carry the cost gradients.
     """
     table = RoutingTable()
-    table.weights = dict(weights)
     weights_f = {lid: value(w) for lid, w in weights.items()}
     by_tail: dict[str, list[LinkDyn]] = {}
     for lk in links:
@@ -150,16 +144,17 @@ def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: dict,
 
 
 def turning_probs(tape: Tape, table: RoutingTable, node: str,
-                  outlinks: list[LinkDyn], dest: str, mu: float) -> dict:
+                  outlinks: list[LinkDyn], dest: str, mu: float) -> dict | None:
     """Per-destination routing fractions over a node's outlinks.
 
     Deterministic DUO (mu == 0): indicator on the shortest outlink.
     Logit-DUO: softmin of remaining path costs with scale mu, stabilized by
     subtracting the per-node minimum cost before exponentiation.
+    `None` if no outlink leads to the destination.
     """
     feasible = [lk for lk in outlinks if lk.id in table.link_cost[dest]]
     if not feasible:
-        raise UnreachableError(f"destination {dest} unreachable from node {node}")
+        return None
     if mu == 0.0 or len(feasible) == 1:
         chosen = table.next_link[dest].get(node)
         if chosen is None:
@@ -180,44 +175,13 @@ def turning_probs(tape: Tape, table: RoutingTable, node: str,
     return probs
 
 
-def diverge_ratios(tape: Tape, table: RoutingTable, node: str,
-                   outlinks: list[LinkDyn], dest_weights: dict, mu: float) -> dict:
-    """Aggregate diverge ratios: destination fractions weighted by volume.
-
-    `dest_weights` maps destination -> weight (on-link vehicle counts for
-    intermediate nodes, demand rates for origins).  Rows sum to 1 whenever
-    the total weight is positive.
-    """
-    total = 0.0
-    for wgt in dest_weights.values():
-        total = tape.add(total, wgt)
-    beta = {lk.id: 0.0 for lk in outlinks}
-    for dest, wgt in dest_weights.items():
-        probs = turning_probs(tape, table, node, outlinks, dest, mu)
-        for lid, p in probs.items():
-            beta[lid] = tape.add(beta[lid], tape.mul(wgt, p))
-    return {lid: tape.divg(num, total) for lid, num in beta.items()}
-
-
-def fifo_split(tape: Tape, link: LinkDyn, t: int, f_out, eps: float = GUARD_EPS):
-    """Split aggregate outflow across destinations by upstream composition.
-
-    Shares are the per-destination fractions of the upstream cumulative
-    count, guarded against an empty link and renormalized so the splits sum
-    to the aggregate exactly.
-    """
-    total = link.NU[t]
-    if value(total) <= 0.0:
-        return {s: 0.0 for s in link.NU_s}
-    shares = {
-        s: tape.divg(curve[t], total, eps) for s, curve in link.NU_s.items()
-    }
+def normalized_shares(tape: Tape, parts: dict, total, eps: float = GUARD_EPS):
+    """Guarded shares parts[s] / total, renormalized to sum to exactly 1."""
+    shares = {s: tape.divg(x, total, eps) for s, x in parts.items()}
     ssum = 0.0
     for sh in shares.values():
         ssum = tape.add(ssum, sh)
-    return {
-        s: tape.mul(f_out, tape.div(sh, ssum)) for s, sh in shares.items()
-    }
+    return {s: tape.div(sh, ssum) for s, sh in shares.items()}
 
 
 def composition(tape: Tape, link: LinkDyn, t: int, eps: float = GUARD_EPS):
@@ -229,10 +193,18 @@ def composition(tape: Tape, link: LinkDyn, t: int, eps: float = GUARD_EPS):
     total = link.NU[t]
     if value(total) <= 0.0:
         return None
-    shares = {
-        s: tape.divg(curve[t], total, eps) for s, curve in link.NU_s.items()
-    }
-    ssum = 0.0
-    for sh in shares.values():
-        ssum = tape.add(ssum, sh)
-    return {s: tape.div(sh, ssum) for s, sh in shares.items()}
+    return normalized_shares(
+        tape, {s: curve[t] for s, curve in link.NU_s.items()}, total, eps
+    )
+
+
+def fifo_split(tape: Tape, link: LinkDyn, t: int, f_out, eps: float = GUARD_EPS):
+    """Split aggregate outflow across destinations by upstream composition.
+
+    The splits are `f_out` times the normalized composition, so they sum to
+    the aggregate; an empty link splits nothing.
+    """
+    comp = composition(tape, link, t, eps)
+    if comp is None:
+        return {s: 0.0 for s in link.NU_s}
+    return {s: tape.mul(f_out, c) for s, c in comp.items()}

@@ -29,7 +29,9 @@ travel time added to the link's routing cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import yaml
 
@@ -170,6 +172,11 @@ class SimConfig:
     def route_steps(self) -> int:
         return int(round(self.dt_route / self.dt))
 
+    @property
+    def n_toll_periods(self) -> int:
+        """Toll periods that start within the horizon."""
+        return math.ceil(self.T_max / self.dt_toll - 1e-9)
+
     def validate(self):
         if self.dt <= 0:
             raise ValidationError("dt must be > 0")
@@ -203,11 +210,32 @@ class Scenario:
                 return lk
         raise KeyError(f"no link {link_id!r}")
 
+    @cached_property
+    def _topology(self):
+        """Outlinks, inlinks and reachable node set of every node, built once
+        per scenario (which is immutable)."""
+        out: dict[str, list[LinkParams]] = {n: [] for n in self.nodes}
+        inc: dict[str, list[LinkParams]] = {n: [] for n in self.nodes}
+        for lk in self.links:
+            out.setdefault(lk.tail, []).append(lk)
+            inc.setdefault(lk.head, []).append(lk)
+        reach = {}
+        for node in out:
+            seen = {node}
+            stack = [node]
+            while stack:
+                for lk in out.get(stack.pop(), ()):
+                    if lk.head not in seen:
+                        seen.add(lk.head)
+                        stack.append(lk.head)
+            reach[node] = seen
+        return out, inc, reach
+
     def outlinks(self, node: str) -> list[LinkParams]:
-        return [lk for lk in self.links if lk.tail == node]
+        return list(self._topology[0].get(node, ()))
 
     def inlinks(self, node: str) -> list[LinkParams]:
-        return [lk for lk in self.links if lk.head == node]
+        return list(self._topology[1].get(node, ()))
 
     @property
     def destinations(self) -> list[str]:
@@ -258,7 +286,7 @@ class Scenario:
                         f"demand {dm.origin}->{dm.destination}: node {node} "
                         f"is not a declared {kind}"
                     )
-            if dm.destination not in self._reachable_from(dm.origin):
+            if not self.reaches(dm.origin, dm.destination):
                 raise ValidationError(
                     f"destination {dm.destination} unreachable from origin {dm.origin}"
                 )
@@ -267,18 +295,8 @@ class Scenario:
             if lid not in ids:
                 raise ValidationError(f"toll refers to unknown link {lid!r}")
 
-    def _reachable_from(self, node: str) -> set[str]:
-        seen = {node}
-        stack = [node]
-        while stack:
-            for lk in self.outlinks(stack.pop()):
-                if lk.head not in seen:
-                    seen.add(lk.head)
-                    stack.append(lk.head)
-        return seen
-
     def reaches(self, node: str, dest: str) -> bool:
-        return dest in self._reachable_from(node)
+        return dest in self._topology[2].get(node, {node})
 
     # ------------------------------------------------------------------
     # file I/O
@@ -426,8 +444,9 @@ def register_parameters(scenario: Scenario, selection) -> ParameterSet:
       q<k>             rate of the k-th demand profile (1-based)
       u<id> / kappa<id> / qmax<id> / w<id> / alpha<id>
                        link attribute of link <id>
-      toll:<link>:<p>  toll of link <link> in period <p> (0-based)
-      toll:*           all tolls of all tolled links
+      toll:<link>:<p>  toll of link <link> in period <p> (0-based; the
+                       period must start within the horizon)
+      toll:*           all tolls of all tolled links within the horizon
 
     The independent fundamental-diagram triple is (u, qmax, kappa); w is
     derived.  Selecting w<id> switches that link to the alternate
@@ -458,12 +477,15 @@ def register_parameters(scenario: Scenario, selection) -> ParameterSet:
         base = lk.w if attr == "w" else getattr(lk, attr)
         params.append(Parameter(name=token, kind="link", target=(lid, attr), base=base))
 
+    n_periods = scenario.config.n_toll_periods
     for token in tokens:
         if token.startswith("toll:"):
             rest = token[len("toll:") :]
             if rest == "*":
+                # scheduled values past the horizon have no effect
                 for lid in sorted(scenario.tolls.values):
-                    for p, v in enumerate(scenario.tolls.values[lid]):
+                    vals = scenario.tolls.values[lid][:n_periods]
+                    for p, v in enumerate(vals):
                         params.append(
                             Parameter(
                                 name=f"toll:{lid}:{p}",
@@ -478,6 +500,13 @@ def register_parameters(scenario: Scenario, selection) -> ParameterSet:
                 period = int(period)
             except ValueError as exc:
                 raise ScenarioError(f"bad toll token {token!r}") from exc
+            if lid not in link_ids:
+                raise ScenarioError(f"parameter {token!r}: unknown link {lid!r}")
+            if not 0 <= period < n_periods:
+                raise ScenarioError(
+                    f"parameter {token!r}: period {period} outside "
+                    f"[0, {n_periods}) of the horizon"
+                )
             vals = scenario.tolls.values.get(lid, ())
             base = vals[period] if period < len(vals) else 0.0
             params.append(

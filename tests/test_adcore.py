@@ -126,16 +126,6 @@ def test_tie_breaks_route_subgradient_to_first_argument():
     assert (gb, ga) == (1.0, 0.0)
 
 
-def test_select_is_piecewise_constant():
-    tape = Tape()
-    a = tape.input(2.0)
-    b = tape.input(5.0)
-    out = Tape.select(value(a) > 1.0, a, b)
-    assert out is a
-    ga, gb = tape.grad(out, [a, b])
-    assert (ga, gb) == (1.0, 0.0)
-
-
 def test_divg_guards_small_denominators():
     tape = Tape()
     a = tape.input(1.0)

@@ -6,7 +6,11 @@ import os
 import pytest
 
 from diffnet.cli import main
-from diffnet.presets import merge_scenario, toll_grid_scenario
+from diffnet.presets import (
+    bottleneck_scenario,
+    merge_scenario,
+    toll_grid_scenario,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +112,33 @@ def test_invalid_scenario_is_validation_error(tmp_path):
 
 def test_bad_parameter_token_is_validation_error(merge_file, tmp_path):
     assert main(["grad", merge_file, "--params", "zz9", "--out",
+                 str(tmp_path)]) == 1
+
+
+def test_unknown_trip_destination_is_runtime_error(merge_file, tmp_path,
+                                                   capsys):
+    assert main(["trace", merge_file, "--trip", "300:orig1:nowhere",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and err.count("\n") == 1
+
+
+def test_unfinished_trip_is_runtime_error(tmp_path, capsys):
+    # the bottleneck queue is still growing at the end of the horizon
+    p = tmp_path / "jam.scn"
+    bottleneck_scenario(t_off=1900.0).save(p)
+    assert main(["trace", str(p), "--trip", "1800:orig:dest", "--out",
+                 str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: ")
+
+
+def test_malformed_trip_spec_is_scenario_error(merge_file, tmp_path):
+    assert main(["trace", merge_file, "--trip", "300:orig2", "--out",
+                 str(tmp_path)]) == 1
+
+
+def test_unknown_objective_is_scenario_error(merge_file, tmp_path):
+    assert main(["run", merge_file, "--objective", "bogus", "--out",
                  str(tmp_path)]) == 1
 
 

@@ -169,6 +169,14 @@ def test_inverse_cumcount_flat_segment_left_edge():
     assert value(out) == pytest.approx(1.0)
 
 
+def test_inverse_cumcount_final_value_within_tolerance():
+    tape = Tape()
+    # a round-off above the final value is reached where the curve first
+    # attains it, not at the end of the curve
+    out = inverse_cumcount(tape, [0.0, 1.0, 2.0, 2.0, 2.0], 2.0 + 5e-10)
+    assert value(out) == pytest.approx(2.0)
+
+
 def test_inverse_cumcount_beyond_curve_raises():
     tape = Tape()
     with pytest.raises(TripIncompleteError):
@@ -201,6 +209,44 @@ def test_trace_trip_fifo_monotone_departures():
         if prev is not None:
             assert arr >= prev - 1e-9
         prev = arr
+
+
+def free_flow_time(scn, links):
+    return sum(scn.link(lid).d / scn.link(lid).u for lid in links)
+
+
+@pytest.mark.parametrize("scn, t0, origin", [
+    (bottleneck_scenario(), 1990.0, "orig"),  # after the demand window
+    (merge_scenario(), 300.0, "orig2"),  # before the demand window
+    (merge_scenario(), 100.0, "orig2"),
+])
+def test_trip_outside_demand_window_takes_free_flow_time(scn, t0, origin):
+    res = run(scn, grad=False)
+    tr = res.trace_trip(t0, origin, "dest")
+    assert value(tr.travel_time) == pytest.approx(
+        free_flow_time(scn, tr.links), abs=1e-9)
+    assert value(tr.exit_times[0]) > t0
+
+
+def test_trip_outside_demand_window_sensitivity_matches_fd():
+    scn = bottleneck_scenario()
+    ps = register_parameters(scn, "q1,ufeed")
+    sim = Simulator(scn, params=ps)
+    res = sim.run()
+    tt = res.trace_trip(1990.0, "orig", "dest").travel_time
+    ad = res.tape.grad(tt, [sim.param_vars[n] for n in ps.names])
+    eps = 1e-3
+    for i, base in enumerate(ps.base_values):
+        vals = []
+        for v in (base + eps, base - eps):
+            x = list(ps.base_values)
+            x[i] = v
+            r = Simulator(scn, params=ps, values=x, grad=False).run()
+            vals.append(value(r.trace_trip(1990.0, "orig", "dest").travel_time))
+        fd = (vals[0] - vals[1]) / (2 * eps)
+        assert ad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+    # only the free-flow time of the feeder link moves: d / u^2 per m/s
+    assert ad == pytest.approx([0.0, -2000.0 / 20.0 ** 2])
 
 
 def test_trace_trip_bad_origin_raises():

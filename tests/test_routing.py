@@ -1,4 +1,4 @@
-"""Shortest paths, logit splits, diverge ratios, FIFO destination splits."""
+"""Shortest paths, logit splits, FIFO destination splits."""
 
 import itertools
 import math
@@ -10,7 +10,6 @@ from diffnet.adcore import Tape, value
 from diffnet.ltm import LinkDyn
 from diffnet.routing import (
     build_routing,
-    diverge_ratios,
     fifo_split,
     turning_probs,
     travel_time_avg,
@@ -150,6 +149,14 @@ def test_deterministic_indicator():
     assert probs == {"r1": 1.0, "r2": 0.0}
 
 
+def test_no_outlink_towards_destination_gives_none():
+    tape = Tape()
+    nodes = {"a": "intermediate", "b": "intermediate", "c": "intermediate"}
+    links = [make_link(tape, "ab", "a", "b"), make_link(tape, "cb", "c", "b")]
+    table = build_routing(tape, nodes, links, {"ab": 1.0, "cb": 1.0}, ["c"])
+    assert turning_probs(tape, table, "a", links[:1], "c", 0.5) is None
+
+
 def test_logit_cost_gradients_nonzero_deterministic_zero():
     for mu, expect_nonzero in ((0.5, True), (0.0, False)):
         tape = Tape()
@@ -162,25 +169,7 @@ def test_logit_cost_gradients_nonzero_deterministic_zero():
 
 
 # ----------------------------------------------------------------------
-# diverge ratios and FIFO splits
-
-
-def test_diverge_ratio_rows_sum_to_one():
-    tape = Tape()
-    nodes = {"a": "intermediate", "b": "intermediate", "c": "intermediate"}
-    links = [
-        make_link(tape, "ab", "a", "b", dests=("b", "c")),
-        make_link(tape, "ac", "a", "c", dests=("b", "c")),
-        make_link(tape, "bc", "b", "c", dests=("b", "c")),
-    ]
-    weights = {"ab": 5.0, "ac": 12.0, "bc": 5.0}
-    table = build_routing(tape, nodes, links, weights, ["b", "c"])
-    out_a = [lk for lk in links if lk.tail == "a"]
-    beta = diverge_ratios(tape, table, "a", out_a,
-                          {"b": 2.0, "c": 1.0}, mu=0.0)
-    assert sum(value(x) for x in beta.values()) == pytest.approx(1.0)
-    # all c-traffic goes via b (cost 10 < 12): ab gets everything
-    assert value(beta["ab"]) == pytest.approx(1.0)
+# FIFO splits
 
 
 def test_fifo_split_proportional_to_composition():
@@ -189,7 +178,7 @@ def test_fifo_split_proportional_to_composition():
     # upstream composition 75% s1 / 25% s2
     for _ in range(10):
         lk.update_boundaries(tape, 5.0, 0.8, 0.0,
-                             {"s1": 0.6, "s2": 0.2}, {})
+                             {"s1": 0.6, "s2": 0.2})
     split = fifo_split(tape, lk, 10, 0.4)
     assert value(split["s1"]) == pytest.approx(0.3)
     assert value(split["s2"]) == pytest.approx(0.1)
@@ -208,7 +197,7 @@ def test_fifo_split_sums_to_aggregate():
     lk = make_link(tape, "L", "a", "b", dests=("s1", "s2", "s3"))
     for _ in range(20):
         f = {s: rng.uniform(0.0, 0.25) for s in ("s1", "s2", "s3")}
-        lk.update_boundaries(tape, 5.0, sum(f.values()), 0.0, f, {})
+        lk.update_boundaries(tape, 5.0, sum(f.values()), 0.0, f)
     agg = 0.37
     split = fifo_split(tape, lk, 20, agg)
     assert sum(value(x) for x in split.values()) == pytest.approx(agg)

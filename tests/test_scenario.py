@@ -7,6 +7,7 @@ import pytest
 from diffnet.presets import merge_scenario
 from diffnet.scenario import (
     Scenario,
+    ScenarioError,
     ValidationError,
     register_parameters,
 )
@@ -113,6 +114,28 @@ def test_toll_wildcard_expansion():
     assert len(ps) == 120
     assert all(n.startswith("toll:") for n in ps.names)
     assert all(v == 0.0 for v in ps.base_values)
+
+
+@pytest.mark.parametrize("token", [
+    "toll:zzz:0",  # unknown link
+    "toll:3:1",  # the merge horizon has one toll period
+    "toll:3:-1",
+])
+def test_toll_token_without_effect_rejected(token):
+    with pytest.raises(ScenarioError, match="toll"):
+        register_parameters(merge_scenario(), token)
+
+
+def test_toll_token_on_untolled_link_in_horizon_accepted():
+    ps = register_parameters(merge_scenario(), "toll:3:0")
+    assert ps.base_values == [0.0]
+
+
+def test_toll_wildcard_skips_periods_past_the_horizon():
+    d = merge_scenario().to_dict()
+    d["tolls"] = [{"link": "3", "values": [0.0, 5.0, 7.0]}]
+    ps = register_parameters(Scenario.from_dict(d), "toll:*")
+    assert ps.names == ["toll:3:0"]
 
 
 def test_demand_rate_lookup():
