@@ -10,6 +10,10 @@ is a `Var` the result is a plain float and nothing is recorded, so a
 simulation whose registered inputs are all plain floats runs tape-free at
 full speed.  This is what the finite-difference and SPSA paths use.
 
+Exact-zero rule: with a plain float 0.0 operand (for `sub`, the right one),
+`add` and `sub` return the other operand and `mul` returns 0.0, recording
+nothing: such an entry moves neither a value nor an adjoint.
+
 Kink conventions:
   * min2/max2 at an exact tie route the full partial to the FIRST argument.
 """
@@ -107,11 +111,12 @@ class Tape:
         return Var(self, i, val)
 
     def _pid(self, x) -> int:
-        if isinstance(x, Var):
-            if x.tape is not self:
-                raise TapeError("variable belongs to a different tape")
-            return x.idx
-        return -1
+        return self._own(x).idx if isinstance(x, Var) else -1
+
+    def _own(self, x: Var) -> Var:
+        if x.tape is not self:
+            raise TapeError("variable belongs to a different tape")
+        return x
 
     def input(self, val: float) -> Var:
         """Register a differentiable input (a leaf entry)."""
@@ -121,18 +126,33 @@ class Tape:
     # elementary operations (Var-or-float in, Var-or-float out)
 
     def add(self, a, b):
-        if not (isinstance(a, Var) or isinstance(b, Var)):
-            return a + b
+        if not isinstance(b, Var):
+            if not isinstance(a, Var):
+                return a + b
+            if isinstance(b, float) and b == 0.0:
+                return self._own(a)
+        elif isinstance(a, float) and a == 0.0:
+            return self._own(b)
         return self._rec(value(a) + value(b), self._pid(a), 1.0, self._pid(b), 1.0)
 
     def sub(self, a, b):
-        if not (isinstance(a, Var) or isinstance(b, Var)):
-            return a - b
+        if not isinstance(b, Var):
+            if not isinstance(a, Var):
+                return a - b
+            if isinstance(b, float) and b == 0.0:
+                return self._own(a)
         return self._rec(value(a) - value(b), self._pid(a), 1.0, self._pid(b), -1.0)
 
     def mul(self, a, b):
-        if not (isinstance(a, Var) or isinstance(b, Var)):
-            return a * b
+        if not isinstance(b, Var):
+            if not isinstance(a, Var):
+                return a * b
+            if isinstance(b, float) and b == 0.0:
+                self._own(a)
+                return 0.0
+        elif isinstance(a, float) and a == 0.0:
+            self._own(b)
+            return 0.0
         av, bv = value(a), value(b)
         return self._rec(av * bv, self._pid(a), bv, self._pid(b), av)
 
@@ -144,9 +164,9 @@ class Tape:
             raise ZeroDivisionError("tape division by exact zero (use divg)")
         return self._rec(av / bv, self._pid(a), 1.0 / bv, self._pid(b), -av / (bv * bv))
 
-    def divg(self, a, b, eps: float = GUARD_EPS):
-        """Guarded division a / max2(b, eps)."""
-        return self.div(a, self.max2(b, eps))
+    def divg(self, a, b):
+        """Guarded division a / max2(b, GUARD_EPS)."""
+        return self.div(a, self.max2(b, GUARD_EPS))
 
     def neg(self, a):
         if not isinstance(a, Var):

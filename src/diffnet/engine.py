@@ -201,13 +201,10 @@ class Simulator:
     def _refresh_routing(self, t: int) -> None:
         tape, scn = self.tape, self.scn
         t_sec = t * scn.config.dt
-        weights = {}
-        for lid, lk in self.links.items():
-            tau = self.link_travel_time(lk, t)
-            toll = self.toll_value(lid, t_sec)
-            weights[lid] = tape.add(tau, toll) if not (
-                isinstance(toll, float) and toll == 0.0
-            ) else tau
+        weights = {
+            lid: tape.add(self.link_travel_time(lk, t), self.toll_value(lid, t_sec))
+            for lid, lk in self.links.items()
+        }
         table = build_routing(
             tape, scn.nodes, list(self.links.values()), weights, self.dests
         )
@@ -310,7 +307,7 @@ class Simulator:
                     for lk in self.by_head[node]:
                         f = D[lk.id]
                         f_out[lk.id] = f
-                        splits = fifo_split(tape, lk, t, f, cfg.fifo_eps)
+                        splits = fifo_split(tape, lk, t, f)
                         for s, fs in splits.items():
                             self.absorbed[s] = add(self.absorbed[s], mul(dt, fs))
                 elif kind == "origin":
@@ -358,29 +355,23 @@ class Simulator:
             for ol in outlinks:
                 acc = 0.0
                 for s, p_s in ps.items():
-                    p = p_s[ol.id]
-                    if not (isinstance(p, float) and p == 0.0):
-                        acc = add(acc, mul(c[s], p))
+                    acc = add(acc, mul(c[s], p_s[ol.id]))
                 row.append(acc)
             B.append(row)
 
         qin, qout = inm_fixed(tape, D, [S[ol.id] for ol in outlinks], B, alpha)
         for ol, q in zip(outlinks, qout):
-            if isinstance(q, Var) or q != 0.0:
-                f_in[ol.id] = add(f_in[ol.id], q)
+            f_in[ol.id] = add(f_in[ol.id], q)
 
         per_dest = []
         for q, c, ps in zip(qin, comps, probs):
             out = {}
-            if isinstance(q, Var) or q != 0.0:
-                for s, p_s in ps.items():
-                    fs = out[s] = mul(q, c[s])
-                    for ol in outlinks:
-                        p = p_s[ol.id]
-                        if not (isinstance(p, float) and p == 0.0):
-                            f_in_s[ol.id][s] = add(
-                                f_in_s[ol.id].get(s, 0.0), mul(fs, p)
-                            )
+            for s, p_s in ps.items():
+                fs = out[s] = mul(q, c[s])
+                for ol in outlinks:
+                    f_in_s[ol.id][s] = add(
+                        f_in_s[ol.id].get(s, 0.0), mul(fs, p_s[ol.id])
+                    )
             per_dest.append(out)
         return qin, per_dest
 
@@ -393,9 +384,7 @@ class Simulator:
         pre = dict(self.queue[node])
         for i in dm_indices:
             s = self.scn.demands[i].destination
-            q = self.demand_rate(i, t_sec)
-            if not (isinstance(q, float) and q == 0.0):
-                pre[s] = add(pre[s], mul(q, dt))
+            pre[s] = add(pre[s], mul(self.demand_rate(i, t_sec), dt))
 
         # An exactly-empty queue may still carry sensitivities (it was
         # positive under an infinitesimal parameter change).  Whenever the
@@ -452,7 +441,7 @@ class Simulator:
 
         comps = []
         for lk in inlinks:
-            c = composition(self.tape, lk, t, self.scn.config.fifo_eps)
+            c = composition(self.tape, lk, t)
             if c is None:
                 c = self._neutral_composition(node)
                 if c is None:
@@ -591,6 +580,7 @@ def vehicle_exit_time(tape: Tape, link: LinkDyn, t_enter, dt: float):
 
     max of the free-flow arrival and the queuing constraint obtained by
     inverting the downstream cumulative curve at the vehicle's index.
+    Raises `TripIncompleteError` if the vehicle exits after the horizon.
     """
     tau = tape.div(t_enter, dt)
     N = interp(tape, link.NU, tau)
@@ -598,7 +588,10 @@ def vehicle_exit_time(tape: Tape, link: LinkDyn, t_enter, dt: float):
         raise TripIncompleteError(f"vehicle does not clear link {link.id}")
     t_cross = tape.mul(inverse_cumcount(tape, link.ND, N), dt)
     free = tape.add(t_enter, tape.div(link.d, link.u))
-    return tape.max2(free, t_cross)
+    t_exit = tape.max2(free, t_cross)
+    if value(t_exit) > (len(link.ND) - 1) * dt + 1e-9:
+        raise TripIncompleteError(f"vehicle exits link {link.id} after T_max")
+    return t_exit
 
 
 def objective_ttt(result: SimResult, links=None):

@@ -1,11 +1,11 @@
 """Flow transfer at junctions: the Incremental Node Model.
 
-`inm_fixed` is the differentiable fixed-length variant: it always executes
-K = I + J + 1 iterations; once no inlink is active the step size is zero and
-the remaining iterations are the identity, so padding the iteration count
-changes nothing.  Active-set membership is decided on forward values only
-(piecewise-constant indicators); gradients flow through the step-size and
-update arithmetic of whichever constraints are active.
+`inm_fixed` is the differentiable variant.  It stops after one residual
+pass, made once no inlink is active, within at most I + J + 1 iterations; the
+name of its old fixed-length form stays because the benchmark wraps it.
+Active-set membership is decided on forward values only (piecewise-constant
+indicators); gradients flow through the step-size and update arithmetic of
+whichever constraints are active.
 
 `inm_reference` is the plain variable-length while-loop formulation used as
 an independent oracle in the tests.
@@ -46,83 +46,74 @@ def _active_sets(qin_v, qout_v, D_v, S_v, B_v):
     return act_in, act_out, unblocked
 
 
-def inm_fixed(tape: Tape, D, S, B, alpha, n_iters: int | None = None):
-    """Fixed-length incremental flow allocation at one node.
+def inm_fixed(tape: Tape, D, S, B, alpha):
+    """Incremental flow allocation at one node.
+
+    Once no inlink is active, one residual pass adds each unblocked inlink's
+    remaining demand and the loop stops; I + J + 1 iterations are a cap.
 
     Args:
         D: per-inlink demand rates (Var or float).
         S: per-outlink supply rates.
         B: turning fractions, B[l][o]; rows sum to 1 for inlinks with demand.
         alpha: per-inlink merge priorities (> 0).
-        n_iters: iteration count; defaults to I + J + 1.
 
     Returns:
         (qin, qout): allocated per-inlink outflow and per-outlink inflow.
     """
     I, J = len(D), len(S)
-    K = (I + J + 1) if n_iters is None else n_iters
     qin = [0.0] * I
     qout = [0.0] * J
     D_v = [value(x) for x in D]
     S_v = [value(x) for x in S]
     B_v = [[value(B[l][o]) for o in range(J)] for l in range(I)]
 
-    for _ in range(K):
+    for _ in range(I + J + 1):
         qin_v = [value(x) for x in qin]
         qout_v = [value(x) for x in qout]
         act_in, act_out, unblocked = _active_sets(qin_v, qout_v, D_v, S_v, B_v)
+        # Converged in value: the residual demand pass keeps the sensitivity
+        # of exactly-exhausted (or not-yet-positive) demands attached.
+        converged = not any(act_in)
 
-        if not any(act_in):
-            # Converged in value.  One residual demand pass keeps the
-            # sensitivity of exactly-exhausted (or not-yet-positive) demands
-            # attached; it adds zero and later passes contribute nothing.
+        if not converged:
+            # priority-weighted direction over the active inlinks
+            phi_out: list = [0.0] * J
+            for o in range(J):
+                acc = 0.0
+                for l in range(I):
+                    if act_in[l] and B_v[l][o] > B_EPS:
+                        acc = tape.add(acc, tape.mul(B[l][o], alpha[l]))
+                phi_out[o] = acc
+
+            # largest step not violating any active constraint; supply
+            # candidates first so a demand/supply tie resolves to the supply
+            # branch (the side that persists under perturbation)
+            theta = None
+            for o in range(J):
+                if act_out[o] and value(phi_out[o]) > 0.0:
+                    cand = tape.div(tape.sub(S[o], qout[o]), phi_out[o])
+                    theta = cand if theta is None else tape.min2(theta, cand)
             for l in range(I):
-                if not unblocked[l]:
-                    continue
-                step = tape.sub(D[l], qin[l])
-                if isinstance(step, float) and step == 0.0:
-                    continue
-                qin[l] = tape.add(qin[l], step)
-                for o in range(J):
-                    if B_v[l][o] > B_EPS:
-                        qout[o] = tape.add(qout[o], tape.mul(B[l][o], step))
-            continue
+                if act_in[l]:
+                    cand = tape.div(tape.sub(D[l], qin[l]), alpha[l])
+                    theta = cand if theta is None else tape.min2(theta, cand)
 
-        # priority-weighted direction over the active inlinks
-        phi_out: list = [0.0] * J
-        for o in range(J):
-            acc = 0.0
-            for l in range(I):
-                if act_in[l] and B_v[l][o] > B_EPS:
-                    acc = tape.add(acc, tape.mul(B[l][o], alpha[l]))
-            phi_out[o] = acc
-
-        # largest step not violating any active constraint; supply
-        # candidates first so a demand/supply tie resolves to the supply
-        # branch (the side that persists under perturbation)
-        theta = None
-        for o in range(J):
-            if act_out[o] and value(phi_out[o]) > 0.0:
-                cand = tape.div(tape.sub(S[o], qout[o]), phi_out[o])
-                theta = cand if theta is None else tape.min2(theta, cand)
-        for l in range(I):
-            if act_in[l]:
-                cand = tape.div(tape.sub(D[l], qin[l]), alpha[l])
-                theta = cand if theta is None else tape.min2(theta, cand)
-
-        # per-inlink capped step: advance by alpha*theta but never past the
+        # per-inlink step: the residual demand, or alpha*theta capped at the
         # remaining demand (same fixed point; the cap carries the demand
         # sensitivity when the demand is the binding constraint)
         for l in range(I):
             if not unblocked[l]:
                 continue
-            step = tape.min2(tape.mul(alpha[l], theta), tape.sub(D[l], qin[l]))
-            if isinstance(step, float) and step == 0.0:
-                continue
+            step = tape.sub(D[l], qin[l])
+            if not converged:
+                step = tape.min2(tape.mul(alpha[l], theta), step)
             qin[l] = tape.add(qin[l], step)
             for o in range(J):
                 if B_v[l][o] > B_EPS:
                     qout[o] = tape.add(qout[o], tape.mul(B[l][o], step))
+        if converged:
+            break
 
     return qin, qout
 

@@ -144,20 +144,14 @@ def grad(objective, scenario: Scenario, params: ParameterSet,
 
 
 def fd_check(objective, scenario: Scenario, params: ParameterSet,
-             eps_list=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5), values=None,
-             with_ad: bool = True) -> GradientReport:
+             eps_list=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
+             values=None) -> GradientReport:
     """Central differences per parameter per step size, beside the AD column.
 
     Each FD entry costs two gradient-free runs with one parameter displaced.
     """
     base = list(values) if values is not None else list(params.base_values)
-    if with_ad:
-        report = grad(objective, scenario, params, values=base)
-    else:
-        report = GradientReport(
-            names=list(params.names),
-            objective=evaluate(objective, scenario, params, values=base),
-        )
+    report = grad(objective, scenario, params, values=base)
     for eps in eps_list:
         col = []
         for i in range(len(params)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .adcore import GUARD_EPS, Tape, value
+from .adcore import Tape, value
 from .ltm import LinkDyn, fd_speed, interp
 
 __all__ = [
@@ -175,16 +175,16 @@ def turning_probs(tape: Tape, table: RoutingTable, node: str,
     return probs
 
 
-def normalized_shares(tape: Tape, parts: dict, total, eps: float = GUARD_EPS):
+def normalized_shares(tape: Tape, parts: dict, total):
     """Guarded shares parts[s] / total, renormalized to sum to exactly 1."""
-    shares = {s: tape.divg(x, total, eps) for s, x in parts.items()}
+    shares = {s: tape.divg(x, total) for s, x in parts.items()}
     ssum = 0.0
     for sh in shares.values():
         ssum = tape.add(ssum, sh)
     return {s: tape.div(sh, ssum) for s, sh in shares.items()}
 
 
-def composition(tape: Tape, link: LinkDyn, t: int, eps: float = GUARD_EPS):
+def composition(tape: Tape, link: LinkDyn, t: int):
     """Normalized per-destination upstream composition of a link.
 
     Returns fractions summing to 1; `None` if the link has seen no vehicles
@@ -194,17 +194,17 @@ def composition(tape: Tape, link: LinkDyn, t: int, eps: float = GUARD_EPS):
     if value(total) <= 0.0:
         return None
     return normalized_shares(
-        tape, {s: curve[t] for s, curve in link.NU_s.items()}, total, eps
+        tape, {s: curve[t] for s, curve in link.NU_s.items()}, total
     )
 
 
-def fifo_split(tape: Tape, link: LinkDyn, t: int, f_out, eps: float = GUARD_EPS):
+def fifo_split(tape: Tape, link: LinkDyn, t: int, f_out):
     """Split aggregate outflow across destinations by upstream composition.
 
     The splits are `f_out` times the normalized composition, so they sum to
     the aggregate; an empty link splits nothing.
     """
-    comp = composition(tape, link, t, eps)
+    comp = composition(tape, link, t)
     if comp is None:
         return {s: 0.0 for s in link.NU_s}
     return {s: tape.mul(f_out, c) for s, c in comp.items()}

@@ -162,7 +162,6 @@ class SimConfig:
     mu: float = 0.0  # logit scale; 0 disables logit (deterministic DUO)
     M: int = 1
     tt_method: str = "average"  # 'average' | 'segments'
-    fifo_eps: float = 1e-9
 
     @property
     def n_steps(self) -> int:

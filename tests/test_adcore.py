@@ -126,6 +126,33 @@ def test_tie_breaks_route_subgradient_to_first_argument():
     assert (gb, ga) == (1.0, 0.0)
 
 
+def test_exact_float_zero_operands_record_nothing():
+    tape = Tape()
+    x = tape.input(3.0)
+    n0 = len(tape)
+    assert tape.add(x, 0.0) is x
+    assert tape.add(0.0, x) is x
+    assert tape.sub(x, 0.0) is x
+    for r in (tape.mul(x, 0.0), tape.mul(0.0, x)):
+        assert isinstance(r, float) and r == 0.0
+    assert len(tape) == n0
+    # a zero on the left of a subtraction is a negation, still recorded
+    neg = tape.sub(0.0, x)
+    assert len(tape) == n0 + 1
+    assert value(neg) == -3.0 and tape.grad(neg, [x]) == [-1.0]
+
+
+def test_exact_zero_rule_keeps_the_cross_tape_check():
+    t1, t2 = Tape(), Tape()
+    x = t2.input(1.0)
+    for op in (t1.add, t1.sub, t1.mul):
+        with pytest.raises(TapeError):
+            op(x, 0.0)
+    for op in (t1.add, t1.mul):
+        with pytest.raises(TapeError):
+            op(0.0, x)
+
+
 def test_divg_guards_small_denominators():
     tape = Tape()
     a = tape.input(1.0)

@@ -130,6 +130,11 @@ def test_unfinished_trip_is_runtime_error(tmp_path, capsys):
     assert main(["trace", str(p), "--trip", "1800:orig:dest", "--out",
                  str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("runtime error: ")
+    # the queue has drained, but the trip would end past the horizon
+    bottleneck_scenario().save(p)
+    assert main(["trace", str(p), "--trip", "1990:orig:dest", "--out",
+                 str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: ")
 
 
 def test_malformed_trip_spec_is_scenario_error(merge_file, tmp_path):

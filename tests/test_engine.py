@@ -216,7 +216,7 @@ def free_flow_time(scn, links):
 
 
 @pytest.mark.parametrize("scn, t0, origin", [
-    (bottleneck_scenario(), 1990.0, "orig"),  # after the demand window
+    (bottleneck_scenario(), 1500.0, "orig"),  # after the demand window
     (merge_scenario(), 300.0, "orig2"),  # before the demand window
     (merge_scenario(), 100.0, "orig2"),
 ])
@@ -233,7 +233,7 @@ def test_trip_outside_demand_window_sensitivity_matches_fd():
     ps = register_parameters(scn, "q1,ufeed")
     sim = Simulator(scn, params=ps)
     res = sim.run()
-    tt = res.trace_trip(1990.0, "orig", "dest").travel_time
+    tt = res.trace_trip(1500.0, "orig", "dest").travel_time
     ad = res.tape.grad(tt, [sim.param_vars[n] for n in ps.names])
     eps = 1e-3
     for i, base in enumerate(ps.base_values):
@@ -242,11 +242,22 @@ def test_trip_outside_demand_window_sensitivity_matches_fd():
             x = list(ps.base_values)
             x[i] = v
             r = Simulator(scn, params=ps, values=x, grad=False).run()
-            vals.append(value(r.trace_trip(1990.0, "orig", "dest").travel_time))
+            vals.append(value(r.trace_trip(1500.0, "orig", "dest").travel_time))
         fd = (vals[0] - vals[1]) / (2 * eps)
         assert ad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
     # only the free-flow time of the feeder link moves: d / u^2 per m/s
     assert ad == pytest.approx([0.0, -2000.0 / 20.0 ** 2])
+
+
+@pytest.mark.parametrize("scn, origin", [
+    (bottleneck_scenario(), "orig"),
+    (merge_scenario(), "orig1"),
+])
+def test_trip_ending_past_the_horizon_raises(scn, origin):
+    # leaves the origin before T_max = 2000 s but needs >= 100 s of links
+    res = run(scn, grad=False)
+    with pytest.raises(TripIncompleteError):
+        res.trace_trip(1990.0, origin, "dest")
 
 
 def test_trace_trip_bad_origin_raises():

@@ -46,3 +46,11 @@ def test_toll_grid_objective_and_gradient_norm_pinned():
     assert J.val == pytest.approx(90008.16461157711, rel=1e-9)
     assert math.sqrt(sum(x * x for x in g)) == pytest.approx(
         75.83814120303828, rel=1e-9)
+
+
+def test_toll_grid_tape_size_bounded():
+    # one taped run at zero tolls; entries that can move neither a value nor
+    # an adjoint (exact-zero operands, repeated converged INM passes) are
+    # not recorded
+    res, _ = taped(toll_grid_scenario(), "toll:*")
+    assert len(res.tape) <= 75_000
