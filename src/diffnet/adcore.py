@@ -2,20 +2,26 @@
 
 The tape records one entry per elementary operation, each holding at most two
 parent indices and the local partial derivatives evaluated at record time.
-A single backward sweep yields adjoints for every entry; a forward sweep
-(`jvp`) yields directional derivatives.
+Entries live in four parallel lists (first parent, second parent, and their
+partials); the forward value lives only on the `Var` handle, so the tape
+keeps no value of its own.  A single backward sweep yields adjoints for every
+entry; a forward sweep (`jvp`) yields directional derivatives.
 
 Operations accept a mix of `Var` handles and plain floats.  When no argument
 is a `Var` the result is a plain float and nothing is recorded, so a
 simulation whose registered inputs are all plain floats runs tape-free at
-full speed.  This is what the finite-difference and SPSA paths use.
+full speed.  This is what the finite-difference and SPSA paths use.  Every
+`Var` operand is checked against the tape it is used on, on every path.
 
-Exact-zero rule: with a plain float 0.0 operand (for `sub`, the right one),
-`add` and `sub` return the other operand and `mul` returns 0.0, recording
-nothing: such an entry moves neither a value nor an adjoint.
+Two rules skip entries that would move neither a value nor an adjoint:
+  * exact zero: with a plain float 0.0 operand (for `sub`, the right one),
+    `add` and `sub` return the other operand and `mul` returns 0.0;
+  * pass-through: when exactly one operand of `min2`/`max2` is a `Var`, the
+    winner is returned as it is, the `Var` itself or the plain float.
 
 Kink conventions:
-  * min2/max2 at an exact tie route the full partial to the FIRST argument.
+  * min2/max2 at an exact tie route the full partial to the FIRST argument,
+    and with one `Var` operand the first argument is the one returned.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ __all__ = ["Var", "Tape", "TapeError", "GUARD_EPS"]
 
 # guard constant for protected divisions (vehicle units)
 GUARD_EPS = 1e-9
+
+_FOREIGN = "variable belongs to a different tape"
 
 
 class TapeError(Exception):
@@ -76,16 +84,21 @@ class Var:
 
 def value(x) -> float:
     """Forward value of a Var or plain number."""
-    return x.val if isinstance(x, Var) else float(x)
+    return x.val if type(x) is Var else float(x)
 
 
 class Tape:
     """Append-only record of elementary operations.
 
-    Entries are stored in parallel lists (parent indices, local partials,
-    values).  Topological order is guaranteed by construction: a parent is
-    always recorded before its child.  A tape has a single writer; once the
-    forward pass is complete it may be swept any number of times.
+    Entries are stored in four parallel lists: parent indices `_p1`, `_p2`
+    (-1 for none) and local partials `_d1`, `_d2`.  Topological order is
+    guaranteed by construction: a parent is always recorded before its
+    child.  A tape has a single writer; once the forward pass is complete it
+    may be swept any number of times.
+
+    Each operation tests its operands with `type(x) is Var` once and reads
+    `.val` and `.idx` directly; this dispatch is the cost of every recorded
+    scalar, so it is written out in each method.
     """
 
     def __init__(self):
@@ -93,30 +106,20 @@ class Tape:
         self._p2: list[int] = []
         self._d1: list[float] = []
         self._d2: list[float] = []
-        self._val: list[float] = []
 
     def __len__(self) -> int:
-        return len(self._val)
+        return len(self._p1)
 
     # ------------------------------------------------------------------
-    # recording primitives
+    # recording
 
     def _rec(self, val, p1, d1, p2, d2) -> Var:
-        i = len(self._val)
+        i = len(self._p1)
         self._p1.append(p1)
         self._p2.append(p2)
         self._d1.append(d1)
         self._d2.append(d2)
-        self._val.append(val)
         return Var(self, i, val)
-
-    def _pid(self, x) -> int:
-        return self._own(x).idx if isinstance(x, Var) else -1
-
-    def _own(self, x: Var) -> Var:
-        if x.tape is not self:
-            raise TapeError("variable belongs to a different tape")
-        return x
 
     def input(self, val: float) -> Var:
         """Register a differentiable input (a leaf entry)."""
@@ -126,86 +129,153 @@ class Tape:
     # elementary operations (Var-or-float in, Var-or-float out)
 
     def add(self, a, b):
-        if not isinstance(b, Var):
-            if not isinstance(a, Var):
-                return a + b
-            if isinstance(b, float) and b == 0.0:
-                return self._own(a)
-        elif isinstance(a, float) and a == 0.0:
-            return self._own(b)
-        return self._rec(value(a) + value(b), self._pid(a), 1.0, self._pid(b), 1.0)
+        if type(a) is Var:
+            if a.tape is not self:
+                raise TapeError(_FOREIGN)
+            if type(b) is Var:
+                if b.tape is not self:
+                    raise TapeError(_FOREIGN)
+                return self._rec(a.val + b.val, a.idx, 1.0, b.idx, 1.0)
+            if b == 0.0 and isinstance(b, float):
+                return a
+            return self._rec(a.val + b, a.idx, 1.0, -1, 1.0)
+        if type(b) is Var:
+            if b.tape is not self:
+                raise TapeError(_FOREIGN)
+            if a == 0.0 and isinstance(a, float):
+                return b
+            return self._rec(a + b.val, -1, 1.0, b.idx, 1.0)
+        return a + b
 
     def sub(self, a, b):
-        if not isinstance(b, Var):
-            if not isinstance(a, Var):
-                return a - b
-            if isinstance(b, float) and b == 0.0:
-                return self._own(a)
-        return self._rec(value(a) - value(b), self._pid(a), 1.0, self._pid(b), -1.0)
+        if type(a) is Var:
+            if a.tape is not self:
+                raise TapeError(_FOREIGN)
+            if type(b) is Var:
+                if b.tape is not self:
+                    raise TapeError(_FOREIGN)
+                return self._rec(a.val - b.val, a.idx, 1.0, b.idx, -1.0)
+            if b == 0.0 and isinstance(b, float):
+                return a
+            return self._rec(a.val - b, a.idx, 1.0, -1, -1.0)
+        if type(b) is Var:
+            if b.tape is not self:
+                raise TapeError(_FOREIGN)
+            return self._rec(a - b.val, -1, 1.0, b.idx, -1.0)
+        return a - b
 
     def mul(self, a, b):
-        if not isinstance(b, Var):
-            if not isinstance(a, Var):
-                return a * b
-            if isinstance(b, float) and b == 0.0:
-                self._own(a)
+        if type(a) is Var:
+            if a.tape is not self:
+                raise TapeError(_FOREIGN)
+            av = a.val
+            if type(b) is Var:
+                if b.tape is not self:
+                    raise TapeError(_FOREIGN)
+                bv = b.val
+                return self._rec(av * bv, a.idx, bv, b.idx, av)
+            if b == 0.0 and isinstance(b, float):
                 return 0.0
-        elif isinstance(a, float) and a == 0.0:
-            self._own(b)
-            return 0.0
-        av, bv = value(a), value(b)
-        return self._rec(av * bv, self._pid(a), bv, self._pid(b), av)
+            return self._rec(av * b, a.idx, b, -1, av)
+        if type(b) is Var:
+            if b.tape is not self:
+                raise TapeError(_FOREIGN)
+            if a == 0.0 and isinstance(a, float):
+                return 0.0
+            bv = b.val
+            return self._rec(a * bv, -1, bv, b.idx, a)
+        return a * b
 
     def div(self, a, b):
-        if not (isinstance(a, Var) or isinstance(b, Var)):
+        if type(a) is Var:
+            if a.tape is not self:
+                raise TapeError(_FOREIGN)
+            av, ai = a.val, a.idx
+        elif type(b) is Var:
+            av, ai = float(a), -1
+        else:
             return a / b
-        av, bv = value(a), value(b)
+        if type(b) is Var:
+            if b.tape is not self:
+                raise TapeError(_FOREIGN)
+            bv, bi = b.val, b.idx
+        else:
+            bv, bi = float(b), -1
         if bv == 0.0:
             raise ZeroDivisionError("tape division by exact zero (use divg)")
-        return self._rec(av / bv, self._pid(a), 1.0 / bv, self._pid(b), -av / (bv * bv))
+        return self._rec(av / bv, ai, 1.0 / bv, bi, -av / (bv * bv))
 
     def divg(self, a, b):
         """Guarded division a / max2(b, GUARD_EPS)."""
         return self.div(a, self.max2(b, GUARD_EPS))
 
     def neg(self, a):
-        if not isinstance(a, Var):
+        if type(a) is not Var:
             return -a
+        if a.tape is not self:
+            raise TapeError(_FOREIGN)
         return self._rec(-a.val, a.idx, -1.0, -1, 0.0)
 
     def min2(self, a, b):
         """Minimum; at an exact tie the subgradient goes to the first argument."""
-        if not (isinstance(a, Var) or isinstance(b, Var)):
-            return a if a <= b else b
-        av, bv = value(a), value(b)
-        if av <= bv:
-            return self._rec(av, self._pid(a), 1.0, self._pid(b), 0.0)
-        return self._rec(bv, self._pid(a), 0.0, self._pid(b), 1.0)
+        if type(a) is Var:
+            if a.tape is not self:
+                raise TapeError(_FOREIGN)
+            if type(b) is Var:
+                if b.tape is not self:
+                    raise TapeError(_FOREIGN)
+                av, bv = a.val, b.val
+                if av <= bv:
+                    return self._rec(av, a.idx, 1.0, b.idx, 0.0)
+                return self._rec(bv, a.idx, 0.0, b.idx, 1.0)
+            return a if a.val <= b else b
+        if type(b) is Var:
+            if b.tape is not self:
+                raise TapeError(_FOREIGN)
+            return a if a <= b.val else b
+        return a if a <= b else b
 
     def max2(self, a, b):
         """Maximum; at an exact tie the subgradient goes to the first argument."""
-        if not (isinstance(a, Var) or isinstance(b, Var)):
-            return a if a >= b else b
-        av, bv = value(a), value(b)
-        if av >= bv:
-            return self._rec(av, self._pid(a), 1.0, self._pid(b), 0.0)
-        return self._rec(bv, self._pid(a), 0.0, self._pid(b), 1.0)
+        if type(a) is Var:
+            if a.tape is not self:
+                raise TapeError(_FOREIGN)
+            if type(b) is Var:
+                if b.tape is not self:
+                    raise TapeError(_FOREIGN)
+                av, bv = a.val, b.val
+                if av >= bv:
+                    return self._rec(av, a.idx, 1.0, b.idx, 0.0)
+                return self._rec(bv, a.idx, 0.0, b.idx, 1.0)
+            return a if a.val >= b else b
+        if type(b) is Var:
+            if b.tape is not self:
+                raise TapeError(_FOREIGN)
+            return a if a >= b.val else b
+        return a if a >= b else b
 
     def relu(self, a):
         return self.max2(a, 0.0)
 
     def exp(self, a):
-        if not isinstance(a, Var):
+        if type(a) is not Var:
             return math.exp(a)
+        if a.tape is not self:
+            raise TapeError(_FOREIGN)
         e = math.exp(a.val)
         return self._rec(e, a.idx, e, -1, 0.0)
 
     def log(self, a):
-        av = value(a)
+        if type(a) is not Var:
+            av = float(a)
+            if av <= 0.0:
+                raise ValueError(f"log of non-positive value {av}")
+            return math.log(av)
+        if a.tape is not self:
+            raise TapeError(_FOREIGN)
+        av = a.val
         if av <= 0.0:
             raise ValueError(f"log of non-positive value {av}")
-        if not isinstance(a, Var):
-            return math.log(av)
         return self._rec(math.log(av), a.idx, 1.0 / av, -1, 0.0)
 
     # ------------------------------------------------------------------
@@ -217,12 +287,12 @@ class Tape:
         `adjoints[v.idx]` is the subgradient of `output` with respect to
         entry `v`.  A float output (constant) yields all-zero adjoints.
         """
-        n = len(self._val)
-        adj = np.zeros(n)
-        if not isinstance(output, Var):
-            return adj
+        n = len(self._p1)
+        if type(output) is not Var:
+            return np.zeros(n)
         if output.tape is not self:
             raise TapeError("output belongs to a different tape")
+        adj = [0.0] * n
         adj[output.idx] = 1.0
         p1, p2, d1, d2 = self._p1, self._p2, self._d1, self._d2
         for i in range(output.idx, -1, -1):
@@ -235,12 +305,15 @@ class Tape:
             j = p2[i]
             if j >= 0:
                 adj[j] += a * d2[i]
-        return adj
+        return np.array(adj)
 
     def grad(self, output, inputs) -> list[float]:
         """Adjoints of `output` for a list of Var-or-float inputs."""
+        for v in inputs:
+            if type(v) is Var and v.tape is not self:
+                raise TapeError("input belongs to a different tape")
         adj = self.backward(output)
-        return [adj[v.idx] if isinstance(v, Var) else 0.0 for v in inputs]
+        return [adj[v.idx] if type(v) is Var else 0.0 for v in inputs]
 
     def jvp(self, output, direction: dict[int, float]) -> float:
         """Forward-mode sweep: directional derivative of `output`.
@@ -248,12 +321,12 @@ class Tape:
         `direction` maps tape indices (typically of registered inputs) to
         tangent values.
         """
-        if not isinstance(output, Var):
+        if type(output) is not Var:
             return 0.0
         if output.tape is not self:
             raise TapeError("output belongs to a different tape")
         n = output.idx + 1
-        tan = np.zeros(n)
+        tan = [0.0] * n
         for idx, t in direction.items():
             if idx < n:
                 tan[idx] = t

@@ -197,10 +197,19 @@ def _write_opt_outputs(args, trace, label, t0):
           f"wall={time.perf_counter()-t0:.2f}s")
 
 
+def _optimizer_config(cls, **settings):
+    """Optimizer settings from the command line; a bad value is a usage
+    error (exit 1), like a malformed trip spec or objective."""
+    try:
+        return cls(**settings)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+
+
 def cmd_optimize_toll(args) -> int:
+    cfg = _optimizer_config(AdamConfig, iters=args.iters)
     scn = load_scenario(args.scenario, args)
     ps = register_parameters(scn, args.params or "toll:*")
-    cfg = AdamConfig(iters=args.iters)
     t0 = time.perf_counter()
     trace = adam_optimize(build_objective("toll-J", lam=args.lam), scn, ps,
                           config=cfg)
@@ -209,9 +218,9 @@ def cmd_optimize_toll(args) -> int:
 
 
 def cmd_spsa_toll(args) -> int:
+    cfg = _optimizer_config(SPSAConfig, iters=args.iters, seed=args.seed)
     scn = load_scenario(args.scenario, args)
     ps = register_parameters(scn, args.params or "toll:*")
-    cfg = SPSAConfig(iters=args.iters, seed=args.seed)
     t0 = time.perf_counter()
     trace = spsa_optimize(build_objective("toll-J", lam=args.lam), scn, ps,
                           config=cfg)

@@ -52,6 +52,8 @@ class AdamConfig:
             raise ValueError("momentum decay factors must lie in [0, 1)")
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
+        if self.iters < 1:
+            raise ValueError(f"iters must be at least 1 (got {self.iters})")
 
 
 @dataclass
@@ -68,6 +70,8 @@ class SPSAConfig:
     def __post_init__(self):
         if min(self.a, self.c, self.A, self.alpha, self.gamma) <= 0.0:
             raise ValueError("SPSA decay parameters must be positive")
+        if self.iters < 1:
+            raise ValueError(f"iters must be at least 1 (got {self.iters})")
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffnet.adcore import GUARD_EPS, Tape, TapeError, Var, value
 
@@ -153,6 +155,78 @@ def test_exact_zero_rule_keeps_the_cross_tape_check():
             op(0.0, x)
 
 
+def test_min_max_against_a_float_pass_the_winner_through():
+    tape = Tape()
+    x = tape.input(2.0)
+    lo, hi, tie = 1.0, 3.0, 2.0
+    n0 = len(tape)
+    assert tape.min2(x, hi) is x and tape.min2(hi, x) is x
+    assert tape.max2(x, lo) is x and tape.max2(lo, x) is x
+    assert tape.min2(x, lo) is lo and tape.min2(lo, x) is lo
+    assert tape.max2(x, hi) is hi and tape.max2(hi, x) is hi
+    # at a tie the first argument wins, as between two Vars
+    assert tape.min2(x, tie) is x and tape.min2(tie, x) is tie
+    assert tape.max2(x, tie) is x and tape.max2(tie, x) is tie
+    assert len(tape) == n0
+    assert tape.grad(tape.mul(tape.min2(x, hi), 4.0), [x]) == [4.0]
+    # the cross-tape check fires on this path too
+    other = Tape()
+    for op in (other.min2, other.max2):
+        for a, b in ((x, lo), (lo, x), (x, hi), (hi, x)):
+            with pytest.raises(TapeError):
+                op(a, b)
+
+
+# Property test: random op sequences over Var, plain-float and exact-zero
+# operands, built from the ops above.  Ops outside these domains, or whose
+# result leaves [-1e3, 1e3], are skipped; the other ops take any operands.
+PROGRAM_DOMAIN = {
+    "div": lambda x, y: abs(y) >= 0.5,
+    "exp": lambda x, y: abs(x) <= 5.0,
+    "log": lambda x, y: x >= 0.1,
+}
+OPERAND = st.one_of(
+    st.tuples(st.just("slot"), st.integers(0, 40)),
+    st.tuples(st.just("const"), st.floats(-3.0, 3.0)),
+    st.just(("const", 0.0)),
+)
+PROGRAM = st.tuples(
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from(sorted({**UNARY, **BINARY})), OPERAND,
+                       OPERAND), min_size=1, max_size=30),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(PROGRAM)
+def test_random_programs_match_floats_and_forward_mode(program):
+    xs, steps = program
+    tape = Tape()
+    inputs = [tape.input(x) for x in xs]
+    taped, plain = list(inputs), list(xs)
+    for name, *operands in steps:
+        op, ref, _ = UNARY.get(name) or BINARY[name]
+        arity = 1 if name in UNARY else 2
+        (a, x), (b, y) = [(taped[k % len(taped)], plain[k % len(plain)])
+                          if kind == "slot" else (k, k)
+                          for kind, k in operands]
+        if not PROGRAM_DOMAIN.get(name, lambda x, y: True)(x, y):
+            continue
+        r = ref(*(x, y)[:arity])
+        if abs(r) > 1e3:
+            continue
+        out = op(tape, *(a, b)[:arity])
+        # signed zeros may differ: the exact-zero rule returns x for x + 0.0
+        assert value(out) == r, (name, x, y)
+        taped.append(out)
+        plain.append(r)
+    out = taped[-1]
+    rev = tape.grad(out, inputs)
+    for x, g in zip(inputs, rev):
+        fwd = tape.jvp(out, {x.idx: 1.0})
+        assert abs(fwd - g) <= 1e-12 * max(1.0, abs(g))
+
+
 def test_divg_guards_small_denominators():
     tape = Tape()
     a = tape.input(1.0)
@@ -182,6 +256,13 @@ def test_cross_tape_use_raises():
     b = t2.input(2.0)
     with pytest.raises(TapeError):
         t1.add(a, b)
+    x = t2.input(5.0)
+    for op in (t1.neg, t1.exp, t1.log):
+        with pytest.raises(TapeError):
+            op(x)
+    out = t1.add(t1.mul(a, 3.0), 0.5)
+    with pytest.raises(TapeError):
+        t1.grad(out, [a, x])
 
 
 def test_backward_of_float_output_is_zero():

@@ -147,6 +147,19 @@ def test_unknown_objective_is_scenario_error(merge_file, tmp_path):
                  str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("command, iters", [
+    ("optimize-toll", "0"), ("optimize-toll", "-2"), ("spsa-toll", "-2"),
+])
+def test_iteration_count_below_one_is_scenario_error(merge_file, tmp_path,
+                                                     capsys, command, iters):
+    out = str(tmp_path / "o")
+    assert main([command, merge_file, "--params", "u1", "--iters", iters,
+                 "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"scenario error: iters must be at least 1 (got {iters})\n"
+    assert not os.path.exists(out)
+
+
 def test_mu_override(merge_file, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["run", merge_file, "--mu", "0.05", "--out", out]) == 0

@@ -164,6 +164,11 @@ def test_config_validation():
         AdamConfig(lr=0.0)
     with pytest.raises(ValueError):
         SPSAConfig(alpha=-1.0)
+    for iters in (0, -2):
+        with pytest.raises(ValueError, match="iters must be at least 1"):
+            AdamConfig(iters=iters)
+        with pytest.raises(ValueError, match="iters must be at least 1"):
+            SPSAConfig(iters=iters)
 
 
 # ----------------------------------------------------------------------
