@@ -13,11 +13,16 @@ simulation whose registered inputs are all plain floats runs tape-free at
 full speed.  This is what the finite-difference and SPSA paths use.  Every
 `Var` operand is checked against the tape it is used on, on every path.
 
-Two rules skip entries that would move neither a value nor an adjoint:
+Three rules skip entries that would move neither a value nor an adjoint:
   * exact zero: with a plain float 0.0 operand (for `sub`, the right one),
     `add` and `sub` return the other operand and `mul` returns 0.0;
+  * exact one: `mul` with a plain float 1.0 operand, and `div` of a `Var` by
+    a plain float 1.0, return the other operand;
   * pass-through: when exactly one operand of `min2`/`max2` is a `Var`, the
     winner is returned as it is, the `Var` itself or the plain float.
+An int 0 or 1 is not a plain float and still records.  `madd(y, a, x)`
+records the affine update y + a*x (plain float `a`) as one entry with
+partials (1, a) instead of two, with the value `add(y, mul(a, x))` gives.
 
 Kink conventions:
   * min2/max2 at an exact tie route the full partial to the FIRST argument,
@@ -174,17 +179,43 @@ class Tape:
                     raise TapeError(_FOREIGN)
                 bv = b.val
                 return self._rec(av * bv, a.idx, bv, b.idx, av)
-            if b == 0.0 and isinstance(b, float):
-                return 0.0
+            if isinstance(b, float):
+                if b == 0.0:
+                    return 0.0
+                if b == 1.0:
+                    return a
             return self._rec(av * b, a.idx, b, -1, av)
         if type(b) is Var:
             if b.tape is not self:
                 raise TapeError(_FOREIGN)
-            if a == 0.0 and isinstance(a, float):
-                return 0.0
+            if isinstance(a, float):
+                if a == 0.0:
+                    return 0.0
+                if a == 1.0:
+                    return b
             bv = b.val
             return self._rec(a * bv, -1, bv, b.idx, a)
         return a * b
+
+    def madd(self, y, a: float, x):
+        """y + a*x for a plain float `a`, recorded as one entry.
+
+        The value is computed as `add(y, mul(a, x))` computes it; the
+        partials are (1, a).
+        """
+        if type(x) is not Var:
+            return self.add(y, a * x)
+        if x.tape is not self:
+            raise TapeError(_FOREIGN)
+        if a == 0.0:
+            return self.add(y, 0.0)
+        if type(y) is Var:
+            if y.tape is not self:
+                raise TapeError(_FOREIGN)
+            return self._rec(y.val + a * x.val, y.idx, 1.0, x.idx, a)
+        if y == 0.0 and isinstance(y, float):
+            return self.mul(a, x)
+        return self._rec(y + a * x.val, -1, 1.0, x.idx, a)
 
     def div(self, a, b):
         if type(a) is Var:
@@ -200,6 +231,8 @@ class Tape:
                 raise TapeError(_FOREIGN)
             bv, bi = b.val, b.idx
         else:
+            if b == 1.0 and isinstance(b, float):
+                return a
             bv, bi = float(b), -1
         if bv == 0.0:
             raise ZeroDivisionError("tape division by exact zero (use divg)")

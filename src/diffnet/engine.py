@@ -162,11 +162,26 @@ class Simulator:
         over = self._demand_over.get(idx)
         if over is None:
             return self.scn.demands[idx].cumulative(t_sec)
+        return self.tape.mul(over, self._demand_seconds(idx, t_sec))
+
+    def _demand_seconds(self, idx: int, t_sec: float) -> float:
+        """Seconds before t_sec during which demand `idx` has a nonzero rate."""
         dur = 0.0
         for t0, t1, q in self.scn.demands[idx].profile:
             if q != 0.0:
                 dur += max(0.0, min(t_sec, t1) - t0)
-        return self.tape.mul(over, dur)
+        return dur
+
+    def _injected(self, t_sec: float) -> float:
+        """Vehicles demanded before t_sec over all demands, in floats."""
+        total = 0.0
+        for i, dm in enumerate(self.scn.demands):
+            over = self._demand_over.get(i)
+            if over is None:
+                total += dm.cumulative(t_sec)
+            else:
+                total += value(over) * self._demand_seconds(i, t_sec)
+        return total
 
     def toll_value(self, link_id: str, t_sec: float):
         i = self.scn.tolls.period_index(t_sec)
@@ -263,7 +278,7 @@ class Simulator:
         dt = cfg.dt
         T = cfg.n_steps
         rs = cfg.route_steps
-        add, sub, mul, max2 = tape.add, tape.sub, tape.mul, tape.max2
+        sub, madd, max2 = tape.sub, tape.madd, tape.max2
 
         demand_by_origin: dict[str, list[int]] = {}
         for i, dm in enumerate(scn.demands):
@@ -274,22 +289,19 @@ class Simulator:
                 self._refresh_routing(t)
 
             # --- bookkeeping with the state at step t ------------------
-            injected = 0.0
             onlink = 0.0
             queued = 0.0
             for lid, lk in self.links.items():
                 n = sub(lk.NU[t], lk.ND[t])
-                self.ttt_link[lid] = add(self.ttt_link[lid], mul(max2(n, 0.0), dt))
-                onlink += value(lk.NU[t]) - value(lk.ND[t])
+                self.ttt_link[lid] = madd(self.ttt_link[lid], dt, max2(n, 0.0))
+                onlink += value(n)
             for orig, per_dest in self.queue.items():
                 for s, q in per_dest.items():
                     self.queue_hist[orig][s].append(q)
-                    self.ttt_queue = add(self.ttt_queue, mul(q, dt))
+                    self.ttt_queue = madd(self.ttt_queue, dt, q)
                     queued += value(q)
-            for i, _dm in enumerate(scn.demands):
-                injected += value(self.demand_cumulative(i, t * dt))
             absorbed = sum(value(a) for a in self.absorbed.values())
-            err = abs(injected - (onlink + queued + absorbed))
+            err = abs(self._injected(t * dt) - (onlink + queued + absorbed))
             if err > self.conservation_error:
                 self.conservation_error = err
 
@@ -309,7 +321,7 @@ class Simulator:
                         f_out[lk.id] = f
                         splits = fifo_split(tape, lk, t, f)
                         for s, fs in splits.items():
-                            self.absorbed[s] = add(self.absorbed[s], mul(dt, fs))
+                            self.absorbed[s] = madd(self.absorbed[s], dt, fs)
                 elif kind == "origin":
                     # origins without any demand profile have no queue state
                     # and (having no inlinks) nothing to transfer
@@ -341,9 +353,10 @@ class Simulator:
 
         Builds the turning-fraction rows from each inflow's destination
         composition and the node's routing fractions, allocates flow with
-        the INM, and adds the aggregate and per-destination inflows to the
-        outlinks.  Returns the per-inflow totals and, per inflow, its
-        per-destination outflows.
+        the INM, and adds the aggregate inflows to the outlinks, and the
+        per-destination inflows to those that keep per-destination curves.
+        Returns the per-inflow totals and, per inflow, its per-destination
+        outflows.
         """
         tape = self.tape
         add, mul = tape.add, tape.mul
@@ -369,22 +382,23 @@ class Simulator:
             for s, p_s in ps.items():
                 fs = out[s] = mul(q, c[s])
                 for ol in outlinks:
-                    f_in_s[ol.id][s] = add(
-                        f_in_s[ol.id].get(s, 0.0), mul(fs, p_s[ol.id])
-                    )
+                    if ol.NU_s:
+                        f_in_s[ol.id][s] = add(
+                            f_in_s[ol.id].get(s, 0.0), mul(fs, p_s[ol.id])
+                        )
             per_dest.append(out)
         return qin, per_dest
 
     def _origin_step(self, node, t, dt, S, f_in, f_in_s, dm_indices):
         tape = self.tape
-        add, sub, mul = tape.add, tape.sub, tape.mul
+        add, madd = tape.add, tape.madd
         t_sec = t * dt
 
         # arrivals join the per-destination vertical queue
         pre = dict(self.queue[node])
         for i in dm_indices:
             s = self.scn.demands[i].destination
-            pre[s] = add(pre[s], mul(self.demand_rate(i, t_sec), dt))
+            pre[s] = madd(pre[s], dt, self.demand_rate(i, t_sec))
 
         # An exactly-empty queue may still carry sensitivities (it was
         # positive under an infinitesimal parameter change).  Whenever the
@@ -405,9 +419,9 @@ class Simulator:
                 node, [tape.div(total, dt)], [comp], [1.0], S, f_in, f_in_s
             )
             for s, out_s in out.items():
-                pre[s] = sub(pre[s], mul(dt, out_s))
+                pre[s] = madd(pre[s], -dt, out_s)
                 inj = self.inj[node][s]
-                inj.append(add(inj[-1], mul(dt, out_s)))
+                inj.append(madd(inj[-1], dt, out_s))
         self.queue[node] = pre
 
     def _flush_zero_queues(self, node, pre, S, f_in, f_in_s, dt):
@@ -426,10 +440,9 @@ class Simulator:
                 p = probs[lk.id]
                 flow = tape.mul(out_s, p)
                 f_in[lk.id] = tape.add(f_in[lk.id], flow)
-                f_in_s[lk.id][s] = tape.add(f_in_s[lk.id].get(s, 0.0), flow)
-            self.inj[node][s].append(
-                tape.add(self.inj[node][s][-1], tape.mul(dt, out_s))
-            )
+                if lk.NU_s:
+                    f_in_s[lk.id][s] = tape.add(f_in_s[lk.id].get(s, 0.0), flow)
+            self.inj[node][s].append(tape.madd(self.inj[node][s][-1], dt, out_s))
             pre[s] = tape.sub(q, q)
 
     def _junction_step(self, node, t, D, S, f_in, f_out, f_in_s):

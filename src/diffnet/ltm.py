@@ -71,7 +71,9 @@ class LinkDyn:
     Parameters are Var-or-float depending on what was registered on the
     tape.  `w` and `k_crit` are derived from the independent triple unless
     the link was registered under the alternate (u, w, kappa)
-    parameterization, in which case `qmax` is derived.
+    parameterization, in which case `qmax` is derived.  The per-destination
+    upstream curves `NU_s` exist only when the network has two or more
+    destinations; with one, `NU` is that destination's curve.
     """
 
     __slots__ = (
@@ -84,6 +86,7 @@ class LinkDyn:
         "kappa",
         "alpha",
         "w",
+        "dests",
         "NU",
         "ND",
         "NU_s",
@@ -110,9 +113,10 @@ class LinkDyn:
             self.w = tape.div(
                 self.qmax, tape.sub(self.kappa, tape.div(self.qmax, self.u))
             )
+        self.dests = tuple(dests)
         self.NU = [0.0]
         self.ND = [0.0]
-        self.NU_s = {s: [0.0] for s in dests}
+        self.NU_s = {s: [0.0] for s in dests} if len(dests) > 1 else {}
 
     # ------------------------------------------------------------------
     def vehicles(self, tape, t: int):
@@ -150,7 +154,7 @@ class LinkDyn:
         curves one step."""
         if value(f_in) < -1e-12 or value(f_out) < -1e-12:
             raise ValueError(f"link {self.id}: negative boundary flow")
-        self.NU.append(tape.add(self.NU[-1], tape.mul(dt, f_in)))
-        self.ND.append(tape.add(self.ND[-1], tape.mul(dt, f_out)))
+        self.NU.append(tape.madd(self.NU[-1], dt, f_in))
+        self.ND.append(tape.madd(self.ND[-1], dt, f_out))
         for s, curve in self.NU_s.items():
-            curve.append(tape.add(curve[-1], tape.mul(dt, f_in_s.get(s, 0.0))))
+            curve.append(tape.madd(curve[-1], dt, f_in_s.get(s, 0.0)))

@@ -176,7 +176,13 @@ def turning_probs(tape: Tape, table: RoutingTable, node: str,
 
 
 def normalized_shares(tape: Tape, parts: dict, total):
-    """Guarded shares parts[s] / total, renormalized to sum to exactly 1."""
+    """Guarded shares parts[s] / total, renormalized to sum to exactly 1.
+
+    A single part has the share 1.0 as a plain float; taped, it would be
+    x/x, whose partials cancel.
+    """
+    if len(parts) == 1:
+        return {s: 1.0 for s in parts}
     shares = {s: tape.divg(x, total) for s, x in parts.items()}
     ssum = 0.0
     for sh in shares.values():
@@ -193,6 +199,8 @@ def composition(tape: Tape, link: LinkDyn, t: int):
     total = link.NU[t]
     if value(total) <= 0.0:
         return None
+    if not link.NU_s:  # one destination, the single share
+        return {link.dests[0]: 1.0}
     return normalized_shares(
         tape, {s: curve[t] for s, curve in link.NU_s.items()}, total
     )
@@ -206,5 +214,5 @@ def fifo_split(tape: Tape, link: LinkDyn, t: int, f_out):
     """
     comp = composition(tape, link, t)
     if comp is None:
-        return {s: 0.0 for s in link.NU_s}
+        return {s: 0.0 for s in link.dests}
     return {s: tape.mul(f_out, c) for s, c in comp.items()}

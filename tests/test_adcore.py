@@ -177,9 +177,64 @@ def test_min_max_against_a_float_pass_the_winner_through():
                 op(a, b)
 
 
-# Property test: random op sequences over Var, plain-float and exact-zero
-# operands, built from the ops above.  Ops outside these domains, or whose
-# result leaves [-1e3, 1e3], are skipped; the other ops take any operands.
+def test_exact_one_operands_record_nothing():
+    tape = Tape()
+    x = tape.input(3.0)
+    n0 = len(tape)
+    assert tape.mul(x, 1.0) is x
+    assert tape.mul(1.0, x) is x
+    assert tape.div(x, 1.0) is x
+    assert len(tape) == n0
+    # only a plain float 1.0 is skipped: an int 1 and 1.0 / x still record
+    for r in (tape.mul(x, 1), tape.mul(1, x), tape.div(x, 1)):
+        assert value(r) == 3.0 and tape.grad(r, [x]) == [1.0]
+    inv = tape.div(1.0, x)
+    assert len(tape) == n0 + 4
+    assert tape.grad(inv, [x]) == [pytest.approx(-1.0 / 9.0)]
+    other = Tape()
+    for op, args in ((other.mul, (x, 1.0)), (other.mul, (1.0, x)),
+                     (other.div, (x, 1.0))):
+        with pytest.raises(TapeError):
+            op(*args)
+
+
+def test_madd_is_one_entry_with_the_value_of_add_mul():
+    ref, tape = Tape(), Tape()
+    for yv, a, xv in ((2.0, 0.3, 0.7), (-1.5, 5.0, 1e-3), (0.1, 1.0, 0.2),
+                      (0.0, 0.3, 0.7), (2.5, -5.0, 0.7)):
+        for y_var in (True, False):
+            ry = ref.input(yv) if y_var else yv
+            y = tape.input(yv) if y_var else yv
+            x = tape.input(xv)
+            n0 = len(tape)
+            out = tape.madd(y, a, x)
+            assert len(tape) == n0 + 1
+            assert value(out) == value(ref.add(ry, ref.mul(a, ref.input(xv))))
+            assert tape.grad(out, [y, x]) == [1.0 if y_var else 0.0, a]
+            # a plain-float x makes it add(y, a*x)
+            assert value(tape.madd(y, a, xv)) == yv + a * xv
+
+
+def test_madd_exact_zero_and_cross_tape():
+    tape = Tape()
+    y, x = tape.input(2.0), tape.input(3.0)
+    n0 = len(tape)
+    assert tape.madd(y, 0.0, x) is y
+    assert tape.madd(y, 0.5, 0.0) is y
+    assert tape.madd(1.5, 0.0, x) == 1.5
+    assert len(tape) == n0
+    other = Tape()
+    for yy, xx in ((y, 1.0), (0.0, x), (y, x), (1.0, x)):
+        with pytest.raises(TapeError):
+            other.madd(yy, 0.5, xx)
+    with pytest.raises(TapeError):
+        other.madd(0.0, 0.0, x)
+
+
+# Property test: random op sequences over Var, plain-float, exact-zero and
+# exact-one operands, built from the ops above and `madd` with a drawn
+# coefficient.  Ops outside these domains, or whose result leaves
+# [-1e3, 1e3], are skipped; the other ops take any operands.
 PROGRAM_DOMAIN = {
     "div": lambda x, y: abs(y) >= 0.5,
     "exp": lambda x, y: abs(x) <= 5.0,
@@ -189,11 +244,13 @@ OPERAND = st.one_of(
     st.tuples(st.just("slot"), st.integers(0, 40)),
     st.tuples(st.just("const"), st.floats(-3.0, 3.0)),
     st.just(("const", 0.0)),
+    st.just(("const", 1.0)),
 )
+COEF = st.one_of(st.floats(-3.0, 3.0), st.just(0.0), st.just(1.0))
 PROGRAM = st.tuples(
     st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
-    st.lists(st.tuples(st.sampled_from(sorted({**UNARY, **BINARY})), OPERAND,
-                       OPERAND), min_size=1, max_size=30),
+    st.lists(st.tuples(st.sampled_from(sorted({**UNARY, **BINARY}) + ["madd"]),
+                       OPERAND, OPERAND, COEF), min_size=1, max_size=30),
 )
 
 
@@ -204,20 +261,26 @@ def test_random_programs_match_floats_and_forward_mode(program):
     tape = Tape()
     inputs = [tape.input(x) for x in xs]
     taped, plain = list(inputs), list(xs)
-    for name, *operands in steps:
-        op, ref, _ = UNARY.get(name) or BINARY[name]
-        arity = 1 if name in UNARY else 2
+    for name, *operands, c in steps:
         (a, x), (b, y) = [(taped[k % len(taped)], plain[k % len(plain)])
                           if kind == "slot" else (k, k)
                           for kind, k in operands]
-        if not PROGRAM_DOMAIN.get(name, lambda x, y: True)(x, y):
-            continue
-        r = ref(*(x, y)[:arity])
-        if abs(r) > 1e3:
-            continue
-        out = op(tape, *(a, b)[:arity])
+        if name == "madd":
+            r = x + c * y
+            if abs(r) > 1e3:
+                continue
+            out = tape.madd(a, c, b)
+        else:
+            op, ref, _ = UNARY.get(name) or BINARY[name]
+            arity = 1 if name in UNARY else 2
+            if not PROGRAM_DOMAIN.get(name, lambda x, y: True)(x, y):
+                continue
+            r = ref(*(x, y)[:arity])
+            if abs(r) > 1e3:
+                continue
+            out = op(tape, *(a, b)[:arity])
         # signed zeros may differ: the exact-zero rule returns x for x + 0.0
-        assert value(out) == r, (name, x, y)
+        assert value(out) == r, (name, x, y, c)
         taped.append(out)
         plain.append(r)
     out = taped[-1]

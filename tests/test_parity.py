@@ -1,4 +1,4 @@
-"""Pinned objective values and gradients on three fixtures.
+"""Pinned objective values and gradients on four fixtures.
 
 The pins guard the arithmetic of the node step, the share routines and the
 link updates: a refactor that keeps that arithmetic reproduces them to 1e-9
@@ -11,7 +11,8 @@ import pytest
 
 from diffnet.engine import Simulator, build_objective, objective_ttt
 from diffnet.presets import merge_scenario, toll_grid_scenario, two_route_scenario
-from diffnet.scenario import register_parameters
+from diffnet.routing import composition
+from diffnet.scenario import Scenario, register_parameters
 
 
 def taped(scn, tokens, values=None):
@@ -53,4 +54,65 @@ def test_toll_grid_tape_size_bounded():
     # an adjoint (exact-zero operands, repeated converged INM passes,
     # min2/max2 of a Var against a float) are not recorded
     res, _ = taped(toll_grid_scenario(), "toll:*")
-    assert len(res.tape) <= 55_000
+    assert len(res.tape) <= 25_000
+
+
+def test_merge_tape_size_bounded():
+    # one destination: no per-destination curves, flows or shares, and the
+    # curve updates and travel-time sums record one entry each
+    res, _ = taped(merge_scenario(), "q1,q2,u1,u2,u3,alpha1")
+    assert len(res.tape) <= 36_000
+
+
+def _lk(lid, tail, head, d, u=20.0, qmax=0.6):
+    return {"id": lid, "from": tail, "to": head, "d": d, "u": u,
+            "qmax": qmax, "kappa": 0.2, "alpha": 1.0}
+
+
+def two_destination_scenario():
+    """One origin whose logit routes diverge to two destinations.
+
+    From node m each destination has a direct link and a route through node
+    n, so links a and c carry both destinations.  Link lengths are off whole
+    timesteps, which keeps every index sensitivity away from a grid point.
+    """
+    return Scenario.from_dict({
+        "meta": {"dt": 5.0, "T_max": 1500.0, "dt_route": 25.0,
+                 "dt_toll": 1500.0, "mu": 0.05},
+        "nodes": [{"id": "orig", "kind": "origin"},
+                  {"id": "m", "kind": "intermediate"},
+                  {"id": "n", "kind": "intermediate"},
+                  {"id": "d1", "kind": "destination"},
+                  {"id": "d2", "kind": "destination"}],
+        "links": [_lk("a", "orig", "m", 1010.0, qmax=0.8),
+                  _lk("b1", "m", "d1", 1030.0, qmax=0.25),
+                  _lk("b2", "m", "d2", 1520.0),
+                  _lk("c", "m", "n", 510.0, qmax=0.5),
+                  _lk("e1", "n", "d1", 820.0),
+                  _lk("e2", "n", "d2", 530.0, qmax=0.3)],
+        "demands": [{"origin": "orig", "destination": "d1",
+                     "profile": [[0.0, 600.0, 0.4]]},
+                    {"origin": "orig", "destination": "d2",
+                     "profile": [[0.0, 600.0, 0.3]]}],
+    })
+
+
+def test_two_destination_ttt_and_gradients_pinned():
+    res, pv = taped(two_destination_scenario(), "q1,q2,qmaxb1,ua,ub2")
+    J = objective_ttt(res)
+    assert J.val == pytest.approx(55845.31272273125, rel=1e-9)
+    assert res.tape.grad(J, pv) == pytest.approx(
+        [417039.6598097659, 80205.2189811544, -540128.4675820868,
+         -1148.8750000000002, -12.313291203773163], rel=1e-9)
+    c = res.links["c"]
+    assert set(c.NU_s) == {"d1", "d2"}
+    assert sum(c.NU_s[s][-1].val for s in c.NU_s) == pytest.approx(
+        c.NU[-1].val, rel=1e-12)
+
+
+def test_one_destination_run_keeps_no_per_destination_state():
+    res, _ = taped(toll_grid_scenario(), "toll:*")
+    assert all(lk.NU_s == {} for lk in res.links.values())
+    lk = res.links["f0b"]
+    comp = composition(res.tape, lk, len(lk.NU) - 1)
+    assert comp == {"dest": 1.0} and type(comp["dest"]) is float
