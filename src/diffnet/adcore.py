@@ -287,9 +287,6 @@ class Tape:
             return a if a >= b.val else b
         return a if a >= b else b
 
-    def relu(self, a):
-        return self.max2(a, 0.0)
-
     def exp(self, a):
         if type(a) is not Var:
             return math.exp(a)

@@ -71,12 +71,12 @@ class SimResult:
         self.scenario = sim.scn
         self.config = sim.scn.config
         self.tape = sim.tape
-        self.links: dict[str, LinkDyn] = sim.links
+        self.links: dict[str, LinkDyn] = {lk.id: lk for lk in sim.links}
         self.param_vars = sim.param_vars
         self.queues = sim.queue_hist  # origin -> dest -> [veh per step]
         self.inj = sim.inj  # origin -> dest -> cumulative injection curve
         self.absorbed = sim.absorbed  # dest -> veh (Var/float)
-        self.ttt_link = sim.ttt_link  # link id -> veh*s (Var/float)
+        self.ttt_link = dict(zip(self.links, sim.ttt_link))  # link id -> veh*s
         self.ttt_queue = sim.ttt_queue
         self.conservation_error = sim.conservation_error  # max abs (veh)
         self.forward_time = sim.forward_time
@@ -118,18 +118,12 @@ class Simulator:
                     self._toll_over[p.target] = var
 
         dests = scenario.destinations
-        self.links: dict[str, LinkDyn] = {}
-        for lp in scenario.links:
-            over = self._link_over.get(lp.id, {})
-            self.links[lp.id] = LinkDyn(self.tape, lp, dests, **over)
-        self.by_tail: dict[str, list[LinkDyn]] = {
-            n: [self.links[lp.id] for lp in scenario.outlinks(n)]
-            for n in scenario.nodes
-        }
-        self.by_head: dict[str, list[LinkDyn]] = {
-            n: [self.links[lp.id] for lp in scenario.inlinks(n)]
-            for n in scenario.nodes
-        }
+        self.net = scenario.network
+        # indexed by link number
+        self.links: list[LinkDyn] = [
+            LinkDyn(self.tape, lp, dests, **self._link_over.get(lp.id, {}))
+            for lp in scenario.links
+        ]
 
         self.dests = dests
         self.queue: dict[str, dict[str, object]] = {
@@ -142,11 +136,13 @@ class Simulator:
             o: {s: [0.0] for s in dests} for o in scenario.origins
         }
         self.absorbed: dict[str, object] = {s: 0.0 for s in dests}
-        self.ttt_link: dict[str, object] = {lid: 0.0 for lid in self.links}
+        self.ttt_link: list = [0.0] * len(self.links)  # veh*s (Var/float)
         self.ttt_queue: object = 0.0
         self.conservation_error = 0.0
         self.forward_time = 0.0
-        self._probs: dict[str, dict[str, dict | None]] = {}
+        # node -> destination -> routing fractions aligned with the node's
+        # outlinks, or None where the destination is unreachable
+        self._probs: dict[str, dict[str, list | None]] = {}
 
     # ------------------------------------------------------------------
     # parameter-aware accessors
@@ -217,24 +213,22 @@ class Simulator:
         tape, scn = self.tape, self.scn
         t_sec = t * scn.config.dt
         weights = {
-            lid: tape.add(self.link_travel_time(lk, t), self.toll_value(lid, t_sec))
-            for lid, lk in self.links.items()
+            lk.id: tape.add(self.link_travel_time(lk, t), self.toll_value(lk.id, t_sec))
+            for lk in self.links
         }
-        table = build_routing(
-            tape, scn.nodes, list(self.links.values()), weights, self.dests
-        )
+        table = build_routing(tape, scn.nodes, self.links, weights, self.dests)
         # per-node routing fractions are fixed until the next refresh
         self._probs = {}
         for node, kind in scn.nodes.items():
-            outlinks = self.by_tail[node]
+            outlinks = [self.links[i] for i in self.net.outlinks[node]]
             if kind == "destination" or not outlinks:
                 continue
-            self._probs[node] = {
-                s: turning_probs(tape, table, node, outlinks, s, scn.config.mu)
-                for s in self.dests
-            }
+            rows = self._probs[node] = {}
+            for s in self.dests:
+                p = turning_probs(tape, table, node, outlinks, s, scn.config.mu)
+                rows[s] = None if p is None else [p[lk.id] for lk in outlinks]
 
-    def _node_probs(self, node: str, dest: str) -> dict:
+    def _node_probs(self, node: str, dest: str) -> list:
         p = self._probs.get(node, {}).get(dest)
         if p is None:
             raise EngineError(f"no route from node {node} to destination {dest}")
@@ -279,10 +273,9 @@ class Simulator:
         T = cfg.n_steps
         rs = cfg.route_steps
         sub, madd, max2 = tape.sub, tape.madd, tape.max2
-
-        demand_by_origin: dict[str, list[int]] = {}
-        for i, dm in enumerate(scn.demands):
-            demand_by_origin.setdefault(dm.origin, []).append(i)
+        links, inlinks = self.links, self.net.inlinks
+        L = len(links)
+        ttt_link = self.ttt_link
 
         for t in range(T):
             if t % rs == 0:
@@ -291,9 +284,9 @@ class Simulator:
             # --- bookkeeping with the state at step t ------------------
             onlink = 0.0
             queued = 0.0
-            for lid, lk in self.links.items():
+            for i, lk in enumerate(links):
                 n = sub(lk.NU[t], lk.ND[t])
-                self.ttt_link[lid] = madd(self.ttt_link[lid], dt, max2(n, 0.0))
+                ttt_link[i] = madd(ttt_link[i], dt, max2(n, 0.0))
                 onlink += value(n)
             for orig, per_dest in self.queue.items():
                 for s, q in per_dest.items():
@@ -306,37 +299,34 @@ class Simulator:
                 self.conservation_error = err
 
             # --- demand / supply ---------------------------------------
-            D = {lid: lk.demand(tape, t, dt) for lid, lk in self.links.items()}
-            S = {lid: lk.supply(tape, t, dt) for lid, lk in self.links.items()}
+            D = [lk.demand(tape, t, dt) for lk in links]
+            S = [lk.supply(tape, t, dt) for lk in links]
 
-            f_in: dict[str, object] = {lid: 0.0 for lid in self.links}
-            f_out: dict[str, object] = {lid: 0.0 for lid in self.links}
-            f_in_s: dict[str, dict] = {lid: {} for lid in self.links}
+            f_in: list = [0.0] * L
+            f_out: list = [0.0] * L
+            f_in_s: list[dict] = [{} for _ in range(L)]
 
             # --- node transfers ----------------------------------------
             for node, kind in scn.nodes.items():
                 if kind == "destination":
-                    for lk in self.by_head[node]:
-                        f = D[lk.id]
-                        f_out[lk.id] = f
-                        splits = fifo_split(tape, lk, t, f)
+                    for i in inlinks[node]:
+                        f = f_out[i] = D[i]
+                        splits = fifo_split(tape, links[i], t, f)
                         for s, fs in splits.items():
                             self.absorbed[s] = madd(self.absorbed[s], dt, fs)
                 elif kind == "origin":
                     # origins without any demand profile have no queue state
                     # and (having no inlinks) nothing to transfer
                     if node in self.queue:
-                        self._origin_step(node, t, dt, S, f_in, f_in_s,
-                                          demand_by_origin.get(node, []))
+                        self._origin_step(node, t, dt, S, f_in, f_in_s)
                 else:
                     self._junction_step(node, t, D, S, f_in, f_out, f_in_s)
 
             # --- boundary updates --------------------------------------
-            for lid, lk in self.links.items():
-                fi, fo = f_in[lid], f_out[lid]
+            for lk, fi, fo, fs in zip(links, f_in, f_out, f_in_s):
                 if not (math.isfinite(value(fi)) and math.isfinite(value(fo))):
-                    raise EngineError(f"non-finite flow on link {lid} at step {t}")
-                lk.update_boundaries(tape, dt, fi, fo, f_in_s[lid])
+                    raise EngineError(f"non-finite flow on link {lk.id} at step {t}")
+                lk.update_boundaries(tape, dt, fi, fo, fs)
             for orig in self.inj:
                 for s in self.dests:
                     cur = self.inj[orig][s]
@@ -360,43 +350,41 @@ class Simulator:
         """
         tape = self.tape
         add, mul = tape.add, tape.mul
-        outlinks = self.by_tail[node]
+        outs = self.net.outlinks[node]
         probs = [self._reachable_probs(node, c) for c in comps]
         B = []
         for c, ps in zip(comps, probs):
             row = []
-            for ol in outlinks:
+            for j in range(len(outs)):
                 acc = 0.0
                 for s, p_s in ps.items():
-                    acc = add(acc, mul(c[s], p_s[ol.id]))
+                    acc = add(acc, mul(c[s], p_s[j]))
                 row.append(acc)
             B.append(row)
 
-        qin, qout = inm_fixed(tape, D, [S[ol.id] for ol in outlinks], B, alpha)
-        for ol, q in zip(outlinks, qout):
-            f_in[ol.id] = add(f_in[ol.id], q)
+        qin, qout = inm_fixed(tape, D, [S[o] for o in outs], B, alpha)
+        for o, q in zip(outs, qout):
+            f_in[o] = add(f_in[o], q)
 
         per_dest = []
         for q, c, ps in zip(qin, comps, probs):
             out = {}
             for s, p_s in ps.items():
                 fs = out[s] = mul(q, c[s])
-                for ol in outlinks:
-                    if ol.NU_s:
-                        f_in_s[ol.id][s] = add(
-                            f_in_s[ol.id].get(s, 0.0), mul(fs, p_s[ol.id])
-                        )
+                for o, p in zip(outs, p_s):
+                    if self.links[o].NU_s:
+                        f_in_s[o][s] = add(f_in_s[o].get(s, 0.0), mul(fs, p))
             per_dest.append(out)
         return qin, per_dest
 
-    def _origin_step(self, node, t, dt, S, f_in, f_in_s, dm_indices):
+    def _origin_step(self, node, t, dt, S, f_in, f_in_s):
         tape = self.tape
         add, madd = tape.add, tape.madd
         t_sec = t * dt
 
         # arrivals join the per-destination vertical queue
         pre = dict(self.queue[node])
-        for i in dm_indices:
+        for i in self.net.origin_demands[node]:
             s = self.scn.demands[i].destination
             pre[s] = madd(pre[s], dt, self.demand_rate(i, t_sec))
 
@@ -429,29 +417,30 @@ class Simulator:
         for s, q in pre.items():
             if not isinstance(q, Var) or value(q) != 0.0:
                 continue
-            probs = self._node_probs(node, s)
-            lks = [
-                lk for lk in self.by_tail[node] if value(probs[lk.id]) > 0.0
+            used = [
+                (o, p)
+                for o, p in zip(self.net.outlinks[node], self._node_probs(node, s))
+                if value(p) > 0.0
             ]
-            if not lks or any(value(S[lk.id]) <= 1e-12 for lk in lks):
+            if not used or any(value(S[o]) <= 1e-12 for o, _ in used):
                 continue
             out_s = tape.div(q, dt)
-            for lk in lks:
-                p = probs[lk.id]
+            for o, p in used:
                 flow = tape.mul(out_s, p)
-                f_in[lk.id] = tape.add(f_in[lk.id], flow)
-                if lk.NU_s:
-                    f_in_s[lk.id][s] = tape.add(f_in_s[lk.id].get(s, 0.0), flow)
+                f_in[o] = tape.add(f_in[o], flow)
+                if self.links[o].NU_s:
+                    f_in_s[o][s] = tape.add(f_in_s[o].get(s, 0.0), flow)
             self.inj[node][s].append(tape.madd(self.inj[node][s][-1], dt, out_s))
             pre[s] = tape.sub(q, q)
 
     def _junction_step(self, node, t, D, S, f_in, f_out, f_in_s):
-        inlinks = self.by_head[node]
-        if not self.by_tail[node]:
+        ins = self.net.inlinks[node]
+        if not self.net.outlinks[node]:
             return  # dead end; routed flow never reaches here
-        if all(value(D[lk.id]) <= 0.0 for lk in inlinks):
+        if all(value(D[i]) <= 0.0 for i in ins):
             return
 
+        inlinks = [self.links[i] for i in ins]
         comps = []
         for lk in inlinks:
             c = composition(self.tape, lk, t)
@@ -464,24 +453,24 @@ class Simulator:
             comps.append(c)
 
         qin, _ = self._transfer(
-            node, [D[lk.id] for lk in inlinks], comps,
+            node, [D[i] for i in ins], comps,
             [lk.alpha for lk in inlinks], S, f_in, f_in_s,
         )
-        for lk, q in zip(inlinks, qin):
-            f_out[lk.id] = q
+        for i, q in zip(ins, qin):
+            f_out[i] = q
 
     # ------------------------------------------------------------------
     # virtual vehicle tracing (post-scan, same tape)
 
     def trace_trip(self, t0: float, origin: str, destination: str) -> Trajectory:
-        tape = self.tape
+        tape, net = self.tape, self.net
         dt = self.scn.config.dt
         if self.scn.nodes.get(origin) != "origin":
             raise EngineError(f"{origin} is not an origin node")
         dm_indices = [
             i
-            for i, dm in enumerate(self.scn.demands)
-            if dm.origin == origin and dm.destination == destination
+            for i in net.origin_demands.get(origin, ())
+            if self.scn.demands[i].destination == destination
         ]
         if not dm_indices:
             raise EngineError(f"no demand from {origin} to {destination}")
@@ -508,7 +497,6 @@ class Simulator:
         back: dict[str, tuple[str, object]] = {}
         heap = [(value(t_enter), origin)]
         done = set()
-        order = 0
         while heap:
             tv, n = heapq.heappop(heap)
             if n in done:
@@ -516,7 +504,8 @@ class Simulator:
             done.add(n)
             if n == destination:
                 break
-            for lk in self.by_tail[n]:
+            for i in net.outlinks[n]:
+                lk = self.links[i]
                 if not self.scn.reaches(lk.head, destination):
                     continue
                 try:
@@ -528,10 +517,9 @@ class Simulator:
                 ):
                     arrival[lk.head] = t_exit
                     back[lk.head] = (n, lk.id)
-                    order += 1
                     heapq.heappush(heap, (value(t_exit), lk.head))
         if destination not in done:
-            stuck = ", ".join(lk.id for lk in self.by_tail[origin])
+            stuck = ", ".join(self.links[i].id for i in net.outlinks[origin])
             raise TripIncompleteError(
                 f"trip {origin}->{destination} departing t={t0} does not finish "
                 f"within T_max (first links tried: {stuck})"

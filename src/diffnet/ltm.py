@@ -119,10 +119,6 @@ class LinkDyn:
         self.NU_s = {s: [0.0] for s in dests} if len(dests) > 1 else {}
 
     # ------------------------------------------------------------------
-    def vehicles(self, tape, t: int):
-        """Vehicle count N_U(t) - N_D(t)."""
-        return tape.sub(self.NU[t], self.ND[t])
-
     def newell_N(self, tape, t, x, dt: float):
         """Newell cumulative count at time t (steps) and position x (m)."""
         off_free = tape.div(x, tape.mul(self.u, dt))

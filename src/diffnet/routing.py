@@ -57,7 +57,6 @@ class RoutingTable:
 
     For each destination s:
       node_cost[s][node]  float cost to s (inf if unreachable)
-      node_cost_var[s]    same costs as tape expressions along the tree
       link_cost[s][lid]   float cost of entering link lid then reaching s
       link_cost_var[s]    tape expressions for the same
       next_link[s][node]  id of the chosen outlink (tie: lowest link id)
@@ -65,7 +64,6 @@ class RoutingTable:
 
     def __init__(self):
         self.node_cost: dict[str, dict[str, float]] = {}
-        self.node_cost_var: dict[str, dict] = {}
         self.link_cost: dict[str, dict[str, float]] = {}
         self.link_cost_var: dict[str, dict] = {}
         self.next_link: dict[str, dict[str, str]] = {}
@@ -99,35 +97,27 @@ def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: dict,
     """
     table = RoutingTable()
     weights_f = {lid: value(w) for lid, w in weights.items()}
-    by_tail: dict[str, list[LinkDyn]] = {}
-    for lk in links:
-        by_tail.setdefault(lk.tail, []).append(lk)
 
     for dest in destinations:
         cost = _bellman_ford(nodes, links, weights_f, dest)
-        nxt: dict[str, str] = {}
-        for n in nodes:
-            if n == dest or cost[n] == INF:
+        # best outlink of each node: (cost via it, its id, the link); equal
+        # costs go to the lowest link id
+        best: dict[str, tuple] = {}
+        for lk in links:
+            n = lk.tail
+            if n == dest or cost[n] == INF or cost[lk.head] == INF:
                 continue
-            best = min(
-                (
-                    (weights_f[lk.id] + cost[lk.head], lk.id)
-                    for lk in by_tail.get(n, [])
-                    if cost[lk.head] < INF
-                ),
-                default=None,
-            )
-            if best is not None:
-                nxt[n] = best[1]
+            cand = (weights_f[lk.id] + cost[lk.head], lk.id, lk)
+            if n not in best or cand < best[n]:
+                best[n] = cand
 
         # rebuild tree costs as tape expressions, nearest node first
         cvar: dict[str, object] = {dest: 0.0}
         for n in sorted((m for m in nodes if cost[m] < INF), key=lambda m: cost[m]):
             if n == dest:
                 continue
-            lid = nxt[n]
-            head = next(lk.head for lk in by_tail[n] if lk.id == lid)
-            cvar[n] = tape.add(weights[lid], cvar[head])
+            lk = best[n][2]
+            cvar[n] = tape.add(weights[lk.id], cvar[lk.head])
         lcost_f = {}
         lcost_v = {}
         for lk in links:
@@ -136,10 +126,9 @@ def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: dict,
                 lcost_v[lk.id] = tape.add(weights[lk.id], cvar[lk.head])
 
         table.node_cost[dest] = cost
-        table.node_cost_var[dest] = cvar
         table.link_cost[dest] = lcost_f
         table.link_cost_var[dest] = lcost_v
-        table.next_link[dest] = nxt
+        table.next_link[dest] = {n: b[1] for n, b in best.items()}
     return table
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "DemandProfile",
     "TollSchedule",
     "SimConfig",
+    "Network",
     "Scenario",
     "ScenarioError",
     "ValidationError",
@@ -78,8 +79,8 @@ class LinkParams:
 
     def validate(self):
         for name in ("d", "u", "qmax", "kappa", "alpha"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"link {self.id}: {name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"link {self.id}: {name} must be finite and > 0")
         if self.k_crit >= self.kappa:
             raise ValidationError(
                 f"link {self.id}: critical density {self.k_crit:.4g} must be "
@@ -110,20 +111,22 @@ class DemandProfile:
     def validate(self, cfg: "SimConfig"):
         prev_end = None
         for t0, t1, q in self.profile:
-            if q < 0:
+            if not 0 <= q < math.inf:
                 raise ValidationError(
-                    f"demand {self.origin}->{self.destination}: negative rate"
+                    f"demand {self.origin}->{self.destination}: rate {q} must "
+                    "be finite and >= 0"
                 )
+            for edge in (t0, t1):
+                steps = edge / cfg.dt
+                if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+                    raise ValidationError(
+                        f"demand {self.origin}->{self.destination}: interval "
+                        f"edge {edge} not a finite multiple of dt={cfg.dt}"
+                    )
             if t1 <= t0:
                 raise ValidationError(
                     f"demand {self.origin}->{self.destination}: empty interval"
                 )
-            for edge in (t0, t1):
-                if abs(edge / cfg.dt - round(edge / cfg.dt)) > 1e-9:
-                    raise ValidationError(
-                        f"demand {self.origin}->{self.destination}: interval "
-                        f"edge {edge} not aligned to dt={cfg.dt}"
-                    )
             if prev_end is not None and t0 < prev_end:
                 raise ValidationError(
                     f"demand {self.origin}->{self.destination}: overlapping intervals"
@@ -149,8 +152,10 @@ class TollSchedule:
 
     def validate(self):
         for lid, vals in self.values.items():
-            if any(v < 0 for v in vals):
-                raise ValidationError(f"toll on link {lid}: negative value")
+            if not all(0 <= v < math.inf for v in vals):
+                raise ValidationError(
+                    f"toll on link {lid}: values must be finite and >= 0"
+                )
 
 
 @dataclass(frozen=True)
@@ -177,14 +182,16 @@ class SimConfig:
         return math.ceil(self.T_max / self.dt_toll - 1e-9)
 
     def validate(self):
-        if self.dt <= 0:
-            raise ValidationError("dt must be > 0")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError(f"dt={self.dt} must be finite and > 0")
         for name in ("T_max", "dt_route", "dt_toll"):
             v = getattr(self, name)
-            if abs(v / self.dt - round(v / self.dt)) > 1e-9 or v <= 0:
-                raise ValidationError(f"{name}={v} must be a positive multiple of dt")
-        if self.mu < 0:
-            raise ValidationError("mu must be >= 0")
+            if not 0 < v < math.inf or abs(v / self.dt - round(v / self.dt)) > 1e-9:
+                raise ValidationError(
+                    f"{name}={v} must be a finite positive multiple of dt"
+                )
+        if not 0 <= self.mu < math.inf:
+            raise ValidationError(f"mu={self.mu} must be finite and >= 0")
         if self.M < 1:
             raise ValidationError("segment count M must be >= 1")
         if self.tt_method not in ("average", "segments"):
@@ -192,6 +199,16 @@ class SimConfig:
 
 
 NODE_KINDS = ("origin", "destination", "intermediate")
+
+
+@dataclass(frozen=True)
+class Network:
+    """Integer-indexed topology of a scenario; see `Scenario.network`."""
+
+    outlinks: dict[str, list[int]]  # node id -> outlink numbers
+    inlinks: dict[str, list[int]]  # node id -> inlink numbers
+    reachable: dict[str, set[str]]  # node id -> nodes it reaches (itself too)
+    origin_demands: dict[str, list[int]]  # origin id -> demand indices
 
 
 @dataclass(frozen=True)
@@ -210,31 +227,32 @@ class Scenario:
         raise KeyError(f"no link {link_id!r}")
 
     @cached_property
-    def _topology(self):
-        """Outlinks, inlinks and reachable node set of every node, built once
-        per scenario (which is immutable)."""
-        out: dict[str, list[LinkParams]] = {n: [] for n in self.nodes}
-        inc: dict[str, list[LinkParams]] = {n: [] for n in self.nodes}
-        for lk in self.links:
-            out.setdefault(lk.tail, []).append(lk)
-            inc.setdefault(lk.head, []).append(lk)
-        reach = {}
-        for node in out:
+    def network(self) -> Network:
+        """The scenario's topology, built once (the scenario is immutable).
+
+        Links are numbered by their position in `links`, and each node lists
+        its link numbers in that (file) order.
+        """
+        outlinks: dict[str, list[int]] = {n: [] for n in self.nodes}
+        inlinks: dict[str, list[int]] = {n: [] for n in self.nodes}
+        for i, lk in enumerate(self.links):
+            outlinks.setdefault(lk.tail, []).append(i)
+            inlinks.setdefault(lk.head, []).append(i)
+        reachable = {}
+        for node in outlinks:
             seen = {node}
             stack = [node]
             while stack:
-                for lk in out.get(stack.pop(), ()):
-                    if lk.head not in seen:
-                        seen.add(lk.head)
-                        stack.append(lk.head)
-            reach[node] = seen
-        return out, inc, reach
-
-    def outlinks(self, node: str) -> list[LinkParams]:
-        return list(self._topology[0].get(node, ()))
-
-    def inlinks(self, node: str) -> list[LinkParams]:
-        return list(self._topology[1].get(node, ()))
+                for i in outlinks.get(stack.pop(), ()):
+                    head = self.links[i].head
+                    if head not in seen:
+                        seen.add(head)
+                        stack.append(head)
+            reachable[node] = seen
+        origin_demands: dict[str, list[int]] = {}
+        for i, dm in enumerate(self.demands):
+            origin_demands.setdefault(dm.origin, []).append(i)
+        return Network(outlinks, inlinks, reachable, origin_demands)
 
     @property
     def destinations(self) -> list[str]:
@@ -273,9 +291,9 @@ class Scenario:
         for nid, kind in self.nodes.items():
             if kind not in NODE_KINDS:
                 raise ValidationError(f"node {nid}: unknown kind {kind!r}")
-            if kind == "origin" and self.inlinks(nid):
+            if kind == "origin" and self.network.inlinks[nid]:
                 raise ValidationError(f"origin node {nid} must have no inlinks")
-            if kind == "destination" and self.outlinks(nid):
+            if kind == "destination" and self.network.outlinks[nid]:
                 raise ValidationError(f"destination node {nid} must have no outlinks")
         for dm in self.demands:
             dm.validate(self.config)
@@ -295,7 +313,7 @@ class Scenario:
                 raise ValidationError(f"toll refers to unknown link {lid!r}")
 
     def reaches(self, node: str, dest: str) -> bool:
-        return dest in self._topology[2].get(node, {node})
+        return dest in self.network.reachable.get(node, {node})
 
     # ------------------------------------------------------------------
     # file I/O

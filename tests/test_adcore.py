@@ -18,8 +18,6 @@ UNARY = {
     "neg": (lambda t, a: t.neg(a), lambda x: -x, lambda x: True),
     "exp": (lambda t, a: t.exp(a), math.exp, lambda x: abs(x) < 20),
     "log": (lambda t, a: t.log(a), math.log, lambda x: x > 1e-3),
-    "relu": (lambda t, a: t.relu(a), lambda x: max(x, 0.0),
-             lambda x: abs(x) > 1e-3),
 }
 
 BINARY = {

@@ -110,6 +110,19 @@ def test_invalid_scenario_is_validation_error(tmp_path):
     assert main(["run", str(p), "--out", str(tmp_path)]) == 1
 
 
+def test_non_finite_demand_rate_is_validation_error(tmp_path, capsys):
+    bad = merge_scenario().to_dict()
+    bad["demands"][0]["profile"][0][2] = float("nan")
+    import yaml
+
+    p = tmp_path / "nan.scn"
+    p.write_text(yaml.safe_dump(bad))
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and "rate nan" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_bad_parameter_token_is_validation_error(merge_file, tmp_path):
     assert main(["grad", merge_file, "--params", "zz9", "--out",
                  str(tmp_path)]) == 1
@@ -158,6 +171,13 @@ def test_iteration_count_below_one_is_scenario_error(merge_file, tmp_path,
     err = capsys.readouterr().err
     assert err == f"scenario error: iters must be at least 1 (got {iters})\n"
     assert not os.path.exists(out)
+
+
+def test_segments_option(merge_file, tmp_path, capsys):
+    out = str(tmp_path / "o")
+    assert main(["run", merge_file, "--segments", "3", "--out", out]) == 0
+    assert "ttt=" in capsys.readouterr().out
+    assert os.path.exists(os.path.join(out, "summary.csv"))
 
 
 def test_mu_override(merge_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """End-to-end simulation engine: conservation, fixtures, trip tracing."""
 
+import dataclasses
 import random
 
 import pytest
@@ -12,7 +13,11 @@ from diffnet.engine import (
     objective_ttt,
     run,
 )
-from diffnet.presets import bottleneck_scenario, merge_scenario
+from diffnet.presets import (
+    bottleneck_scenario,
+    merge_scenario,
+    toll_grid_scenario,
+)
 from diffnet.scenario import Scenario, register_parameters
 
 
@@ -48,7 +53,7 @@ def test_merge_congestion_window():
     lk1 = res.links["1"]
     dt = 5.0
     # free flow before the second origin starts at t=400 (+50 s lead)
-    assert value(lk1.vehicles(res.tape, 80)) == pytest.approx(0.45 * 50.0)
+    assert value(lk1.NU[80]) - value(lk1.ND[80]) == pytest.approx(0.45 * 50.0)
     # first origin's approach clears at t = 1125
     t_clear = next(
         t for t in range(100, 400)
@@ -278,7 +283,7 @@ def test_bottleneck_queue_growth_and_drain():
     # starting after the 100 s free-flow lead, finishing at 100 + 1000 s
     assert value(feed.NU[-1]) == pytest.approx(300.0, abs=1e-9)
     # queue peaks when demand ends (t=500): entered minus served
-    n_peak = value(feed.vehicles(res.tape, 100))
+    n_peak = value(feed.NU[100]) - value(feed.ND[100])
     assert n_peak == pytest.approx(300.0 - 0.3 * 400.0, abs=1e-9)
     # clears exactly when the last vehicle passes the junction
     assert value(feed.ND[220]) == pytest.approx(300.0, abs=1e-9)
@@ -295,3 +300,33 @@ def test_objective_ttt_link_subset():
     # origin-2 spillback queue: grows 0.2 veh/s on [900, 1000], drains
     # 0.4 veh/s on [1000, 1050] -> triangle area 20*100/2 + 20*50/2 = 1500
     assert queue_part == pytest.approx(1500.0, rel=0.05)
+
+
+# ----------------------------------------------------------------------
+# segment travel times
+
+
+def test_segment_travel_time_ttt_and_toll_gradient_pinned():
+    base = toll_grid_scenario()
+    scn = dataclasses.replace(base, config=dataclasses.replace(
+        base.config, M=3, tt_method="segments"))
+    tokens = "toll:f0a:0,toll:f0a:1,toll:f4a:0,toll:f4a:1"
+    ps = register_parameters(scn, tokens)
+    x = [10.0, 5.0, 12.0, 3.0]
+    sim = Simulator(scn, params=ps, values=x)
+    res = sim.run()
+    ttt = objective_ttt(res)
+    ad = res.tape.grad(ttt, [sim.param_vars[n] for n in ps.names])
+    assert value(ttt) == pytest.approx(87611.2321598, rel=1e-9)
+    assert ad[0] == pytest.approx(-11.5903498159, rel=1e-9)
+
+    def ttt_at(v0):
+        r = run(scn, ps, values=[v0] + x[1:], grad=False)
+        return value(objective_ttt(r))
+
+    eps = 1e-3
+    fd = (ttt_at(x[0] + eps) - ttt_at(x[0] - eps)) / (2 * eps)
+    assert ad[0] == pytest.approx(fd, rel=1e-8)
+    # the average-density method gives another answer on the same tolls
+    avg = run(base, register_parameters(base, tokens), values=x, grad=False)
+    assert value(objective_ttt(avg)) == pytest.approx(89054.9775596, rel=1e-9)

@@ -126,7 +126,7 @@ def test_demand_equals_arrival_rate_in_steady_state():
         lk.update_boundaries(tape, dt, 0.3, fo, {"s": 0.3})
     # past the d/(u dt) = 10 step lead time the link passes the inflow through
     assert value(lk.demand(tape, 30, dt)) == pytest.approx(0.3)
-    assert value(lk.vehicles(tape, 30)) == pytest.approx(0.3 * 50.0)
+    assert value(lk.NU[30]) - value(lk.ND[30]) == pytest.approx(0.3 * 50.0)
 
 
 def test_demand_capped_at_capacity():
@@ -152,7 +152,7 @@ def test_supply_zero_when_jammed():
         lk.update_boundaries(tape, dt, 0.8, 0.0, {"s": 0.8})
     for _ in range(50):
         lk.update_boundaries(tape, dt, 0.0, 0.0, {"s": 0.0})
-    assert value(lk.vehicles(tape, 100)) == pytest.approx(200.0)
+    assert value(lk.NU[100]) - value(lk.ND[100]) == pytest.approx(200.0)
     assert value(lk.supply(tape, 100, dt)) == pytest.approx(0.0)
 
 
@@ -197,7 +197,9 @@ def test_conservation_of_boundary_updates():
         fout_total += fo * dt
     assert value(lk.NU[-1]) == pytest.approx(fin_total)
     assert value(lk.ND[-1]) == pytest.approx(fout_total)
-    assert value(lk.vehicles(tape, 60)) == pytest.approx(fin_total - fout_total)
+    assert value(lk.NU[60]) - value(lk.ND[60]) == pytest.approx(
+        fin_total - fout_total
+    )
 
 
 def test_negative_flow_rejected():

@@ -95,8 +95,8 @@ def test_tree_cost_expressions_match_float_costs():
         wvars = {lid: tape.input(wv) for lid, wv in weights.items()}
         dest = sorted(nodes)[0]
         table = build_routing(tape, nodes, links, wvars, [dest])
-        for n, cv in table.node_cost_var[dest].items():
-            assert value(cv) == pytest.approx(table.node_cost[dest][n])
+        for lid, cv in table.link_cost_var[dest].items():
+            assert value(cv) == pytest.approx(table.link_cost[dest][lid])
 
 
 def test_deterministic_tie_breaks_to_lowest_link_id():

@@ -1,9 +1,14 @@
 """Scenario model: validation, serialization, parameter registration."""
 
 import dataclasses
+import importlib.util
+import random
+import re
+from pathlib import Path
 
 import pytest
 
+from diffnet.engine import run
 from diffnet.presets import merge_scenario
 from diffnet.scenario import (
     Scenario,
@@ -11,6 +16,16 @@ from diffnet.scenario import (
     ValidationError,
     register_parameters,
 )
+from test_engine import random_scenario
+
+GRID = Path(__file__).resolve().parents[1] / "bench" / "grid.py"
+
+
+def grid_scenario(n, n_dest):
+    spec = importlib.util.spec_from_file_location("bench_grid", GRID)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return Scenario.from_dict(mod.grid_document(n, n_dest))
 
 
 def base_dict():
@@ -87,6 +102,40 @@ def test_route_interval_must_be_multiple_of_dt():
         Scenario.from_dict(d)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path, bad, field", [
+    pytest.param(("meta", "dt"), NAN, "dt=nan", id="dt"),
+    pytest.param(("meta", "T_max"), INF, "T_max=inf", id="T_max"),
+    pytest.param(("meta", "dt_route"), NAN, "dt_route=nan", id="dt_route"),
+    pytest.param(("meta", "dt_toll"), INF, "dt_toll=inf", id="dt_toll"),
+    pytest.param(("meta", "mu"), NAN, "mu=nan", id="mu"),
+    pytest.param(("links", 0, "d"), INF, "link 1: d ", id="link-d"),
+    pytest.param(("links", 0, "u"), NAN, "link 1: u ", id="link-u"),
+    pytest.param(("links", 0, "qmax"), NAN, "link 1: qmax ", id="link-qmax"),
+    pytest.param(("links", 0, "kappa"), INF, "link 1: kappa ", id="link-kappa"),
+    pytest.param(("links", 0, "alpha"), NAN, "link 1: alpha ", id="link-alpha"),
+    pytest.param(("demands", 0, "profile", 0, 2), NAN, "rate nan",
+                 id="demand-rate"),
+    pytest.param(("demands", 0, "profile", 0, 0), NAN, "edge nan",
+                 id="demand-start"),
+    pytest.param(("demands", 0, "profile", 0, 1), INF, "edge inf",
+                 id="demand-end"),
+    pytest.param(("tolls", 0, "values", 0), NAN, "toll on link 1", id="toll"),
+])
+def test_non_finite_number_rejected_naming_its_field(path, bad, field):
+    d = base_dict()
+    d["tolls"] = [{"link": "1", "values": [0.0]}]
+    Scenario.from_dict(d)  # valid before the edit
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        Scenario.from_dict(d)
+
+
 def test_parameter_registration_tokens():
     scn = merge_scenario()
     ps = register_parameters(scn, "q1,q2,u1,kappa3,alpha2")
@@ -157,3 +206,56 @@ def test_scenario_is_frozen():
     scn = merge_scenario()
     with pytest.raises(dataclasses.FrozenInstanceError):
         scn.config = None
+
+
+# ----------------------------------------------------------------------
+# the compiled network
+
+
+def brute_force_network(scn):
+    """Link ids per node, reachable sets and demands per origin, by search."""
+    out = {n: [lk.id for lk in scn.links if lk.tail == n] for n in scn.nodes}
+    inc = {n: [lk.id for lk in scn.links if lk.head == n] for n in scn.nodes}
+    reach = {n: {n} for n in scn.nodes}
+    changed = True
+    while changed:
+        changed = False
+        for lk in scn.links:
+            if not reach[lk.head] <= reach[lk.tail]:
+                reach[lk.tail] |= reach[lk.head]
+                changed = True
+    demands = {o: [i for i, dm in enumerate(scn.demands) if dm.origin == o]
+               for o in scn.origins}
+    return out, inc, reach, demands
+
+
+def check_network(scn):
+    net = scn.network
+    out, inc, reach, demands = brute_force_network(scn)
+    ids = [lk.id for lk in scn.links]
+    assert {n: [ids[i] for i in v] for n, v in net.outlinks.items()} == out
+    assert {n: [ids[i] for i in v] for n, v in net.inlinks.items()} == inc
+    assert net.reachable == reach
+    assert net.origin_demands == demands
+    assert scn.network is net  # built once
+
+
+def test_network_matches_brute_force_on_random_scenarios():
+    rng = random.Random(1234)
+    built = 0
+    while built < 50:
+        scn = random_scenario(rng)
+        if scn is None:
+            continue
+        check_network(scn)
+        built += 1
+
+
+def test_network_matches_brute_force_on_grid_and_results_keep_file_order():
+    scn = grid_scenario(4, 2)
+    check_network(scn)
+    res = run(scn, grad=False)
+    ids = [lk.id for lk in scn.links]
+    assert ids != sorted(ids)  # file order is not id order here
+    assert list(res.links) == ids
+    assert list(res.ttt_link) == ids
