@@ -60,32 +60,6 @@ class Var:
     def __repr__(self):
         return f"Var({self.val:.6g}@{self.idx})"
 
-    # Convenience operators; hot loops call the tape methods directly.
-    def __add__(self, other):
-        return self.tape.add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.tape.sub(self, other)
-
-    def __rsub__(self, other):
-        return self.tape.sub(other, self)
-
-    def __mul__(self, other):
-        return self.tape.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self.tape.div(self, other)
-
-    def __rtruediv__(self, other):
-        return self.tape.div(other, self)
-
-    def __neg__(self):
-        return self.tape.neg(self)
-
 
 def value(x) -> float:
     """Forward value of a Var or plain number."""
@@ -242,13 +216,6 @@ class Tape:
         """Guarded division a / max2(b, GUARD_EPS)."""
         return self.div(a, self.max2(b, GUARD_EPS))
 
-    def neg(self, a):
-        if type(a) is not Var:
-            return -a
-        if a.tape is not self:
-            raise TapeError(_FOREIGN)
-        return self._rec(-a.val, a.idx, -1.0, -1, 0.0)
-
     def min2(self, a, b):
         """Minimum; at an exact tie the subgradient goes to the first argument."""
         if type(a) is Var:
@@ -294,19 +261,6 @@ class Tape:
             raise TapeError(_FOREIGN)
         e = math.exp(a.val)
         return self._rec(e, a.idx, e, -1, 0.0)
-
-    def log(self, a):
-        if type(a) is not Var:
-            av = float(a)
-            if av <= 0.0:
-                raise ValueError(f"log of non-positive value {av}")
-            return math.log(av)
-        if a.tape is not self:
-            raise TapeError(_FOREIGN)
-        av = a.val
-        if av <= 0.0:
-            raise ValueError(f"log of non-positive value {av}")
-        return self._rec(math.log(av), a.idx, 1.0 / av, -1, 0.0)
 
     # ------------------------------------------------------------------
     # sweeps

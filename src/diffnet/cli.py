@@ -145,7 +145,10 @@ def cmd_grad(args) -> int:
 def cmd_fdcheck(args) -> int:
     scn = load_scenario(args.scenario, args)
     ps = register_parameters(scn, args.params)
-    eps_list = [float(e) for e in args.eps.split(",")]
+    try:
+        eps_list = [float(e) for e in args.eps.split(",")]
+    except ValueError:
+        raise ScenarioError(f"malformed --eps {args.eps!r}: expected numbers") from None
     t0 = time.perf_counter()
     rep = fd_check(build_objective(args.objective, lam=args.lam), scn, ps,
                    eps_list=eps_list)

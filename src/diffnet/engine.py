@@ -101,7 +101,16 @@ class Simulator:
         self.param_vars: dict[str, object] = {}
         self._link_over: dict[str, dict[str, object]] = {}
         self._demand_over: dict[int, object] = {}
-        self._toll_over: dict[tuple[str, int], object] = {}
+        # toll of link number i in period p: the schedule (cut to the
+        # horizon's periods, padded with 0.0), then registered tolls on top
+        n_periods = scenario.config.n_toll_periods
+        number = {lp.id: i for i, lp in enumerate(scenario.links)}
+        self._tolls = [[0.0] * n_periods for _ in scenario.links]
+        tolled = set()
+        for lid, vals in scenario.tolls.values.items():
+            vals = vals[:n_periods]
+            self._tolls[number[lid]][: len(vals)] = vals
+            tolled.add(number[lid])
         if params is not None:
             vals = params.base_values if values is None else list(values)
             if len(vals) != len(params):
@@ -115,7 +124,10 @@ class Simulator:
                 elif p.kind == "demand":
                     self._demand_over[p.target[0]] = var
                 else:
-                    self._toll_over[p.target] = var
+                    lid, period = p.target
+                    self._tolls[number[lid]][period] = var
+                    tolled.add(number[lid])
+        self._tolled = sorted(tolled, key=lambda i: scenario.links[i].id)
 
         dests = scenario.destinations
         self.net = scenario.network
@@ -179,27 +191,13 @@ class Simulator:
                 total += value(over) * self._demand_seconds(i, t_sec)
         return total
 
-    def toll_value(self, link_id: str, t_sec: float):
-        i = self.scn.tolls.period_index(t_sec)
-        over = self._toll_over.get((link_id, i))
-        if over is not None:
-            return over
-        return self.scn.tolls.toll_at(link_id, t_sec)
+    def toll_value(self, link: int, t_sec: float):
+        return self._tolls[link][int(t_sec // self.scn.config.dt_toll)]
 
     def all_toll_values(self):
-        """Every toll scalar (Var where registered), for regularization terms."""
-        out = []
-        n_periods = self.scn.config.n_toll_periods
-        tolled = set(self.scn.tolls.values) | {lid for lid, _ in self._toll_over}
-        for lid in sorted(tolled):
-            for i in range(n_periods):
-                over = self._toll_over.get((lid, i))
-                if over is not None:
-                    out.append(over)
-                else:
-                    vals = self.scn.tolls.values.get(lid, ())
-                    out.append(vals[i] if i < len(vals) else 0.0)
-        return out
+        """Every toll scalar (Var where registered), for regularization terms:
+        tolled links by id, then period."""
+        return [v for i in self._tolled for v in self._tolls[i]]
 
     # ------------------------------------------------------------------
 
@@ -212,21 +210,21 @@ class Simulator:
     def _refresh_routing(self, t: int) -> None:
         tape, scn = self.tape, self.scn
         t_sec = t * scn.config.dt
-        weights = {
-            lk.id: tape.add(self.link_travel_time(lk, t), self.toll_value(lk.id, t_sec))
-            for lk in self.links
-        }
+        weights = [
+            tape.add(self.link_travel_time(lk, t), self.toll_value(i, t_sec))
+            for i, lk in enumerate(self.links)
+        ]
         table = build_routing(tape, scn.nodes, self.links, weights, self.dests)
         # per-node routing fractions are fixed until the next refresh
         self._probs = {}
         for node, kind in scn.nodes.items():
-            outlinks = [self.links[i] for i in self.net.outlinks[node]]
-            if kind == "destination" or not outlinks:
+            outs = self.net.outlinks[node]
+            if kind == "destination" or not outs:
                 continue
-            rows = self._probs[node] = {}
-            for s in self.dests:
-                p = turning_probs(tape, table, node, outlinks, s, scn.config.mu)
-                rows[s] = None if p is None else [p[lk.id] for lk in outlinks]
+            self._probs[node] = {
+                s: turning_probs(tape, table, node, outs, s, scn.config.mu)
+                for s in self.dests
+            }
 
     def _node_probs(self, node: str, dest: str) -> list:
         p = self._probs.get(node, {}).get(dest)
@@ -608,12 +606,16 @@ def objective_ttt(result: SimResult, links=None):
         return total
     total = 0.0
     for lid in links:
+        if lid not in result.ttt_link:
+            raise ScenarioError(f"objective names unknown link {lid!r}")
         total = tape.add(total, result.ttt_link[lid])
     return total
 
 
 def objective_att(result: SimResult, link_id: str):
     """Average instantaneous travel time (s) of one link over the horizon."""
+    if link_id not in result.links:
+        raise ScenarioError(f"objective names unknown link {link_id!r}")
     tape = result.tape
     T = result.config.n_steps
     total = 0.0
@@ -640,6 +642,8 @@ def build_objective(spec: str, lam: float = 0.0):
         t0, orig, dest = parse_trip(spec[len("trip:"):])
         return lambda res: res.trace_trip(t0, orig, dest).travel_time
     if spec == "toll-J":
+        if not 0 <= lam < math.inf:
+            raise ScenarioError(f"toll-J weight lambda={lam} must be finite and >= 0")
 
         def toll_obj(res):
             tape = res.tape

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .adcore import value
 from .engine import Simulator, build_objective
-from .scenario import ParameterSet, Scenario
+from .scenario import ParameterSet, Scenario, ScenarioError
 
 __all__ = [
     "AdamConfig",
@@ -154,6 +154,9 @@ def fd_check(objective, scenario: Scenario, params: ParameterSet,
 
     Each FD entry costs two gradient-free runs with one parameter displaced.
     """
+    for eps in eps_list:
+        if not 0 < eps < math.inf:
+            raise ScenarioError(f"finite-difference step {eps} must be finite and > 0")
     base = list(values) if values is not None else list(params.base_values)
     report = grad(objective, scenario, params, values=base)
     for eps in eps_list:

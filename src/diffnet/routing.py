@@ -55,18 +55,20 @@ def travel_time_segments(tape: Tape, link: LinkDyn, t: int, M: int, dt: float):
 class RoutingTable:
     """Per-destination shortest-path data, fixed between route refreshes.
 
-    For each destination s:
-      node_cost[s][node]  float cost to s (inf if unreachable)
-      link_cost[s][lid]   float cost of entering link lid then reaching s
-      link_cost_var[s]    tape expressions for the same
-      next_link[s][node]  id of the chosen outlink (tie: lowest link id)
+    Links are numbered by their position in the list given to
+    `build_routing`.  For each destination s:
+      node_cost[s][node]   float cost to s (inf if unreachable)
+      link_cost[s][i]      float cost of entering link i then reaching s
+                           (inf where the link's head cannot reach s)
+      link_cost_var[s][i]  tape expression for the same (None at inf)
+      next_link[s][node]   number of the chosen outlink (tie: lowest link id)
     """
 
     def __init__(self):
         self.node_cost: dict[str, dict[str, float]] = {}
-        self.link_cost: dict[str, dict[str, float]] = {}
-        self.link_cost_var: dict[str, dict] = {}
-        self.next_link: dict[str, dict[str, str]] = {}
+        self.link_cost: dict[str, list[float]] = {}
+        self.link_cost_var: dict[str, list] = {}
+        self.next_link: dict[str, dict[str, int]] = {}
 
 
 def _bellman_ford(nodes, links, weights_f, dest):
@@ -75,11 +77,11 @@ def _bellman_ford(nodes, links, weights_f, dest):
     cost[dest] = 0.0
     for _ in range(max(1, len(nodes) - 1)):
         changed = False
-        for lk in links:
+        for w, lk in zip(weights_f, links):
             c_head = cost[lk.head]
             if c_head == INF:
                 continue
-            cand = weights_f[lk.id] + c_head
+            cand = w + c_head
             if cand < cost[lk.tail] - 1e-15:
                 cost[lk.tail] = cand
                 changed = True
@@ -88,26 +90,26 @@ def _bellman_ford(nodes, links, weights_f, dest):
     return cost
 
 
-def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: dict,
+def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: list,
                   destinations) -> RoutingTable:
     """Routing table from toll-augmented link weights (Var or float).
 
-    `weights` maps link id -> weight; forward values drive the path
+    `weights[i]` is the weight of `links[i]`; forward values drive the path
     structure, tape expressions carry the cost gradients.
     """
     table = RoutingTable()
-    weights_f = {lid: value(w) for lid, w in weights.items()}
+    weights_f = [value(w) for w in weights]
 
     for dest in destinations:
         cost = _bellman_ford(nodes, links, weights_f, dest)
-        # best outlink of each node: (cost via it, its id, the link); equal
+        # best outlink of each node: (cost via it, its id, its number); equal
         # costs go to the lowest link id
         best: dict[str, tuple] = {}
-        for lk in links:
+        for i, lk in enumerate(links):
             n = lk.tail
             if n == dest or cost[n] == INF or cost[lk.head] == INF:
                 continue
-            cand = (weights_f[lk.id] + cost[lk.head], lk.id, lk)
+            cand = (weights_f[i] + cost[lk.head], lk.id, i)
             if n not in best or cand < best[n]:
                 best[n] = cand
 
@@ -116,51 +118,49 @@ def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: dict,
         for n in sorted((m for m in nodes if cost[m] < INF), key=lambda m: cost[m]):
             if n == dest:
                 continue
-            lk = best[n][2]
-            cvar[n] = tape.add(weights[lk.id], cvar[lk.head])
-        lcost_f = {}
-        lcost_v = {}
-        for lk in links:
+            i = best[n][2]
+            cvar[n] = tape.add(weights[i], cvar[links[i].head])
+        lcost_f = [INF] * len(links)
+        lcost_v = [None] * len(links)
+        for i, lk in enumerate(links):
             if cost[lk.head] < INF:
-                lcost_f[lk.id] = weights_f[lk.id] + cost[lk.head]
-                lcost_v[lk.id] = tape.add(weights[lk.id], cvar[lk.head])
+                lcost_f[i] = weights_f[i] + cost[lk.head]
+                lcost_v[i] = tape.add(weights[i], cvar[lk.head])
 
         table.node_cost[dest] = cost
         table.link_cost[dest] = lcost_f
         table.link_cost_var[dest] = lcost_v
-        table.next_link[dest] = {n: b[1] for n, b in best.items()}
+        table.next_link[dest] = {n: b[2] for n, b in best.items()}
     return table
 
 
-def turning_probs(tape: Tape, table: RoutingTable, node: str,
-                  outlinks: list[LinkDyn], dest: str, mu: float) -> dict | None:
+def turning_probs(tape: Tape, table: RoutingTable, node: str, outs: list[int],
+                  dest: str, mu: float) -> list | None:
     """Per-destination routing fractions over a node's outlinks.
 
+    `outs` are the node's outlink numbers; the fractions come in that order.
     Deterministic DUO (mu == 0): indicator on the shortest outlink.
     Logit-DUO: softmin of remaining path costs with scale mu, stabilized by
     subtracting the per-node minimum cost before exponentiation.
     `None` if no outlink leads to the destination.
     """
-    feasible = [lk for lk in outlinks if lk.id in table.link_cost[dest]]
+    lcost_v = table.link_cost_var[dest]
+    feasible = [j for j, i in enumerate(outs) if lcost_v[i] is not None]
     if not feasible:
         return None
     if mu == 0.0 or len(feasible) == 1:
-        chosen = table.next_link[dest].get(node)
-        if chosen is None:
-            chosen = feasible[0].id
-        return {lk.id: (1.0 if lk.id == chosen else 0.0) for lk in outlinks}
-    cmin = min(table.link_cost[dest][lk.id] for lk in feasible)
-    z = {}
+        chosen = table.next_link[dest][node]
+        return [1.0 if i == chosen else 0.0 for i in outs]
+    cmin = min(table.link_cost[dest][outs[j]] for j in feasible)
+    z = []
     zsum = 0.0
-    for lk in feasible:
-        e = tape.exp(
-            tape.mul(-mu, tape.sub(table.link_cost_var[dest][lk.id], cmin))
-        )
-        z[lk.id] = e
+    for j in feasible:
+        e = tape.exp(tape.mul(-mu, tape.sub(lcost_v[outs[j]], cmin)))
+        z.append(e)
         zsum = tape.add(zsum, e)
-    probs = {lk.id: 0.0 for lk in outlinks}
-    for lk in feasible:
-        probs[lk.id] = tape.div(z[lk.id], zsum)
+    probs = [0.0] * len(outs)
+    for j, e in zip(feasible, z):
+        probs[j] = tape.div(e, zsum)
     return probs
 
 

@@ -136,19 +136,9 @@ class DemandProfile:
 
 @dataclass(frozen=True)
 class TollSchedule:
-    dt_toll: float  # period width (s)
-    # link id -> per-period toll values (equivalent seconds), zero if absent
+    # link id -> per-period toll values (equivalent seconds), zero if absent;
+    # the period width is `SimConfig.dt_toll`
     values: dict[str, tuple[float, ...]] = field(default_factory=dict)
-
-    def toll_at(self, link_id: str, t_sec: float):
-        vals = self.values.get(link_id)
-        if not vals:
-            return 0.0
-        i = int(t_sec // self.dt_toll)
-        return vals[i] if i < len(vals) else 0.0
-
-    def period_index(self, t_sec: float) -> int:
-        return int(t_sec // self.dt_toll)
 
     def validate(self):
         for lid, vals in self.values.items():
@@ -356,7 +346,6 @@ class Scenario:
                 for dm in doc.get("demands", [])
             )
             tolls = TollSchedule(
-                dt_toll=cfg.dt_toll,
                 values={
                     str(tl["link"]): tuple(float(v) for v in tl["values"])
                     for tl in doc.get("tolls", [])

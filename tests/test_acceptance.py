@@ -267,7 +267,8 @@ def test_criterion_04_shortest_path_oracle(acceptance_report):
         links = [make_link(tape, lid, tail, head)
                  for tail, head, lid in raw_links]
         dest = random.Random(rng.random()).choice(sorted(nodes))
-        table = build_routing(tape, nodes, links, weights, [dest])
+        table = build_routing(tape, nodes, links,
+                              [weights[lid] for _, _, lid in raw_links], [dest])
         for src in nodes:
             if src == dest:
                 continue
@@ -291,22 +292,22 @@ def test_criterion_04_shortest_path_oracle(acceptance_report):
 def _two_route(tape, w1, w2):
     nodes = {"a": "intermediate", "b": "intermediate"}
     links = [make_link(tape, "r1", "a", "b"), make_link(tape, "r2", "a", "b")]
-    table = build_routing(tape, nodes, links, {"r1": w1, "r2": w2}, ["b"])
-    return table, links
+    table = build_routing(tape, nodes, links, [w1, w2], ["b"])
+    return table, [0, 1]
 
 
 def test_criterion_05_logit_structure(acceptance_report):
     # exact half/half at equal costs
     tape = Tape()
-    table, links = _two_route(tape, 10.0, 10.0)
-    probs = turning_probs(tape, table, "a", links, "b", mu=0.5)
-    assert value(probs["r1"]) == 0.5 and value(probs["r2"]) == 0.5
+    table, outs = _two_route(tape, 10.0, 10.0)
+    probs = turning_probs(tape, table, "a", outs, "b", mu=0.5)
+    assert value(probs[0]) == 0.5 and value(probs[1]) == 0.5
 
     # saturation at mu * gap >= 20
     tape = Tape()
-    table, links = _two_route(tape, 10.0, 50.0)
-    probs = turning_probs(tape, table, "a", links, "b", mu=0.5)
-    assert value(probs["r1"]) >= 1.0 - 1e-8
+    table, outs = _two_route(tape, 10.0, 50.0)
+    probs = turning_probs(tape, table, "a", outs, "b", mu=0.5)
+    assert value(probs[0]) >= 1.0 - 1e-8
 
     # logit share gradients w.r.t. a toll-like cost term are nonzero,
     # deterministic shares carry exactly zero gradient away from ties
@@ -318,11 +319,11 @@ def test_criterion_05_logit_structure(acceptance_report):
         tape = Tape()
         toll = tape.input(rng.uniform(0.1, 3.0))
         w1 = tape.add(base, toll)
-        table, links = _two_route(tape, w1, base + gap + value(toll))
-        p_logit = turning_probs(tape, table, "a", links, "b", mu)
-        assert abs(tape.grad(p_logit["r1"], [toll])[0]) > 1e-12
-        p_det = turning_probs(tape, table, "a", links, "b", 0.0)
-        assert isinstance(p_det["r1"], float)  # constant: zero gradient
+        table, outs = _two_route(tape, w1, base + gap + value(toll))
+        p_logit = turning_probs(tape, table, "a", outs, "b", mu)
+        assert abs(tape.grad(p_logit[0], [toll])[0]) > 1e-12
+        p_det = turning_probs(tape, table, "a", outs, "b", 0.0)
+        assert isinstance(p_det[0], float)  # constant: zero gradient
     acceptance_report(
         "criterion 05 logit structure: PASS (exact 0.5/0.5, saturation, "
         "10/10 operating points: logit toll-gradients nonzero, "

@@ -184,3 +184,46 @@ def test_mu_override(merge_file, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["run", merge_file, "--mu", "0.05", "--out", out]) == 0
     assert "ttt=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, spec, lid", [
+    ("run", "ttt-link:zzz", "zzz"),
+    ("run", "att-link:zzz", "zzz"),
+    ("run", "ttt-link:", ""),
+    ("grad", "att-link:zzz", "zzz"),
+])
+def test_unknown_objective_link_is_scenario_error(merge_file, tmp_path, capsys,
+                                                  command, spec, lid):
+    args = [command, merge_file, "--objective", spec, "--out", str(tmp_path)]
+    if command == "grad":
+        args += ["--params", "u3"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and repr(lid) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", ["0", "abc", "nan", "-1e-2", "inf", "1e-1,0"])
+def test_bad_fd_step_is_scenario_error(merge_file, tmp_path, capsys, eps):
+    out = str(tmp_path / "o")
+    assert main(["fdcheck", merge_file, "--params", "u3", f"--eps={eps}",
+                 "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("scenario error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, lam", [
+    ("optimize-toll", "nan"), ("optimize-toll", "-5"), ("spsa-toll", "inf"),
+    ("grad", "nan"), ("grad", "-5"),
+])
+def test_bad_toll_weight_is_scenario_error(merge_file, tmp_path, capsys,
+                                          command, lam):
+    out = str(tmp_path / "o")
+    args = [command, merge_file, "--params", "u1", f"--lambda={lam}",
+            "--out", out]
+    if command == "grad":
+        args += ["--objective", "toll-J"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and "lambda" in err
+    assert not os.path.exists(out)

@@ -9,6 +9,7 @@ from diffnet.adcore import Tape, value
 from diffnet.engine import (
     Simulator,
     TripIncompleteError,
+    build_objective,
     inverse_cumcount,
     objective_ttt,
     run,
@@ -17,6 +18,7 @@ from diffnet.presets import (
     bottleneck_scenario,
     merge_scenario,
     toll_grid_scenario,
+    two_route_scenario,
 )
 from diffnet.scenario import Scenario, register_parameters
 
@@ -330,3 +332,51 @@ def test_segment_travel_time_ttt_and_toll_gradient_pinned():
     # the average-density method gives another answer on the same tolls
     avg = run(base, register_parameters(base, tokens), values=x, grad=False)
     assert value(objective_ttt(avg)) == pytest.approx(89054.9775596, rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# tolls
+
+
+def test_toll_table_resolves_schedules_and_registered_tolls():
+    doc = toll_grid_scenario(n_fast=2, n_slow=2).to_dict()  # 10 toll periods
+    # f0a's schedule is shorter than the horizon, s1a's longer; f1b has none
+    doc["tolls"] = [{"link": "s1a", "values": [5.0] * 14},
+                    {"link": "f0a", "values": [30.0, 0.0, 25.0]}]
+    scn = Scenario.from_dict(doc)
+    ps = register_parameters(scn, "toll:f0a:2,toll:f1b:1")
+    sim = Simulator(scn, params=ps, values=[7.0, 50.0])
+    res = sim.run()
+    expect = ([30.0, 0.0, 7.0] + [0.0] * 7  # f0a: padded, 25.0 overridden
+              + [0.0, 50.0] + [0.0] * 8  # f1b: the registered toll only
+              + [5.0] * 10)  # s1a: cut to the horizon
+    tolls = sim.all_toll_values()
+    assert [value(v) for v in tolls] == expect
+    assert tolls[2] is sim.param_vars["toll:f0a:2"]
+    assert tolls[11] is sim.param_vars["toll:f1b:1"]
+    lam = 1e-3
+    J = build_objective("toll-J", lam)(res)
+    assert value(J) - value(objective_ttt(res)) == pytest.approx(
+        lam * sum(v * v for v in expect), rel=1e-9)
+
+
+def test_scheduled_toll_moves_flow_only_within_its_period():
+    base = two_route_scenario()  # deterministic routing, fast route only
+    doc = base.to_dict()
+    doc["meta"]["dt_toll"] = 500.0  # 4 periods of 100 steps
+    doc["tolls"] = [{"link": "fa", "values": [0.0, 1000.0]}]
+    tolled = Scenario.from_dict(doc)
+    r0 = run(base, grad=False)
+    r1 = run(tolled, grad=False)
+
+    def inflow(res, lid, t):
+        return value(res.links[lid].NU[t + 1]) - value(res.links[lid].NU[t])
+
+    for lid in r0.links:  # period 0: the same run
+        assert [value(x) for x in r1.links[lid].NU[:101]] == \
+            [value(x) for x in r0.links[lid].NU[:101]]
+    for t in range(100, 200):  # period 1: every vehicle takes the slow route
+        assert inflow(r1, "fa", t) == 0.0 and inflow(r1, "sa", t) > 0.0
+        assert inflow(r0, "sa", t) == 0.0
+    for t in range(200, 220):  # period 2, demand still on: back to fast
+        assert inflow(r1, "fa", t) > 0.0 and inflow(r1, "sa", t) == 0.0

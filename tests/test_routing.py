@@ -73,7 +73,8 @@ def test_bellman_ford_matches_brute_force_on_200_random_graphs():
         links = [make_link(tape, lid, tail, head)
                  for tail, head, lid in raw_links]
         dest = random.Random(rng.random()).choice(sorted(nodes))
-        table = build_routing(tape, nodes, links, weights, [dest])
+        table = build_routing(tape, nodes, links,
+                              [weights[lid] for _, _, lid in raw_links], [dest])
         for src in nodes:
             if src == dest:
                 continue
@@ -92,19 +93,22 @@ def test_tree_cost_expressions_match_float_costs():
         tape = Tape()
         links = [make_link(tape, lid, tail, head)
                  for tail, head, lid in raw_links]
-        wvars = {lid: tape.input(wv) for lid, wv in weights.items()}
+        wvars = [tape.input(weights[lid]) for _, _, lid in raw_links]
         dest = sorted(nodes)[0]
         table = build_routing(tape, nodes, links, wvars, [dest])
-        for lid, cv in table.link_cost_var[dest].items():
-            assert value(cv) == pytest.approx(table.link_cost[dest][lid])
+        for cv, cf in zip(table.link_cost_var[dest], table.link_cost[dest]):
+            assert (cv is None) == math.isinf(cf)
+            if cv is not None:
+                assert value(cv) == pytest.approx(cf)
 
 
 def test_deterministic_tie_breaks_to_lowest_link_id():
     tape = Tape()
     nodes = {"a": "intermediate", "b": "intermediate"}
     links = [make_link(tape, "e2", "a", "b"), make_link(tape, "e1", "a", "b")]
-    table = build_routing(tape, nodes, links, {"e1": 3.0, "e2": 3.0}, ["b"])
-    assert table.next_link["b"]["a"] == "e1"
+    table = build_routing(tape, nodes, links, [3.0, 3.0], ["b"])
+    # e1 has the lower id but the higher link number
+    assert links[table.next_link["b"]["a"]].id == "e1"
 
 
 # ----------------------------------------------------------------------
@@ -114,56 +118,75 @@ def test_deterministic_tie_breaks_to_lowest_link_id():
 def two_route_table(tape, w1, w2, mu):
     nodes = {"a": "intermediate", "b": "intermediate"}
     links = [make_link(tape, "r1", "a", "b"), make_link(tape, "r2", "a", "b")]
-    table = build_routing(tape, nodes, links, {"r1": w1, "r2": w2}, ["b"])
-    return table, links
+    table = build_routing(tape, nodes, links, [w1, w2], ["b"])
+    return table, [0, 1]
 
 
 def test_logit_equal_costs_split_half_half():
     tape = Tape()
-    table, links = two_route_table(tape, 10.0, 10.0, mu := 0.5)
-    probs = turning_probs(tape, table, "a", links, "b", mu)
-    assert value(probs["r1"]) == pytest.approx(0.5)
-    assert value(probs["r2"]) == pytest.approx(0.5)
+    table, outs = two_route_table(tape, 10.0, 10.0, mu := 0.5)
+    probs = turning_probs(tape, table, "a", outs, "b", mu)
+    assert value(probs[0]) == pytest.approx(0.5)
+    assert value(probs[1]) == pytest.approx(0.5)
 
 
 def test_logit_standard_ratio():
     # cost gap 1 with mu=1: shares 1/(1+e^-1) vs its complement
     tape = Tape()
-    table, links = two_route_table(tape, 10.0, 11.0, mu := 1.0)
-    probs = turning_probs(tape, table, "a", links, "b", mu)
-    assert value(probs["r1"]) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
+    table, outs = two_route_table(tape, 10.0, 11.0, mu := 1.0)
+    probs = turning_probs(tape, table, "a", outs, "b", mu)
+    assert value(probs[0]) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
 
 
 def test_logit_large_gap_saturates():
     tape = Tape()
-    table, links = two_route_table(tape, 10.0, 10.0 + 40.0, mu := 0.5)
+    table, outs = two_route_table(tape, 10.0, 10.0 + 40.0, mu := 0.5)
     # mu * gap = 20
-    probs = turning_probs(tape, table, "a", links, "b", mu)
-    assert value(probs["r1"]) >= 1.0 - 1e-8
+    probs = turning_probs(tape, table, "a", outs, "b", mu)
+    assert value(probs[0]) >= 1.0 - 1e-8
 
 
 def test_deterministic_indicator():
     tape = Tape()
-    table, links = two_route_table(tape, 10.0, 11.0, 0.0)
-    probs = turning_probs(tape, table, "a", links, "b", 0.0)
-    assert probs == {"r1": 1.0, "r2": 0.0}
+    table, outs = two_route_table(tape, 10.0, 11.0, 0.0)
+    probs = turning_probs(tape, table, "a", outs, "b", 0.0)
+    assert probs == [1.0, 0.0]
 
 
 def test_no_outlink_towards_destination_gives_none():
     tape = Tape()
     nodes = {"a": "intermediate", "b": "intermediate", "c": "intermediate"}
     links = [make_link(tape, "ab", "a", "b"), make_link(tape, "cb", "c", "b")]
-    table = build_routing(tape, nodes, links, {"ab": 1.0, "cb": 1.0}, ["c"])
-    assert turning_probs(tape, table, "a", links[:1], "c", 0.5) is None
+    table = build_routing(tape, nodes, links, [1.0, 1.0], ["c"])
+    assert turning_probs(tape, table, "a", [0], "c", 0.5) is None
+
+
+def test_row_follows_outlink_numbers_with_zero_at_a_dead_end():
+    tape = Tape()
+    nodes = {n: "intermediate" for n in ("a", "b", "c", "t")}
+    # node a's outlinks are numbers 1, 2, 3 with ids r3, r1, r2; r1 leads
+    # to the dead end c
+    links = [make_link(tape, "k", "b", "t"), make_link(tape, "r3", "a", "b"),
+             make_link(tape, "r1", "a", "c"), make_link(tape, "r2", "a", "b")]
+    outs = [3, 2, 1]
+    table = build_routing(tape, nodes, links, [1.0, 5.0, 1.0, 7.0], ["t"])
+    probs = turning_probs(tape, table, "a", outs, "t", 0.5)
+    assert value(probs[2]) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
+    assert value(probs[0]) == pytest.approx(1.0 / (1.0 + math.exp(1.0)))
+    assert probs[1] == 0.0 and isinstance(probs[1], float)
+    assert turning_probs(tape, table, "a", outs, "t", 0.0) == [0.0, 0.0, 1.0]
+    # at equal costs the lower id r2 wins, although r3 has the lower number
+    table = build_routing(tape, nodes, links, [1.0, 5.0, 1.0, 5.0], ["t"])
+    assert turning_probs(tape, table, "a", outs, "t", 0.0) == [1.0, 0.0, 0.0]
 
 
 def test_logit_cost_gradients_nonzero_deterministic_zero():
     for mu, expect_nonzero in ((0.5, True), (0.0, False)):
         tape = Tape()
         w1 = tape.input(10.0)
-        table, links = two_route_table(tape, w1, 12.0, mu)
-        probs = turning_probs(tape, table, "a", links, "b", mu)
-        g = tape.grad(probs["r1"], [w1]) if not isinstance(probs["r1"], float) \
+        table, outs = two_route_table(tape, w1, 12.0, mu)
+        probs = turning_probs(tape, table, "a", outs, "b", mu)
+        g = tape.grad(probs[0], [w1]) if not isinstance(probs[0], float) \
             else [0.0]
         assert (abs(g[0]) > 1e-12) == expect_nonzero
 
