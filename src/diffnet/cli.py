@@ -5,9 +5,9 @@ All file outputs are written atomically (temp file + rename) as CSV with a
 single version header line; every subcommand prints a one-line summary
 with the objective value and wall time.
 
-Exit codes: 0 success; 1 scenario/validation error, including malformed
-parameter tokens and objective or trip specs; 2 runtime error in the
-simulation (numeric failure, unreachable or unfinished trip); 3 I/O error.
+Exit codes: 0 success; 1 usage or scenario error (including an empty
+parameter set and malformed parameter tokens, objective or trip specs); 2
+runtime error (numeric failure, unreachable or unfinished trip); 3 I/O error.
 """
 
 from __future__ import annotations
@@ -35,6 +35,15 @@ from .optimize import (
 from .scenario import Scenario, ScenarioError, register_parameters
 
 HEADER = f"# diffnet {__version__}"
+
+
+class UsageError(Exception):
+    """A command line the parser rejects (exit 1, like a scenario error)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 # ----------------------------------------------------------------------
@@ -76,6 +85,15 @@ def load_scenario(path: str, args) -> Scenario:
         scn = dataclasses.replace(scn, config=dataclasses.replace(cfg, **updates))
         scn.validate()
     return scn
+
+
+def cli_parameters(scn: Scenario, spec: str | None):
+    """The parameters `--params` selects; an empty set is a scenario error."""
+    ps = register_parameters(scn, spec or "")
+    if not len(ps):
+        given = "no --params given" if spec is None else f"--params {spec!r}"
+        raise ScenarioError(f"empty parameter set: {given} selects nothing")
+    return ps
 
 
 def link_series_rows(result):
@@ -132,7 +150,7 @@ def cmd_run(args) -> int:
 
 def cmd_grad(args) -> int:
     scn = load_scenario(args.scenario, args)
-    ps = register_parameters(scn, args.params)
+    ps = cli_parameters(scn, args.params)
     t0 = time.perf_counter()
     rep = grad(build_objective(args.objective, lam=args.lam), scn, ps)
     write_csv(os.path.join(args.out, "gradient.csv"), gradient_rows(rep),
@@ -144,7 +162,7 @@ def cmd_grad(args) -> int:
 
 def cmd_fdcheck(args) -> int:
     scn = load_scenario(args.scenario, args)
-    ps = register_parameters(scn, args.params)
+    ps = cli_parameters(scn, args.params)
     try:
         eps_list = [float(e) for e in args.eps.split(",")]
     except ValueError:
@@ -182,7 +200,18 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _write_opt_outputs(args, trace, label, t0):
+def _optimize(args, label, optimizer, config_cls, **settings) -> int:
+    """Toll design on toll-J into trace.csv and tolls.csv.  Bad optimizer
+    settings are scenario errors (exit 1), like a malformed objective."""
+    try:
+        cfg = config_cls(**settings)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+    scn = load_scenario(args.scenario, args)
+    ps = cli_parameters(scn, args.params)
+    t0 = time.perf_counter()
+    trace = optimizer(build_objective("toll-J", lam=args.lam), scn, ps,
+                      config=cfg)
     write_csv(
         os.path.join(args.out, "trace.csv"),
         ({"iteration": r["iteration"], "J": f"{r['J']:.6f}",
@@ -198,95 +227,72 @@ def _write_opt_outputs(args, trace, label, t0):
     )
     print(f"{label}: J={trace.records[-1]['J']:.3f} "
           f"wall={time.perf_counter()-t0:.2f}s")
-
-
-def _optimizer_config(cls, **settings):
-    """Optimizer settings from the command line; a bad value is a usage
-    error (exit 1), like a malformed trip spec or objective."""
-    try:
-        return cls(**settings)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    return 0
 
 
 def cmd_optimize_toll(args) -> int:
-    cfg = _optimizer_config(AdamConfig, iters=args.iters)
-    scn = load_scenario(args.scenario, args)
-    ps = register_parameters(scn, args.params or "toll:*")
-    t0 = time.perf_counter()
-    trace = adam_optimize(build_objective("toll-J", lam=args.lam), scn, ps,
-                          config=cfg)
-    _write_opt_outputs(args, trace, "optimize-toll", t0)
-    return 0
+    return _optimize(args, "optimize-toll", adam_optimize, AdamConfig,
+                     iters=args.iters)
 
 
 def cmd_spsa_toll(args) -> int:
-    cfg = _optimizer_config(SPSAConfig, iters=args.iters, seed=args.seed)
-    scn = load_scenario(args.scenario, args)
-    ps = register_parameters(scn, args.params or "toll:*")
-    t0 = time.perf_counter()
-    trace = spsa_optimize(build_objective("toll-J", lam=args.lam), scn, ps,
-                          config=cfg)
-    _write_opt_outputs(args, trace, "spsa-toll", t0)
-    return 0
+    return _optimize(args, "spsa-toll", spsa_optimize, SPSAConfig,
+                     iters=args.iters, seed=args.seed)
 
 
 # ----------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="diffnet",
         description="differentiable macroscopic traffic simulation",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, params=True):
+    def command(name, func, summary, objective=True, lam=True):
+        """A subcommand; --objective and --lambda only where it reads them."""
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("scenario")
         sp.add_argument("--out", default="out")
-        sp.add_argument("--objective", default="ttt")
         sp.add_argument("--mu", type=float, default=None)
         sp.add_argument("--segments", type=int, default=None)
-        sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        if params:
-            sp.add_argument("--params", default=None)
+        if objective:
+            sp.add_argument("--objective", default="ttt")
+        if lam:
+            sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("run", help="forward run, link time series + summary")
-    common(sp, params=False)
-    sp.set_defaults(func=cmd_run)
-
-    sp = sub.add_parser("grad", help="AD gradient report")
-    common(sp)
-    sp.set_defaults(func=cmd_grad)
-
-    sp = sub.add_parser("fdcheck", help="central finite-difference table")
-    common(sp)
+    command("run", cmd_run, "forward run, link time series + summary")
+    sp = command("grad", cmd_grad, "AD gradient report")
+    sp.add_argument("--params")
+    sp = command("fdcheck", cmd_fdcheck, "central finite-difference table")
+    sp.add_argument("--params")
     sp.add_argument("--eps", default="1e-1,1e-2,1e-3,1e-4,1e-5")
-    sp.set_defaults(func=cmd_fdcheck)
-
-    sp = sub.add_parser("trace", help="virtual-vehicle trajectories")
-    common(sp, params=False)
+    sp = command("trace", cmd_trace, "virtual-vehicle trajectories",
+                 objective=False, lam=False)
     sp.add_argument("--trip", action="append", required=True,
                     metavar="T0:ORIGIN:DEST")
-    sp.set_defaults(func=cmd_trace)
-
-    sp = sub.add_parser("optimize-toll", help="Adam toll optimization")
-    common(sp)
+    sp = command("optimize-toll", cmd_optimize_toll, "Adam toll optimization",
+                 objective=False)
+    sp.add_argument("--params", default="toll:*")
     sp.add_argument("--iters", type=int, default=300)
-    sp.set_defaults(func=cmd_optimize_toll)
-
-    sp = sub.add_parser("spsa-toll", help="SPSA toll optimization")
-    common(sp)
+    sp = command("spsa-toll", cmd_spsa_toll, "SPSA toll optimization",
+                 objective=False)
+    sp.add_argument("--params", default="toll:*")
     sp.add_argument("--iters", type=int, default=300)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_spsa_toll)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1

@@ -138,23 +138,23 @@ class Simulator:
         ]
 
         self.dests = dests
-        self.queue: dict[str, dict[str, object]] = {
-            o: {s: 0.0 for s in dests} for o in scenario.origins
-        }
-        self.queue_hist: dict[str, dict[str, list]] = {
-            o: {s: [] for s in dests} for o in scenario.origins
-        }
-        self.inj: dict[str, dict[str, list]] = {
-            o: {s: [0.0] for s in dests} for o in scenario.origins
-        }
+        # origin queues cover the destinations each origin has demand for,
+        # in `dests` order; the others would stay at 0.0 forever
+        self.queue: dict[str, dict[str, object]] = {}
+        for o in scenario.origins:
+            wanted = {scenario.demands[i].destination
+                      for i in self.net.origin_demands[o]}
+            self.queue[o] = {s: 0.0 for s in dests if s in wanted}
+        self.queue_hist = {o: {s: [] for s in q} for o, q in self.queue.items()}
+        self.inj = {o: {s: [0.0] for s in q} for o, q in self.queue.items()}
         self.absorbed: dict[str, object] = {s: 0.0 for s in dests}
         self.ttt_link: list = [0.0] * len(self.links)  # veh*s (Var/float)
         self.ttt_queue: object = 0.0
         self.conservation_error = 0.0
         self.forward_time = 0.0
-        # node -> destination -> routing fractions aligned with the node's
-        # outlinks, or None where the destination is unreachable
-        self._probs: dict[str, dict[str, list | None]] = {}
+        # node -> reachable destination -> routing fractions aligned with
+        # the node's outlinks
+        self._probs: dict[str, dict[str, list]] = {}
 
     # ------------------------------------------------------------------
     # parameter-aware accessors
@@ -221,16 +221,11 @@ class Simulator:
             outs = self.net.outlinks[node]
             if kind == "destination" or not outs:
                 continue
-            self._probs[node] = {
-                s: turning_probs(tape, table, node, outs, s, scn.config.mu)
-                for s in self.dests
-            }
-
-    def _node_probs(self, node: str, dest: str) -> list:
-        p = self._probs.get(node, {}).get(dest)
-        if p is None:
-            raise EngineError(f"no route from node {node} to destination {dest}")
-        return p
+            row = self._probs[node] = {}
+            for s in self.dests:
+                p = turning_probs(tape, table, node, outs, s, scn.config.mu)
+                if p is not None:
+                    row[s] = p
 
     def _reachable_probs(self, node: str, comp: dict) -> dict:
         """Routing fractions for the destinations present in a composition.
@@ -239,9 +234,10 @@ class Simulator:
         node are dropped (a link's composition always lists every
         destination; only actually-routed ones need a path).
         """
+        row = self._probs[node]
         probs = {}
         for s, cs in comp.items():
-            p = self._probs.get(node, {}).get(s)
+            p = row.get(s)
             if p is None:
                 if value(cs) > 1e-12:
                     raise EngineError(
@@ -253,7 +249,7 @@ class Simulator:
 
     def _neutral_composition(self, node: str):
         """Composition fallback for links that have seen no vehicles."""
-        reach = [s for s in self.dests if self._probs.get(node, {}).get(s) is not None]
+        reach = self._probs[node]
         if not reach:
             return None
         share = 1.0 / len(reach)
@@ -309,7 +305,7 @@ class Simulator:
                 if kind == "destination":
                     for i in inlinks[node]:
                         f = f_out[i] = D[i]
-                        splits = fifo_split(tape, links[i], t, f)
+                        splits = fifo_split(tape, links[i], f)
                         for s, fs in splits.items():
                             self.absorbed[s] = madd(self.absorbed[s], dt, fs)
                 elif kind == "origin":
@@ -318,16 +314,15 @@ class Simulator:
                     if node in self.queue:
                         self._origin_step(node, t, dt, S, f_in, f_in_s)
                 else:
-                    self._junction_step(node, t, D, S, f_in, f_out, f_in_s)
+                    self._junction_step(node, D, S, f_in, f_out, f_in_s)
 
             # --- boundary updates --------------------------------------
             for lk, fi, fo, fs in zip(links, f_in, f_out, f_in_s):
                 if not (math.isfinite(value(fi)) and math.isfinite(value(fo))):
                     raise EngineError(f"non-finite flow on link {lk.id} at step {t}")
                 lk.update_boundaries(tape, dt, fi, fo, fs)
-            for orig in self.inj:
-                for s in self.dests:
-                    cur = self.inj[orig][s]
+            for per_dest in self.inj.values():
+                for cur in per_dest.values():
                     if len(cur) == t + 1:
                         cur.append(cur[-1])
 
@@ -417,7 +412,7 @@ class Simulator:
                 continue
             used = [
                 (o, p)
-                for o, p in zip(self.net.outlinks[node], self._node_probs(node, s))
+                for o, p in zip(self.net.outlinks[node], self._probs[node][s])
                 if value(p) > 0.0
             ]
             if not used or any(value(S[o]) <= 1e-12 for o, _ in used):
@@ -431,7 +426,7 @@ class Simulator:
             self.inj[node][s].append(tape.madd(self.inj[node][s][-1], dt, out_s))
             pre[s] = tape.sub(q, q)
 
-    def _junction_step(self, node, t, D, S, f_in, f_out, f_in_s):
+    def _junction_step(self, node, D, S, f_in, f_out, f_in_s):
         ins = self.net.inlinks[node]
         if not self.net.outlinks[node]:
             return  # dead end; routed flow never reaches here
@@ -441,7 +436,7 @@ class Simulator:
         inlinks = [self.links[i] for i in ins]
         comps = []
         for lk in inlinks:
-            c = composition(self.tape, lk, t)
+            c = composition(self.tape, lk)
             if c is None:
                 c = self._neutral_composition(node)
                 if c is None:

@@ -71,9 +71,9 @@ class LinkDyn:
     Parameters are Var-or-float depending on what was registered on the
     tape.  `w` and `k_crit` are derived from the independent triple unless
     the link was registered under the alternate (u, w, kappa)
-    parameterization, in which case `qmax` is derived.  The per-destination
-    upstream curves `NU_s` exist only when the network has two or more
-    destinations; with one, `NU` is that destination's curve.
+    parameterization, in which case `qmax` is derived.  `NU_s` holds the
+    running per-destination upstream counts, only when the network has two
+    or more destinations; with one, `NU` is that destination's curve.
     """
 
     __slots__ = (
@@ -116,7 +116,7 @@ class LinkDyn:
         self.dests = tuple(dests)
         self.NU = [0.0]
         self.ND = [0.0]
-        self.NU_s = {s: [0.0] for s in dests} if len(dests) > 1 else {}
+        self.NU_s = {s: 0.0 for s in dests} if len(dests) > 1 else {}
 
     # ------------------------------------------------------------------
     def newell_N(self, tape, t, x, dt: float):
@@ -146,11 +146,11 @@ class LinkDyn:
         return tape.min2(tape.max2(raw, 0.0), self.qmax)
 
     def update_boundaries(self, tape, dt: float, f_in, f_out, f_in_s):
-        """Extend both boundary curves and the per-destination upstream
-        curves one step."""
+        """Extend both boundary curves one step and advance the
+        per-destination upstream counts."""
         if value(f_in) < -1e-12 or value(f_out) < -1e-12:
             raise ValueError(f"link {self.id}: negative boundary flow")
         self.NU.append(tape.madd(self.NU[-1], dt, f_in))
         self.ND.append(tape.madd(self.ND[-1], dt, f_out))
-        for s, curve in self.NU_s.items():
-            curve.append(tape.madd(curve[-1], dt, f_in_s.get(s, 0.0)))
+        for s, n in self.NU_s.items():
+            self.NU_s[s] = tape.madd(n, dt, f_in_s.get(s, 0.0))

@@ -179,29 +179,27 @@ def normalized_shares(tape: Tape, parts: dict, total):
     return {s: tape.div(sh, ssum) for s, sh in shares.items()}
 
 
-def composition(tape: Tape, link: LinkDyn, t: int):
-    """Normalized per-destination upstream composition of a link.
+def composition(tape: Tape, link: LinkDyn):
+    """Normalized per-destination upstream composition of a link now.
 
     Returns fractions summing to 1; `None` if the link has seen no vehicles
     (callers fall back to a neutral composition).
     """
-    total = link.NU[t]
+    total = link.NU[-1]
     if value(total) <= 0.0:
         return None
     if not link.NU_s:  # one destination, the single share
         return {link.dests[0]: 1.0}
-    return normalized_shares(
-        tape, {s: curve[t] for s, curve in link.NU_s.items()}, total
-    )
+    return normalized_shares(tape, link.NU_s, total)
 
 
-def fifo_split(tape: Tape, link: LinkDyn, t: int, f_out):
+def fifo_split(tape: Tape, link: LinkDyn, f_out):
     """Split aggregate outflow across destinations by upstream composition.
 
     The splits are `f_out` times the normalized composition, so they sum to
     the aggregate; an empty link splits nothing.
     """
-    comp = composition(tape, link, t)
+    comp = composition(tape, link)
     if comp is None:
         return {s: 0.0 for s in link.dests}
     return {s: tape.mul(f_out, c) for s, c in comp.items()}

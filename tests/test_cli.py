@@ -227,3 +227,52 @@ def test_bad_toll_weight_is_scenario_error(merge_file, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and "lambda" in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("args, given", [
+    (["grad"], "no --params given"),
+    (["fdcheck"], "no --params given"),
+    (["grad", "--params", ""], "--params ''"),
+    (["fdcheck", "--params", " , "], "--params ' , '"),
+    # the merge fixture has no tolls, so toll:* selects nothing
+    (["optimize-toll", "--iters", "1"], "--params 'toll:*'"),
+    (["spsa-toll", "--iters", "1"], "--params 'toll:*'"),
+])
+def test_empty_parameter_set_is_scenario_error(merge_file, tmp_path, capsys,
+                                               args, given):
+    out = str(tmp_path / "o")
+    assert main([args[0], merge_file, *args[1:], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"scenario error: empty parameter set: {given} selects " \
+        "nothing\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("args, message", [
+    # options a subcommand does not read are not accepted
+    (["trace", "M", "--trip", "500:orig1:dest", "--objective", "ttt"],
+     "unrecognized arguments: --objective ttt"),
+    (["trace", "M", "--trip", "500:orig1:dest", "--lambda", "1"],
+     "unrecognized arguments: --lambda 1"),
+    (["optimize-toll", "M", "--params", "u1", "--iters", "1", "--objective",
+      "bogus"], "unrecognized arguments: --objective bogus"),
+    (["spsa-toll", "M", "--params", "u1", "--iters", "1", "--objective",
+      "ttt"], "unrecognized arguments: --objective ttt"),
+    (["run", "M", "--params", "q1"], "unrecognized arguments: --params q1"),
+    # malformed values and missing arguments
+    (["run", "M", "--lambda", "abc"],
+     "diffnet run: argument --lambda: invalid float value: 'abc'"),
+    (["optimize-toll", "M", "--iters", "abc"],
+     "diffnet optimize-toll: argument --iters: invalid int value: 'abc'"),
+    (["run"], "the following arguments are required: scenario"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_error_exits_1_with_one_line(merge_file, tmp_path, capsys,
+                                           args, message):
+    out = str(tmp_path / "o")
+    args = [merge_file if a == "M" else a for a in args]
+    assert main(args + (["--out", out] if args else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert message in err
+    assert not os.path.exists(out)

@@ -159,6 +159,24 @@ def test_conservation_on_50_random_scenarios():
         built += 1
 
 
+def test_origin_state_lists_only_demanded_od_pairs():
+    # three origins and three destinations, but o0 sends only to d0 and d1,
+    # o1 to d0 and d2, and o2 to d1
+    scn = random_scenario(random.Random(30))
+    res = run(scn, grad=False)
+    wanted = {}
+    for dm in scn.demands:
+        wanted.setdefault(dm.origin, set()).add(dm.destination)
+    assert len(scn.destinations) == 3 and len(wanted["o2"]) == 1
+    T = scn.config.n_steps
+    for per_origin, length in ((res.queues, T), (res.inj, T + 1)):
+        assert set(per_origin) == set(wanted)
+        for o, per_dest in per_origin.items():
+            assert list(per_dest) == [s for s in scn.destinations
+                                      if s in wanted[o]]
+            assert all(len(c) == length for c in per_dest.values())
+
+
 # ----------------------------------------------------------------------
 # curve inversion and trip tracing
 

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from diffnet.adcore import Var, value
 from diffnet.engine import Simulator, build_objective, objective_ttt
 from diffnet.presets import merge_scenario, toll_grid_scenario, two_route_scenario
 from diffnet.routing import composition
@@ -106,13 +107,22 @@ def test_two_destination_ttt_and_gradients_pinned():
          -1148.8750000000002, -12.313291203773163], rel=1e-9)
     c = res.links["c"]
     assert set(c.NU_s) == {"d1", "d2"}
-    assert sum(c.NU_s[s][-1].val for s in c.NU_s) == pytest.approx(
+    assert sum(c.NU_s[s].val for s in c.NU_s) == pytest.approx(
         c.NU[-1].val, rel=1e-12)
+
+
+def test_per_destination_link_state_is_one_count_per_destination():
+    res, _ = taped(two_destination_scenario(), "q1")
+    for lk in res.links.values():
+        assert set(lk.NU_s) == {"d1", "d2"}
+        assert all(type(n) in (Var, float) for n in lk.NU_s.values())
+        assert sum(value(n) for n in lk.NU_s.values()) == pytest.approx(
+            value(lk.NU[-1]), rel=1e-12, abs=1e-12)
 
 
 def test_one_destination_run_keeps_no_per_destination_state():
     res, _ = taped(toll_grid_scenario(), "toll:*")
     assert all(lk.NU_s == {} for lk in res.links.values())
     lk = res.links["f0b"]
-    comp = composition(res.tape, lk, len(lk.NU) - 1)
+    comp = composition(res.tape, lk)
     assert comp == {"dest": 1.0} and type(comp["dest"]) is float

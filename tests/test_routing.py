@@ -202,7 +202,7 @@ def test_fifo_split_proportional_to_composition():
     for _ in range(10):
         lk.update_boundaries(tape, 5.0, 0.8, 0.0,
                              {"s1": 0.6, "s2": 0.2})
-    split = fifo_split(tape, lk, 10, 0.4)
+    split = fifo_split(tape, lk, 0.4)
     assert value(split["s1"]) == pytest.approx(0.3)
     assert value(split["s2"]) == pytest.approx(0.1)
 
@@ -210,7 +210,7 @@ def test_fifo_split_proportional_to_composition():
 def test_fifo_split_empty_link_is_zero():
     tape = Tape()
     lk = make_link(tape, "L", "a", "b", dests=("s1", "s2"))
-    split = fifo_split(tape, lk, 0, 0.0)
+    split = fifo_split(tape, lk, 0.0)
     assert split == {"s1": 0.0, "s2": 0.0}
 
 
@@ -222,7 +222,7 @@ def test_fifo_split_sums_to_aggregate():
         f = {s: rng.uniform(0.0, 0.25) for s in ("s1", "s2", "s3")}
         lk.update_boundaries(tape, 5.0, sum(f.values()), 0.0, f)
     agg = 0.37
-    split = fifo_split(tape, lk, 20, agg)
+    split = fifo_split(tape, lk, agg)
     assert sum(value(x) for x in split.values()) == pytest.approx(agg)
 
 
