@@ -8,10 +8,12 @@ keeps no value of its own.  A single backward sweep yields adjoints for every
 entry; a forward sweep (`jvp`) yields directional derivatives.
 
 Operations accept a mix of `Var` handles and plain floats.  When no argument
-is a `Var` the result is a plain float and nothing is recorded, so a
-simulation whose registered inputs are all plain floats runs tape-free at
-full speed.  This is what the finite-difference and SPSA paths use.  Every
-`Var` operand is checked against the tape it is used on, on every path.
+is a `Var` the result is a plain float and nothing is recorded.  Every `Var`
+operand is checked against the tape it is used on, on every path.
+
+`FloatTape` is the op table of a run with no `Var` input at all (the
+finite-difference and SPSA paths): each operation is the all-float branch of
+the `Tape` operation, with no type dispatch, and nothing can be recorded.
 
 Three rules skip entries that would move neither a value nor an adjoint:
   * exact zero: with a plain float 0.0 operand (for `sub`, the right one),
@@ -32,10 +34,11 @@ Kink conventions:
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-__all__ = ["Var", "Tape", "TapeError", "GUARD_EPS"]
+__all__ = ["Var", "Tape", "FloatTape", "TapeError", "GUARD_EPS"]
 
 # guard constant for protected divisions (vehicle units)
 GUARD_EPS = 1e-9
@@ -326,3 +329,34 @@ class Tape:
                 v += d2[i] * tan[k]
             tan[i] = v
         return float(tan[output.idx])
+
+
+class FloatTape(Tape):
+    """The operations of `Tape` on plain floats only, for runs with no input.
+
+    Each operation computes what the all-float branch of the `Tape`
+    operation computes, with the same tie rule, signed zeros and
+    `ZeroDivisionError`, but without testing its operands for `Var`.  The
+    tape stays empty: `input` raises, and a sweep returns no adjoints.
+    """
+
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
+    div = operator.truediv
+    exp = math.exp
+
+    def input(self, val: float) -> Var:
+        raise TapeError("a float tape takes no inputs")
+
+    def madd(self, y, a: float, x):
+        return y + a * x
+
+    def divg(self, a, b):
+        return a / (b if b >= GUARD_EPS else GUARD_EPS)
+
+    def min2(self, a, b):
+        return a if a <= b else b
+
+    def max2(self, a, b):
+        return a if a >= b else b

@@ -2,8 +2,9 @@
 
 One `Simulator` owns one tape and executes the full scan
 x_{t+1} = g(x_t, t; theta).  Registered parameters become tape inputs; with
-`grad=False` they stay plain floats and the whole run is tape-free (used by
-the finite-difference and SPSA paths).
+`grad=False`, or with no parameter, every input is a plain float and the run
+uses a `FloatTape`: the same scan on plain float operations, recording
+nothing (the finite-difference and SPSA paths).
 
 Derived outputs (total travel time, per-link travel-time averages, virtual
 vehicle trips) are recorded on the same tape after the scan, so their
@@ -15,8 +16,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .adcore import Tape, Var, value
+from .adcore import FloatTape, Tape, Var, value
 from .ltm import LinkDyn, interp
 from .nodemodel import inm_fixed
 from .routing import (
@@ -44,6 +46,9 @@ __all__ = [
     "build_objective",
     "parse_trip",
 ]
+
+
+_first = itemgetter(0)
 
 
 class EngineError(Exception):
@@ -95,8 +100,11 @@ class Simulator:
     def __init__(self, scenario: Scenario, params: ParameterSet | None = None,
                  values=None, grad: bool = True):
         scenario.validate()
+        if params is None and values is not None:
+            raise EngineError("values given without a parameter set")
         self.scn = scenario
-        self.tape = Tape()
+        # a run with no Var input records nothing: bind the float op table
+        self.tape = Tape() if grad and params else FloatTape()
         self.grad = grad
         self.param_vars: dict[str, object] = {}
         self._link_over: dict[str, dict[str, object]] = {}
@@ -152,8 +160,8 @@ class Simulator:
         self.ttt_queue: object = 0.0
         self.conservation_error = 0.0
         self.forward_time = 0.0
-        # node -> reachable destination -> routing fractions aligned with
-        # the node's outlinks
+        # node -> reachable destination -> (outlink position, fraction)
+        # pairs, without the plain-float 0.0 fractions
         self._probs: dict[str, dict[str, list]] = {}
 
     # ------------------------------------------------------------------
@@ -225,7 +233,9 @@ class Simulator:
             for s in self.dests:
                 p = turning_probs(tape, table, node, outs, s, scn.config.mu)
                 if p is not None:
-                    row[s] = p
+                    # a plain 0.0 fraction adds nothing to any flow
+                    row[s] = [(j, x) for j, x in enumerate(p)
+                              if type(x) is Var or x != 0.0]
 
     def _reachable_probs(self, node: str, comp: dict) -> dict:
         """Routing fractions for the destinations present in a composition.
@@ -347,12 +357,14 @@ class Simulator:
         probs = [self._reachable_probs(node, c) for c in comps]
         B = []
         for c, ps in zip(comps, probs):
-            row = []
-            for j in range(len(outs)):
-                acc = 0.0
-                for s, p_s in ps.items():
-                    acc = add(acc, mul(c[s], p_s[j]))
-                row.append(acc)
+            # B[j] sums c[s] * p over the destinations routed to outlink j,
+            # outlink by outlink (the sort is stable, so destinations keep
+            # their order within an outlink)
+            terms = sorted(((j, c[s], p) for s, pairs in ps.items()
+                            for j, p in pairs), key=_first)
+            row = [0.0] * len(outs)
+            for j, cs, p in terms:
+                row[j] = add(row[j], mul(cs, p))
             B.append(row)
 
         qin, qout = inm_fixed(tape, D, [S[o] for o in outs], B, alpha)
@@ -362,9 +374,10 @@ class Simulator:
         per_dest = []
         for q, c, ps in zip(qin, comps, probs):
             out = {}
-            for s, p_s in ps.items():
+            for s, pairs in ps.items():
                 fs = out[s] = mul(q, c[s])
-                for o, p in zip(outs, p_s):
+                for j, p in pairs:
+                    o = outs[j]
                     if self.links[o].NU_s:
                         f_in_s[o][s] = add(f_in_s[o].get(s, 0.0), mul(fs, p))
             per_dest.append(out)
@@ -407,14 +420,12 @@ class Simulator:
 
     def _flush_zero_queues(self, node, pre, S, f_in, f_in_s, dt):
         tape = self.tape
+        outs = self.net.outlinks[node]
         for s, q in pre.items():
             if not isinstance(q, Var) or value(q) != 0.0:
                 continue
-            used = [
-                (o, p)
-                for o, p in zip(self.net.outlinks[node], self._probs[node][s])
-                if value(p) > 0.0
-            ]
+            used = [(outs[j], p) for j, p in self._probs[node][s]
+                    if value(p) > 0.0]
             if not used or any(value(S[o]) <= 1e-12 for o, _ in used):
                 continue
             out_s = tape.div(q, dt)

@@ -62,16 +62,29 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
         (qin, qout): allocated per-inlink outflow and per-outlink inflow.
     """
     I, J = len(D), len(S)
+    add, sub, mul = tape.add, tape.sub, tape.mul
     qin = [0.0] * I
     qout = [0.0] * J
     D_v = [value(x) for x in D]
     S_v = [value(x) for x in S]
-    B_v = [[value(B[l][o]) for o in range(J)] for l in range(I)]
+    # connections (turning fraction above B_EPS): the outlinks each inlink
+    # feeds and the inlinks feeding each outlink, in index order
+    conn = [[o for o in range(J) if value(B[l][o]) > B_EPS] for l in range(I)]
+    feed: list[list[int]] = [[] for _ in range(J)]
+    for l, outs in enumerate(conn):
+        for o in outs:
+            feed[o].append(l)
+    # forward values of qin and qout, updated with them
+    qin_v = [0.0] * I
+    qout_v = [0.0] * J
 
     for _ in range(I + J + 1):
-        qin_v = [value(x) for x in qin]
-        qout_v = [value(x) for x in qout]
-        act_in, act_out, unblocked = _active_sets(qin_v, qout_v, D_v, S_v, B_v)
+        # an inlink is blocked if any outlink it feeds has no supply slack
+        slack = [S_v[o] - qout_v[o] for o in range(J)]
+        unblocked = [not any(slack[o] <= ACTIVE_EPS for o in conn[l])
+                     for l in range(I)]
+        act_in = [unblocked[l] and D_v[l] - qin_v[l] > ACTIVE_EPS
+                  for l in range(I)]
         # Converged in value: the residual demand pass keeps the sensitivity
         # of exactly-exhausted (or not-yet-positive) demands attached.
         converged = not any(act_in)
@@ -81,9 +94,9 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
             phi_out: list = [0.0] * J
             for o in range(J):
                 acc = 0.0
-                for l in range(I):
-                    if act_in[l] and B_v[l][o] > B_EPS:
-                        acc = tape.add(acc, tape.mul(B[l][o], alpha[l]))
+                for l in feed[o]:
+                    if act_in[l]:
+                        acc = add(acc, mul(B[l][o], alpha[l]))
                 phi_out[o] = acc
 
             # largest step not violating any active constraint; supply
@@ -91,12 +104,13 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
             # branch (the side that persists under perturbation)
             theta = None
             for o in range(J):
-                if act_out[o] and value(phi_out[o]) > 0.0:
-                    cand = tape.div(tape.sub(S[o], qout[o]), phi_out[o])
+                if (slack[o] > ACTIVE_EPS and value(phi_out[o]) > 0.0
+                        and any(act_in[l] for l in feed[o])):
+                    cand = tape.div(sub(S[o], qout[o]), phi_out[o])
                     theta = cand if theta is None else tape.min2(theta, cand)
             for l in range(I):
                 if act_in[l]:
-                    cand = tape.div(tape.sub(D[l], qin[l]), alpha[l])
+                    cand = tape.div(sub(D[l], qin[l]), alpha[l])
                     theta = cand if theta is None else tape.min2(theta, cand)
 
         # per-inlink step: the residual demand, or alpha*theta capped at the
@@ -105,13 +119,14 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
         for l in range(I):
             if not unblocked[l]:
                 continue
-            step = tape.sub(D[l], qin[l])
+            step = sub(D[l], qin[l])
             if not converged:
-                step = tape.min2(tape.mul(alpha[l], theta), step)
-            qin[l] = tape.add(qin[l], step)
-            for o in range(J):
-                if B_v[l][o] > B_EPS:
-                    qout[o] = tape.add(qout[o], tape.mul(B[l][o], step))
+                step = tape.min2(mul(alpha[l], theta), step)
+            q = qin[l] = add(qin[l], step)
+            qin_v[l] = value(q)
+            for o in conn[l]:
+                q = qout[o] = add(qout[o], mul(B[l][o], step))
+                qout_v[o] = value(q)
         if converged:
             break
 

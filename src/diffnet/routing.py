@@ -1,16 +1,17 @@
 """Instantaneous travel times, shortest paths, and route-choice fractions.
 
 The shortest-path structure (which outlink is best for which destination) is
-found on forward float values by a reverse Bellman-Ford sweep; the cost
-*values* along the chosen tree are then rebuilt as tape expressions so that
-gradients flow through link travel times and tolls.  Deterministic DUO uses
-hard indicators (zero cost gradient); logit-DUO softens them with a
-stabilized softmin over remaining path costs.
+found on forward float values by a label-setting (Dijkstra) search from each
+destination over the reversed links; the cost *values* along the chosen tree
+are then rebuilt as tape expressions so that gradients flow through link
+travel times and tolls.  Deterministic DUO uses hard indicators (zero cost
+gradient); logit-DUO softens them with a stabilized softmin over remaining
+path costs.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
 
 from .adcore import Tape, value
 from .ltm import LinkDyn, fd_speed, interp
@@ -71,66 +72,73 @@ class RoutingTable:
         self.next_link: dict[str, dict[str, int]] = {}
 
 
-def _bellman_ford(nodes, links, weights_f, dest):
-    """Reverse one-to-all shortest paths on float weights."""
-    cost = {n: INF for n in nodes}
-    cost[dest] = 0.0
-    for _ in range(max(1, len(nodes) - 1)):
-        changed = False
-        for w, lk in zip(weights_f, links):
-            c_head = cost[lk.head]
-            if c_head == INF:
-                continue
-            cand = w + c_head
-            if cand < cost[lk.tail] - 1e-15:
-                cost[lk.tail] = cand
-                changed = True
-        if not changed:
-            break
-    return cost
-
-
 def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: list,
                   destinations) -> RoutingTable:
     """Routing table from toll-augmented link weights (Var or float).
 
     `weights[i]` is the weight of `links[i]`; forward values drive the path
-    structure, tape expressions carry the cost gradients.
+    structure, tape expressions carry the cost gradients.  Weights must not
+    be negative.
     """
     table = RoutingTable()
     weights_f = [value(w) for w in weights]
+    for w, lk in zip(weights_f, links):
+        if w < 0.0:
+            raise ValueError(f"link {lk.id}: negative routing weight {w!r}")
+    # nodes by position (file order), each link's head position, and the
+    # inlinks of each node as (link number, tail position), shared by the
+    # searches of every destination
+    names = list(nodes)
+    pos = {n: k for k, n in enumerate(names)}
+    heads = [pos[lk.head] for lk in links]
+    into: list[list[tuple[int, int]]] = [[] for _ in names]
+    for i, lk in enumerate(links):
+        into[heads[i]].append((i, pos[lk.tail]))
 
     for dest in destinations:
-        cost = _bellman_ford(nodes, links, weights_f, dest)
-        # best outlink of each node: (cost via it, its id, its number); equal
-        # costs go to the lowest link id
-        best: dict[str, tuple] = {}
-        for i, lk in enumerate(links):
-            n = lk.tail
-            if n == dest or cost[n] == INF or cost[lk.head] == INF:
-                continue
-            cand = (weights_f[i] + cost[lk.head], lk.id, i)
-            if n not in best or cand < best[n]:
-                best[n] = cand
+        # Label-setting search from dest: nodes settle in order of cost,
+        # equal costs in file order, and each settled node relaxes its
+        # inlinks once, with its final cost.  A relaxed link is a candidate
+        # best outlink of its tail: (cost via it, its id, its number), equal
+        # costs going to the lowest link id.
+        d = pos[dest]
+        cost = [INF] * len(names)
+        cost[d] = 0.0
+        lcost_f = [INF] * len(links)
+        best: dict[int, tuple] = {}
+        heap = [(0.0, d)]
+        settled = []
+        while heap:
+            c, h = heapq.heappop(heap)
+            if c > cost[h]:
+                continue  # superseded by a cheaper label
+            settled.append(h)
+            for i, t in into[h]:
+                cand = lcost_f[i] = weights_f[i] + c
+                if cand < cost[t] - 1e-15:
+                    cost[t] = cand
+                    heapq.heappush(heap, (cand, t))
+                if t != d:
+                    key = (cand, links[i].id, i)
+                    if t not in best or key < best[t]:
+                        best[t] = key
+        next_link = {names[t]: b[2] for t, b in best.items() if cost[t] < INF}
 
         # rebuild tree costs as tape expressions, nearest node first
-        cvar: dict[str, object] = {dest: 0.0}
-        for n in sorted((m for m in nodes if cost[m] < INF), key=lambda m: cost[m]):
-            if n == dest:
-                continue
-            i = best[n][2]
-            cvar[n] = tape.add(weights[i], cvar[links[i].head])
-        lcost_f = [INF] * len(links)
+        cvar: list = [None] * len(names)
+        cvar[d] = 0.0
+        for t in settled[1:]:
+            i = best[t][2]
+            cvar[t] = tape.add(weights[i], cvar[heads[i]])
         lcost_v = [None] * len(links)
-        for i, lk in enumerate(links):
-            if cost[lk.head] < INF:
-                lcost_f[i] = weights_f[i] + cost[lk.head]
-                lcost_v[i] = tape.add(weights[i], cvar[lk.head])
+        for i, h in enumerate(heads):
+            if cvar[h] is not None:
+                lcost_v[i] = tape.add(weights[i], cvar[h])
 
-        table.node_cost[dest] = cost
+        table.node_cost[dest] = dict(zip(names, cost))
         table.link_cost[dest] = lcost_f
         table.link_cost_var[dest] = lcost_v
-        table.next_link[dest] = {n: b[2] for n, b in best.items()}
+        table.next_link[dest] = next_link
     return table
 
 

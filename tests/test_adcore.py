@@ -1,5 +1,6 @@
 """Tape engine unit tests: op partials, sweeps, float degradation."""
 
+import itertools
 import math
 import random
 
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffnet.adcore import GUARD_EPS, Tape, TapeError, Var, value
+from diffnet.adcore import GUARD_EPS, FloatTape, Tape, TapeError, Var, value
+from diffnet.engine import Simulator, objective_ttt
+from diffnet.presets import merge_scenario
+from diffnet.scenario import register_parameters
 
 
 def central_fd(f, x, eps=1e-6):
@@ -339,3 +343,76 @@ def test_repeated_sweeps_are_independent():
     a = tape.input(2.0)
     out = tape.mul(a, a)
     assert tape.grad(out, [a]) == tape.grad(out, [a]) == [4.0]
+
+
+# ----------------------------------------------------------------------
+# the float op table
+
+
+FLOAT_OPERANDS = [0.0, -0.0, 1.0, -1.0, GUARD_EPS, 0.5 * GUARD_EPS,
+                  -GUARD_EPS, 2.5, 1e308, math.inf, -math.inf, math.nan]
+
+
+def outcome(f, *args):
+    """Result of f(*args) as (exception type or None, type, repr)."""
+    try:
+        r = f(*args)
+    except ArithmeticError as exc:
+        return type(exc), None, None
+    return None, type(r), repr(r)
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "min2", "max2",
+                                  "divg"])
+def test_float_tape_binary_ops_match_tape_on_floats(name):
+    # same values bit for bit (signed zeros by repr), same tie winner and
+    # the same ZeroDivisionError for a 0.0 divisor
+    tape, ftape = Tape(), FloatTape()
+    for a, b in itertools.product(FLOAT_OPERANDS, repeat=2):
+        assert outcome(getattr(ftape, name), a, b) == \
+            outcome(getattr(tape, name), a, b), (name, a, b)
+    assert len(tape) == len(ftape) == 0
+
+
+def test_float_tape_ties_return_the_first_argument():
+    ftape = FloatTape()
+    assert repr(ftape.min2(0.0, -0.0)) == repr(Tape().min2(0.0, -0.0)) == "0.0"
+    assert repr(ftape.max2(-0.0, 0.0)) == repr(Tape().max2(-0.0, 0.0)) == "-0.0"
+    with pytest.raises(ZeroDivisionError):
+        ftape.div(1.0, 0.0)
+    assert ftape.divg(1.0, 0.0) == 1.0 / GUARD_EPS
+
+
+def test_float_tape_exp_and_madd_match_tape_on_floats():
+    tape, ftape = Tape(), FloatTape()
+    for a in FLOAT_OPERANDS + [800.0, -800.0]:
+        assert outcome(ftape.exp, a) == outcome(tape.exp, a), a
+    for y, a, x in itertools.product(FLOAT_OPERANDS, repeat=3):
+        assert outcome(ftape.madd, y, a, x) == outcome(tape.madd, y, a, x), \
+            (y, a, x)
+    assert len(tape) == 0
+
+
+def test_float_tape_takes_no_input():
+    with pytest.raises(TapeError):
+        FloatTape().input(1.0)
+
+
+@pytest.mark.parametrize("grad, tokens", [(False, "q1,u3"), (True, None)])
+def test_run_without_var_inputs_uses_the_float_tape(grad, tokens):
+    scn = merge_scenario()
+    ps = register_parameters(scn, tokens) if tokens else None
+    sim = Simulator(scn, params=ps, grad=grad)
+    res = sim.run()
+    J = objective_ttt(res)
+    assert type(res.tape) is FloatTape and len(res.tape) == 0
+    assert type(J) is float
+    assert list(res.tape.backward(J)) == []
+    inputs = [sim.param_vars[n] for n in ps.names] if ps else [1.0]
+    assert res.tape.grad(J, inputs) == [0.0] * len(inputs)
+
+
+def test_run_with_var_inputs_uses_the_recording_tape():
+    scn = merge_scenario()
+    res = Simulator(scn, params=register_parameters(scn, "q1")).run()
+    assert type(res.tape) is Tape and len(res.tape) > 0

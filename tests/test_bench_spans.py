@@ -1,5 +1,6 @@
 """The benchmark's traced run wraps diffnet names; each must still resolve,
-and a taped run must still call every one the benchmark requires."""
+and a taped or gradient-free run must still call every one the benchmark
+requires."""
 
 import importlib
 import importlib.util
@@ -37,12 +38,9 @@ def test_every_span_target_resolves_on_the_package():
                                                           attr)
 
 
-@pytest.mark.parametrize("scenario, tokens", [
-    (merge_scenario, "q1,u3"),
-    (two_destination_scenario, "q1,ua"),
-])
-def test_every_required_span_fires_on_a_taped_run(scenario, tokens):
-    # installed around one op as the benchmark's traced units do
+def missing_spans(scenario, tokens, grad):
+    """Required op spans that do not fire on one run of `scenario` with
+    `tokens` registered, traced as the benchmark's traced units trace an op."""
     tracer = load_tracer()
     scn = scenario()
     ps = register_parameters(scn, tokens)
@@ -51,12 +49,26 @@ def test_every_required_span_fires_on_a_taped_run(scenario, tokens):
     layers.install()
     root = layers.tracer.open("bench.op")
     try:
-        res = diffnet.Simulator(scn, params=ps).run()
+        res = diffnet.Simulator(scn, params=ps, grad=grad).run()
         diffnet.objective_ttt(res)
     finally:
         layers.tracer.close(root)
         layers.uninstall()
         layers.tracer.op_id = -1
-    assert layers.missing(tracer.REQUIRED_OP, {0}) == []
     assert not hasattr(diffnet.Simulator.run, "__wrapped__")
     assert not hasattr(diffnet.engine.composition, "__wrapped__")
+    return layers.missing(tracer.REQUIRED_OP, {0})
+
+
+RUNS = [(merge_scenario, "q1,u3"), (two_destination_scenario, "q1,ua")]
+
+
+@pytest.mark.parametrize("scenario, tokens", RUNS)
+def test_every_required_span_fires_on_a_taped_run(scenario, tokens):
+    assert missing_spans(scenario, tokens, grad=True) == []
+
+
+@pytest.mark.parametrize("scenario, tokens", RUNS)
+def test_every_required_span_fires_on_a_gradient_free_run(scenario, tokens):
+    # the benchmark's gradient-free workload runs on the float op table
+    assert missing_spans(scenario, tokens, grad=False) == []

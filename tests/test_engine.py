@@ -7,6 +7,7 @@ import pytest
 
 from diffnet.adcore import Tape, value
 from diffnet.engine import (
+    EngineError,
     Simulator,
     TripIncompleteError,
     build_objective,
@@ -80,6 +81,26 @@ def test_run_determinism():
 def test_gradient_free_run_records_nothing():
     res = run(merge_scenario(), grad=False)
     assert len(res.tape) == 0
+
+
+def test_values_without_a_parameter_set_are_rejected():
+    # they would override nothing, so the run would ignore them silently
+    for grad in (True, False):
+        with pytest.raises(EngineError, match="without a parameter set"):
+            Simulator(merge_scenario(), values=[0.5], grad=grad)
+    ps = register_parameters(merge_scenario(), "q1")
+    with pytest.raises(EngineError, match="does not match"):
+        Simulator(merge_scenario(), params=ps, values=[0.5, 0.1])
+
+
+def test_negative_routing_weight_is_an_error():
+    # a toll far below minus the travel time makes a link weight negative,
+    # which the shortest-path search does not accept
+    scn = toll_grid_scenario()
+    ps = register_parameters(scn, "toll:*")
+    values = [-1000.0] + [0.0] * (len(ps) - 1)
+    with pytest.raises(ValueError, match="negative routing weight"):
+        run(scn, ps, values=values, grad=False)
 
 
 # ----------------------------------------------------------------------

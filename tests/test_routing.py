@@ -28,7 +28,8 @@ def make_link(tape, lid, tail, head, dests=("s",), **kw):
 # shortest paths vs brute force
 
 
-def random_graph(rng):
+def random_graph(rng, integer=False):
+    """Random digraph; integer weights in 1..4 make equal-cost ties common."""
     n = rng.randint(3, 10)
     nodes = {f"n{i}": "intermediate" for i in range(n)}
     links = []
@@ -38,52 +39,117 @@ def random_graph(rng):
         for j in range(n):
             if i != j and rng.random() < 0.4:
                 links.append((f"n{i}", f"n{j}", f"e{lid}"))
-                weights[f"e{lid}"] = rng.uniform(0.5, 10.0)
+                weights[f"e{lid}"] = (float(rng.randint(1, 4)) if integer
+                                      else rng.uniform(0.5, 10.0))
                 lid += 1
     return nodes, links, weights
 
 
 def brute_force_cost(nodes, links, weights, src, dest):
-    """Cheapest path cost by enumerating all simple paths."""
+    """Cheapest path cost by enumerating all simple paths.
+
+    Each path's cost is summed from the destination back, link by link, as
+    the routing table sums it, so the cheapest is exact to the last bit.
+    """
     best = math.inf
     out = {}
     for tail, head, lid in links:
         out.setdefault(tail, []).append((head, lid))
 
-    def walk(node, cost, seen):
+    def walk(node, cost, path, seen):
         nonlocal best
-        if cost >= best:
+        if cost > best + 1e-9:  # forward sums differ from exact in the last bits
             return
         if node == dest:
-            best = cost
+            total = 0.0
+            for w in reversed(path):
+                total = w + total
+            best = min(best, total)
             return
         for head, lid in out.get(node, []):
             if head not in seen:
-                walk(head, cost + weights[lid], seen | {head})
+                w = weights[lid]
+                walk(head, cost + w, path + [w], seen | {head})
 
-    walk(src, 0.0, {src})
+    walk(src, 0.0, [], {src})
     return best
+
+
+def bellman_ford_reference(nodes, links, weights_f, dest):
+    """Node costs and next hops by a reverse Bellman-Ford sweep over the
+    links, with the same acceptance test and tie rule (an independent oracle
+    for the label-setting search of `build_routing`)."""
+    cost = {n: math.inf for n in nodes}
+    cost[dest] = 0.0
+    for _ in range(max(1, len(nodes) - 1)):
+        changed = False
+        for w, lk in zip(weights_f, links):
+            c_head = cost[lk.head]
+            if c_head == math.inf:
+                continue
+            cand = w + c_head
+            if cand < cost[lk.tail] - 1e-15:
+                cost[lk.tail] = cand
+                changed = True
+        if not changed:
+            break
+    best = {}
+    for i, lk in enumerate(links):
+        n = lk.tail
+        if n == dest or cost[n] == math.inf or cost[lk.head] == math.inf:
+            continue
+        cand = (weights_f[i] + cost[lk.head], lk.id, i)
+        if n not in best or cand < best[n]:
+            best[n] = cand
+    return cost, {n: b[2] for n, b in best.items()}
+
+
+def check_against_references(rng, integer):
+    """Node costs and next hops of every destination equal the Bellman-Ford
+    oracle's; costs from every node to one destination equal brute force.
+    Returns the number of equal-cost alternatives to a chosen next hop."""
+    nodes, raw_links, weights = random_graph(rng, integer)
+    tape = Tape()
+    links = [make_link(tape, lid, tail, head) for tail, head, lid in raw_links]
+    weights_f = [weights[lid] for _, _, lid in raw_links]
+    dests = sorted(nodes)
+    table = build_routing(tape, nodes, links, weights_f, dests)
+    ties = 0
+    for dest in dests:
+        cost, next_link = bellman_ford_reference(nodes, links, weights_f, dest)
+        assert table.node_cost[dest] == cost
+        assert list(table.node_cost[dest]) == list(nodes)
+        assert table.next_link[dest] == next_link
+        for n, i in next_link.items():
+            ties += sum(1 for j, lk in enumerate(links)
+                        if j != i and lk.tail == n and cost[lk.head] < math.inf
+                        and weights_f[j] + cost[lk.head] == cost[n])
+    dest = random.Random(rng.random()).choice(dests)
+    for src in nodes:
+        if src != dest:
+            expect = brute_force_cost(nodes, raw_links, weights, src, dest)
+            assert table.node_cost[dest][src] == expect
+    return ties
 
 
 def test_bellman_ford_matches_brute_force_on_200_random_graphs():
     rng = random.Random(2024)
     for _ in range(200):
-        nodes, raw_links, weights = random_graph(rng)
-        tape = Tape()
-        links = [make_link(tape, lid, tail, head)
-                 for tail, head, lid in raw_links]
-        dest = random.Random(rng.random()).choice(sorted(nodes))
-        table = build_routing(tape, nodes, links,
-                              [weights[lid] for _, _, lid in raw_links], [dest])
-        for src in nodes:
-            if src == dest:
-                continue
-            expect = brute_force_cost(nodes, raw_links, weights, src, dest)
-            got = table.node_cost[dest][src]
-            if math.isinf(expect):
-                assert math.isinf(got)
-            else:
-                assert got == pytest.approx(expect, abs=1e-9)
+        check_against_references(rng, integer=False)
+
+
+def test_shortest_paths_match_bellman_ford_with_equal_cost_ties():
+    rng = random.Random(2025)
+    ties = sum(check_against_references(rng, integer=True) for _ in range(200))
+    assert ties > 500  # equal-cost alternatives are common
+
+
+def test_negative_routing_weight_raises():
+    tape = Tape()
+    nodes = {"a": "intermediate", "b": "intermediate"}
+    links = [make_link(tape, "e1", "a", "b")]
+    with pytest.raises(ValueError, match="negative routing weight"):
+        build_routing(tape, nodes, links, [-1.0], ["b"])
 
 
 def test_tree_cost_expressions_match_float_costs():

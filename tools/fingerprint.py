@@ -1,0 +1,257 @@
+"""Bitwise fingerprint of diffnet's answers on a fixed set of fixtures.
+
+A change that must keep every value, tape and gradient identical is checked
+by fingerprinting the old and the new source tree and diffing the outputs:
+
+    python tools/fingerprint.py --root /path/to/old/checkout --out old.json
+    python tools/fingerprint.py --out new.json
+    diff old.json new.json
+
+`--root` names the checkout whose `src/diffnet` is imported (default: the
+checkout holding this script).  The fixtures themselves always come from
+this checkout (`bench/`, `tests/`), so both sides run the same inputs.
+
+For each fixture the JSON holds, by `repr` or SHA-256 of the exact bits:
+the objective, the gradients of the registered parameters, the `NU`/`ND`
+curves of every link, the rest of the run's state (per-destination counts,
+origin queues and injections, absorbed vehicles, per-link travel time and
+the conservation error), the tape length and a SHA-256 of the tape's four
+entry lists.  The CLI entry holds a SHA-256 of every CSV file that a fixed
+list of subcommands writes, with the wall-time column of `trace.csv`
+dropped.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import importlib
+import importlib.util
+import io
+import json
+import random
+import sys
+import tempfile
+from array import array
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+
+MERGE_PARAMS = "q1,q2,u1,u2,u3,alpha1"
+MERGE_TRIPS = [(500.0, "orig1", "dest"), (500.0, "orig2", "dest"),
+               (100.0, "orig1", "dest"), (100.0, "orig2", "dest")]
+
+
+def load_file(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod  # dataclasses look their module up there
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def sha(parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p)
+    return h.hexdigest()
+
+
+def float_bits(dn, xs) -> bytes:
+    return array("d", [dn.value(x) for x in xs]).tobytes()
+
+
+def tape_sha(tape) -> str:
+    # the four parallel entry lists (parents and partials)
+    return sha([array("q", tape._p1).tobytes(), array("q", tape._p2).tobytes(),
+                array("d", tape._d1).tobytes(), array("d", tape._d2).tobytes()])
+
+
+def run_record(dn, res, J, inputs, trips=()) -> dict:
+    """Fingerprint of one run, its objective `J` and its trips."""
+    tape = res.tape
+    links = list(res.links.values())
+    curves = sha(float_bits(dn, lk.NU) + float_bits(dn, lk.ND) for lk in links)
+    state = [float_bits(dn, [lk.NU_s[s] for s in lk.NU_s]) for lk in links]
+    for per_origin in (res.queues, res.inj):
+        for o, per_dest in per_origin.items():
+            for s, seq in per_dest.items():
+                state.append(f"{o}>{s}".encode() + float_bits(dn, seq))
+    state.append(float_bits(dn, list(res.absorbed.values())))
+    state.append(float_bits(dn, list(res.ttt_link.values())))
+    state.append(float_bits(dn, [res.ttt_queue, res.conservation_error]))
+    rec = {
+        "objective": repr(dn.value(J)),
+        "grad": [repr(g) for g in tape.grad(J, inputs)] if inputs else [],
+        "curves": curves,
+        "state": sha(state),
+    }
+    for t0, orig, dest in trips:
+        tt = res.trace_trip(t0, orig, dest).travel_time
+        rec[f"trip {t0:g}:{orig}:{dest}"] = [
+            repr(dn.value(tt)), [repr(g) for g in tape.grad(tt, inputs)]
+            if inputs else []]
+    rec["tape_len"] = len(tape)
+    rec["tape_sha"] = tape_sha(tape)
+    return rec
+
+
+def simulate(dn, scn, tokens=None, values=None, grad=True, objective="ttt",
+             lam=0.0, trips=()) -> dict:
+    ps = dn.register_parameters(scn, tokens) if tokens else None
+    sim = dn.Simulator(scn, params=ps, values=values, grad=grad)
+    res = sim.run()
+    J = dn.build_objective(objective, lam)(res)
+    inputs = [sim.param_vars[n] for n in ps.names] if ps is not None else []
+    return run_record(dn, res, J, inputs, trips)
+
+
+def fixtures(dn):
+    """(name, thunk) for every fixture; each thunk returns its record."""
+    presets = importlib.import_module("diffnet.presets")
+    grid = load_file("fp_grid", HERE / "bench" / "grid.py")
+    parity = load_file("fp_test_parity", HERE / "tests" / "test_parity.py")
+    engine_tests = load_file("fp_test_engine", HERE / "tests" / "test_engine.py")
+
+    def grid_scn(**kw):
+        return dn.Scenario.from_dict(grid.grid_document(**kw))
+
+    out = []
+    for grad in (True, False):
+        tag = "taped" if grad else "float"
+        out += [
+            (f"merge {tag}", lambda g=grad: simulate(
+                dn, presets.merge_scenario(), MERGE_PARAMS, grad=g,
+                trips=MERGE_TRIPS)),
+            (f"two-route qmaxfb {tag}", lambda g=grad: simulate(
+                dn, presets.two_route_scenario(), "qmaxfb", grad=g)),
+            (f"toll grid toll-J zero tolls {tag}", lambda g=grad: simulate(
+                dn, presets.toll_grid_scenario(), "toll:*", grad=g,
+                objective="toll-J", lam=1e-3)),
+            (f"two-destination {tag}", lambda g=grad: simulate(
+                dn, parity.two_destination_scenario(), "q1,q2,qmaxb1,ua,ub2",
+                grad=g)),
+            (f"grid n=4 2 dests {tag}", lambda g=grad: simulate(
+                dn, grid_scn(n=4, n_dest=2), "q1,un0_0-n0_1", grad=g)),
+            (f"grid n=6 3 dests replan q2 {tag}", lambda g=grad: simulate(
+                dn, grid_scn(n=6, n_dest=3, demand=0.10, mu=0.0,
+                             dt_route=5.0), "q2", grad=g)),
+        ]
+    scn = presets.toll_grid_scenario()
+    n = len(dn.register_parameters(scn, "toll:*"))
+    rng = random.Random(7)
+    tolls = [rng.uniform(0.0, 20.0) for _ in range(n)]
+    out.append(("toll grid toll-J random tolls taped", lambda: simulate(
+        dn, presets.toll_grid_scenario(), "toll:*", values=tolls,
+        objective="toll-J", lam=1e-3)))
+
+    rng = random.Random(1234)
+    draws = []
+    while len(draws) < 50:
+        scn = engine_tests.random_scenario(rng)
+        if scn is not None:
+            draws.append(scn)
+    for k, scn in enumerate(draws):
+        tokens = ",".join(f"q{i + 1}" for i in range(len(scn.demands)))
+        tokens += f",u{scn.links[0].id}"
+        out.append((f"random {k:02d} taped",
+                    lambda s=scn, t=tokens: simulate(dn, s, t)))
+        out.append((f"random {k:02d} float",
+                    lambda s=scn: simulate(dn, s, grad=False)))
+    return out
+
+
+def bench_units(dn) -> dict:
+    """Outputs of units 0-3 of every benchmark workload at seed 0."""
+    sys.path.insert(0, str(HERE / "bench"))
+    try:
+        workloads = load_file("fp_workloads", HERE / "bench" / "workloads.py")
+    finally:
+        sys.path.remove(str(HERE / "bench"))
+    out = {}
+    for name, cls in workloads.WORKLOADS.items():
+        wl = cls(dn, 0)
+        wl.start()
+        try:
+            for k in range(4):
+                rec = wl.unit(k)
+                out[f"bench {name} unit {k}"] = {
+                    "outputs": repr(rec.outputs), "failures": rec.failures}
+        finally:
+            wl.close()
+    return out
+
+
+CLI_RUNS = [
+    ["run", "{merge}"],
+    ["run", "{toll}"],
+    ["run", "{toll}", "--segments", "3"],
+    ["grad", "{merge}", "--params", MERGE_PARAMS],
+    ["grad", "{two}", "--params", "qmaxfb"],
+    ["grad", "{toll}", "--params", "toll:*", "--objective", "toll-J",
+     "--lambda", "1e-3"],
+    ["fdcheck", "{merge}", "--params", "q1,u3"],
+    ["trace", "{merge}", "--trip", "500:orig1:dest", "--trip", "100:orig2:dest"],
+    ["optimize-toll", "{toll}", "--iters", "3"],
+    ["spsa-toll", "{toll}", "--iters", "3"],
+]
+
+
+def csv_digest(path: Path) -> str:
+    text = path.read_text()
+    if path.name == "trace.csv":  # drop the wall-time column
+        header, body = text.split("\n", 1)
+        rows = list(csv.reader(io.StringIO(body)))
+        col = rows[0].index("wall")
+        text = header + "\n" + "\n".join(
+            ",".join(r[:col] + r[col + 1:]) for r in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cli_hashes(dn) -> dict:
+    presets = importlib.import_module("diffnet.presets")
+    cli = importlib.import_module("diffnet.cli")
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {"merge": presets.merge_scenario(),
+                 "two": presets.two_route_scenario(),
+                 "toll": presets.toll_grid_scenario()}
+        for key, scn in files.items():
+            scn.save(tmp / f"{key}.scn")
+        for k, argv in enumerate(CLI_RUNS):
+            argv = [a.format(**{key: str(tmp / f"{key}.scn") for key in files})
+                    for a in argv]
+            odir = tmp / f"out{k}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + ["--out", str(odir)])
+            label = " ".join(a.replace(str(tmp) + "/", "") for a in argv)
+            out[label] = {"exit": code, **{
+                p.name: csv_digest(p) for p in sorted(odir.glob("*.csv"))}}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=str(HERE),
+                    help="checkout whose src/diffnet is fingerprinted")
+    ap.add_argument("--out", default="-", help="output JSON file ('-': stdout)")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(Path(args.root).resolve() / "src"))
+    dn = importlib.import_module("diffnet")
+
+    result = {name: thunk() for name, thunk in fixtures(dn)}
+    result.update(bench_units(dn))
+    result["cli"] = cli_hashes(dn)
+    text = json.dumps(result, indent=1, sort_keys=True) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
