@@ -120,11 +120,13 @@ class Simulator:
             self._tolls[number[lid]][: len(vals)] = vals
             tolled.add(number[lid])
         if params is not None:
-            vals = params.base_values if values is None else list(values)
+            vals = [float(v) for v in (params.base_values if values is None
+                                       else values)]
             if len(vals) != len(params):
                 raise EngineError("values length does not match parameter set")
+            params.validate(scenario, vals)
             for p, v in zip(params.params, vals):
-                var = self.tape.input(float(v)) if grad else float(v)
+                var = self.tape.input(v) if grad else v
                 self.param_vars[p.name] = var
                 if p.kind == "link":
                     lid, attr = p.target
@@ -139,9 +141,13 @@ class Simulator:
 
         dests = scenario.destinations
         self.net = scenario.network
-        # indexed by link number
+        # indexed by link number; each link keeps the destinations its head
+        # reaches, in `dests` order
+        reaching = [self.net.reaching[s] for s in dests]
         self.links: list[LinkDyn] = [
-            LinkDyn(self.tape, lp, dests, **self._link_over.get(lp.id, {}))
+            LinkDyn(self.tape, lp,
+                    [s for s, r in zip(dests, reaching) if lp.head in r],
+                    **self._link_over.get(lp.id, {}))
             for lp in scenario.links
         ]
 
@@ -237,34 +243,6 @@ class Simulator:
                     row[s] = [(j, x) for j, x in enumerate(p)
                               if type(x) is Var or x != 0.0]
 
-    def _reachable_probs(self, node: str, comp: dict) -> dict:
-        """Routing fractions for the destinations present in a composition.
-
-        Destination keys with zero share that cannot be reached from this
-        node are dropped (a link's composition always lists every
-        destination; only actually-routed ones need a path).
-        """
-        row = self._probs[node]
-        probs = {}
-        for s, cs in comp.items():
-            p = row.get(s)
-            if p is None:
-                if value(cs) > 1e-12:
-                    raise EngineError(
-                        f"no route from node {node} to destination {s}"
-                    )
-                continue
-            probs[s] = p
-        return probs
-
-    def _neutral_composition(self, node: str):
-        """Composition fallback for links that have seen no vehicles."""
-        reach = self._probs[node]
-        if not reach:
-            return None
-        share = 1.0 / len(reach)
-        return {s: share for s in reach}
-
     # ------------------------------------------------------------------
 
     def run(self) -> SimResult:
@@ -354,14 +332,14 @@ class Simulator:
         tape = self.tape
         add, mul = tape.add, tape.mul
         outs = self.net.outlinks[node]
-        probs = [self._reachable_probs(node, c) for c in comps]
+        probs = self._probs[node]
         B = []
-        for c, ps in zip(comps, probs):
+        for c in comps:
             # B[j] sums c[s] * p over the destinations routed to outlink j,
             # outlink by outlink (the sort is stable, so destinations keep
             # their order within an outlink)
-            terms = sorted(((j, c[s], p) for s, pairs in ps.items()
-                            for j, p in pairs), key=_first)
+            terms = sorted(((j, cs, p) for s, cs in c.items()
+                            for j, p in probs[s]), key=_first)
             row = [0.0] * len(outs)
             for j, cs, p in terms:
                 row[j] = add(row[j], mul(cs, p))
@@ -372,11 +350,11 @@ class Simulator:
             f_in[o] = add(f_in[o], q)
 
         per_dest = []
-        for q, c, ps in zip(qin, comps, probs):
+        for q, c in zip(qin, comps):
             out = {}
-            for s, pairs in ps.items():
-                fs = out[s] = mul(q, c[s])
-                for j, p in pairs:
+            for s, cs in c.items():
+                fs = out[s] = mul(q, cs)
+                for j, p in probs[s]:
                     o = outs[j]
                     if self.links[o].NU_s:
                         f_in_s[o][s] = add(f_in_s[o].get(s, 0.0), mul(fs, p))
@@ -449,11 +427,13 @@ class Simulator:
         for lk in inlinks:
             c = composition(self.tape, lk)
             if c is None:
-                c = self._neutral_composition(node)
-                if c is None:
+                # a link that has seen no vehicles: an even split over the
+                # destinations its head reaches
+                if not lk.dests:
                     raise EngineError(
                         f"node {node}: no destination reachable for inlink {lk.id}"
                     )
+                c = dict.fromkeys(lk.dests, 1.0 / len(lk.dests))
             comps.append(c)
 
         qin, _ = self._transfer(

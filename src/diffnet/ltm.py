@@ -71,9 +71,11 @@ class LinkDyn:
     Parameters are Var-or-float depending on what was registered on the
     tape.  `w` and `k_crit` are derived from the independent triple unless
     the link was registered under the alternate (u, w, kappa)
-    parameterization, in which case `qmax` is derived.  `NU_s` holds the
-    running per-destination upstream counts, only when the network has two
-    or more destinations; with one, `NU` is that destination's curve.
+    parameterization, in which case `qmax` is derived.  `dests` are the
+    demanded destinations the link's head reaches, in scenario order; no
+    vehicle on the link heads anywhere else.  `NU_s` holds the running
+    upstream count of each of them, only when there are two or more; with
+    one, `NU` is that destination's curve and its share is a plain 1.0.
     """
 
     __slots__ = (

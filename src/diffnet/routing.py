@@ -196,7 +196,7 @@ def composition(tape: Tape, link: LinkDyn):
     total = link.NU[-1]
     if value(total) <= 0.0:
         return None
-    if not link.NU_s:  # one destination, the single share
+    if not link.NU_s:  # one reachable destination, the single share
         return {link.dests[0]: 1.0}
     return normalized_shares(tape, link.NU_s, total)
 

@@ -29,6 +29,7 @@ travel time added to the link's routing cost.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -193,11 +194,16 @@ NODE_KINDS = ("origin", "destination", "intermediate")
 
 @dataclass(frozen=True)
 class Network:
-    """Integer-indexed topology of a scenario; see `Scenario.network`."""
+    """Integer-indexed topology of a scenario, built once by `Scenario.network`.
+
+    Links are numbered by their position in `Scenario.links`; each node lists
+    its link numbers in that (file) order.  `reaching` is keyed by the
+    demanded destinations in `Scenario.destinations` order.
+    """
 
     outlinks: dict[str, list[int]]  # node id -> outlink numbers
     inlinks: dict[str, list[int]]  # node id -> inlink numbers
-    reachable: dict[str, set[str]]  # node id -> nodes it reaches (itself too)
+    reaching: dict[str, set[str]]  # destination -> nodes reaching it (itself too)
     origin_demands: dict[str, list[int]]  # origin id -> demand indices
 
 
@@ -218,47 +224,38 @@ class Scenario:
 
     @cached_property
     def network(self) -> Network:
-        """The scenario's topology, built once (the scenario is immutable).
-
-        Links are numbered by their position in `links`, and each node lists
-        its link numbers in that (file) order.
-        """
+        """The scenario's topology, built once (the scenario is immutable)."""
         outlinks: dict[str, list[int]] = {n: [] for n in self.nodes}
         inlinks: dict[str, list[int]] = {n: [] for n in self.nodes}
         for i, lk in enumerate(self.links):
             outlinks.setdefault(lk.tail, []).append(i)
             inlinks.setdefault(lk.head, []).append(i)
-        reachable = {}
-        for node in outlinks:
-            seen = {node}
-            stack = [node]
+        reaching = {}
+        for dest in self.destinations:
+            # one search backwards along the links from the destination
+            seen = {dest}
+            stack = [dest]
             while stack:
-                for i in outlinks.get(stack.pop(), ()):
-                    head = self.links[i].head
-                    if head not in seen:
-                        seen.add(head)
-                        stack.append(head)
-            reachable[node] = seen
+                for i in inlinks.get(stack.pop(), ()):
+                    tail = self.links[i].tail
+                    if tail not in seen:
+                        seen.add(tail)
+                        stack.append(tail)
+            reaching[dest] = seen
         origin_demands: dict[str, list[int]] = {}
         for i, dm in enumerate(self.demands):
             origin_demands.setdefault(dm.origin, []).append(i)
-        return Network(outlinks, inlinks, reachable, origin_demands)
+        return Network(outlinks, inlinks, reaching, origin_demands)
 
-    @property
-    def destinations(self) -> list[str]:
-        seen = []
-        for dm in self.demands:
-            if dm.destination not in seen:
-                seen.append(dm.destination)
-        return seen
+    @cached_property
+    def destinations(self) -> tuple[str, ...]:
+        """Demanded destinations, in order of first demand."""
+        return tuple(dict.fromkeys(dm.destination for dm in self.demands))
 
-    @property
-    def origins(self) -> list[str]:
-        seen = []
-        for dm in self.demands:
-            if dm.origin not in seen:
-                seen.append(dm.origin)
-        return seen
+    @cached_property
+    def origins(self) -> tuple[str, ...]:
+        """Demanding origins, in order of first demand."""
+        return tuple(dict.fromkeys(dm.origin for dm in self.demands))
 
     # ------------------------------------------------------------------
     def validate(self):
@@ -303,7 +300,8 @@ class Scenario:
                 raise ValidationError(f"toll refers to unknown link {lid!r}")
 
     def reaches(self, node: str, dest: str) -> bool:
-        return dest in self.network.reachable.get(node, {node})
+        """Whether `node` reaches the demanded destination `dest`."""
+        return node in self.network.reaching[dest]
 
     # ------------------------------------------------------------------
     # file I/O
@@ -363,7 +361,9 @@ class Scenario:
             try:
                 doc = yaml.safe_load(fh)
             except yaml.YAMLError as exc:
-                raise ScenarioError(f"cannot parse {path}: {exc}") from exc
+                # the parser's message spans lines; the CLI prints one
+                reason = " ".join(str(exc).split())
+                raise ScenarioError(f"cannot parse {path}: {reason}") from exc
         if not isinstance(doc, dict):
             raise ScenarioError(f"{path}: top level must be a mapping")
         return cls.from_dict(doc)
@@ -441,6 +441,46 @@ class ParameterSet:
     @property
     def base_values(self) -> list[float]:
         return [p.base for p in self.params]
+
+    def validate(self, scenario: Scenario, values) -> None:
+        """Check `values` against the rules the scenario file applies to each
+        parameter's field; the `ValidationError` names the parameter.
+
+        Link attributes and w are finite and > 0, keep the critical density
+        below the jam density and keep the CFL condition; demand rates are
+        finite and >= 0; tolls are finite (negative values stay allowed for
+        finite-difference and SPSA probes around zero).
+        """
+        by_link: dict[str, dict[str, tuple[str, float]]] = {}
+        for p, v in zip(self.params, values):
+            if p.kind == "toll":
+                ok, rule = math.isfinite(v), "finite"
+            elif p.kind == "demand":
+                ok, rule = 0 <= v < math.inf, "finite and >= 0"
+            else:
+                ok, rule = 0 < v < math.inf, "finite and > 0"
+                lid, attr = p.target
+                by_link.setdefault(lid, {})[attr] = (p.name, v)
+            if not ok:
+                raise ValidationError(
+                    f"parameter {p.name!r}: value {v!r} must be {rule}")
+        for lid, attrs in by_link.items():
+            triple = {a: nv for a, nv in attrs.items()
+                      if a in ("u", "qmax", "kappa")}
+            lk = dataclasses.replace(
+                scenario.link(lid), **{a: v for a, (_, v) in triple.items()})
+            # with w registered, qmax = u*w*kappa/(u + w) keeps k_crit < kappa
+            if "w" not in attrs and lk.k_crit >= lk.kappa:
+                names = ", ".join(repr(n) for n, _ in triple.values())
+                raise ValidationError(
+                    f"parameter {names}: link {lid}: critical density "
+                    f"{lk.k_crit:.4g} must be below jam density {lk.kappa:.4g}"
+                )
+            if "u" in attrs and scenario.config.dt > lk.d / lk.u + 1e-12:
+                raise ValidationError(
+                    f"parameter {attrs['u'][0]!r}: CFL violated on link {lid}: "
+                    f"dt={scenario.config.dt} > d/u={lk.d / lk.u:.6g}"
+                )
 
 
 def register_parameters(scenario: Scenario, selection) -> ParameterSet:
@@ -530,8 +570,14 @@ def register_parameters(scenario: Scenario, selection) -> ParameterSet:
                     f"parameter {token!r}: profile has multiple rates; "
                     "register pieces individually via the scenario file"
                 )
+            rate = rates.pop()
+            if rate == 0.0:
+                raise ScenarioError(
+                    f"parameter {token!r}: demand profile #{k} has rate 0, "
+                    "so the parameter would have no effect"
+                )
             params.append(
-                Parameter(name=token, kind="demand", target=(k - 1,), base=rates.pop())
+                Parameter(name=token, kind="demand", target=(k - 1,), base=rate)
             )
         else:
             for attr in ("kappa", "qmax", "alpha", "u", "w"):

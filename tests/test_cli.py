@@ -4,13 +4,18 @@ import csv
 import os
 
 import pytest
+import yaml
 
 from diffnet.cli import main
+from diffnet.engine import build_objective
+from diffnet.optimize import evaluate
 from diffnet.presets import (
     bottleneck_scenario,
     merge_scenario,
     toll_grid_scenario,
+    two_route_scenario,
 )
+from diffnet.scenario import register_parameters
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +281,126 @@ def test_usage_error_exits_1_with_one_line(merge_file, tmp_path, capsys,
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert message in err
     assert not os.path.exists(out)
+
+
+def _edit(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+
+
+def _origin_with_inlink(doc):
+    doc["nodes"].append({"id": "x", "kind": "intermediate"})
+    doc["links"].append({**doc["links"][0], "id": "4", "from": "x",
+                         "to": "orig1"})
+
+
+def _destination_with_outlink(doc):
+    doc["nodes"].append({"id": "x", "kind": "intermediate"})
+    doc["links"].append({**doc["links"][0], "id": "4", "from": "dest",
+                         "to": "x"})
+
+
+def _unknown_link_key(doc):
+    del doc["links"][0]["qmax"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: _edit(d, ("demands", 0, "profile"), [[50.0, 50.0, 0.3]]),
+     "demand orig1->dest: empty interval"),
+    (lambda d: _edit(d, ("demands", 0, "profile"),
+                     [[0.0, 500.0, 0.3], [250.0, 750.0, 0.3]]),
+     "demand orig1->dest: overlapping intervals"),
+    (lambda d: _edit(d, ("meta", "M"), 0), "segment count M must be >= 1"),
+    (lambda d: _edit(d, ("meta", "tt_method"), "exact"),
+     "unknown tt_method 'exact'"),
+    (lambda d: _edit(d, ("links", 1, "id"), "1"), "duplicate link id '1'"),
+    (lambda d: _edit(d, ("nodes", 2, "kind"), "junction"),
+     "node merge: unknown kind 'junction'"),
+    (_origin_with_inlink, "origin node orig1 must have no inlinks"),
+    (_destination_with_outlink, "destination node dest must have no outlinks"),
+    (lambda d: _edit(d, ("demands", 0, "origin"), "merge"),
+     "demand merge->dest: node merge is not a declared origin"),
+    (lambda d: _edit(d, ("demands", 0, "destination"), "merge"),
+     "demand orig1->merge: node merge is not a declared destination"),
+    (lambda d: _edit(d, ("tolls",), [{"link": "9", "values": [1.0]}]),
+     "toll refers to unknown link '9'"),
+    (_unknown_link_key, "malformed scenario document: KeyError('qmax')"),
+])
+def test_invalid_scenario_file_exits_1_with_one_line(tmp_path, capsys, edit,
+                                                     message):
+    doc = merge_scenario().to_dict()
+    edit(doc)
+    p = tmp_path / "bad.scn"
+    p.write_text(yaml.safe_dump(doc))
+    out = str(tmp_path / "o")
+    assert main(["run", str(p), "--out", out]) == 1
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("meta: [dt: 5\n", "cannot parse"),
+    ("- just\n- a list\n", "top level must be a mapping"),
+])
+def test_unreadable_scenario_file_exits_1_with_one_line(tmp_path, capsys,
+                                                        text, message):
+    p = tmp_path / "bad.scn"
+    p.write_text(text)
+    out = str(tmp_path / "o")
+    assert main(["run", str(p), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and message in err
+    assert err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("fixture, params, message", [
+    ("merge", "u9", "parameter 'u9': unknown link '9'"),
+    ("merge", "toll:3", "bad toll token 'toll:3'"),
+    ("merge", "toll:3:x", "bad toll token 'toll:3:x'"),
+    ("merge", "q3", "parameter 'q3': no demand profile #3"),
+    ("merge", "q0", "parameter 'q0': no demand profile #0"),
+    # two-route demand comes in three phases of different rates
+    ("two", "q1", "parameter 'q1': profile has multiple rates; register "
+     "pieces individually via the scenario file"),
+    ("zero", "q2", "parameter 'q2': demand profile #2 has rate 0, so the "
+     "parameter would have no effect"),
+])
+def test_bad_parameter_token_exits_1_with_one_line(tmp_path, capsys, fixture,
+                                                   params, message):
+    doc = {"merge": merge_scenario, "two": two_route_scenario,
+           "zero": merge_scenario}[fixture]().to_dict()
+    if fixture == "zero":
+        doc["demands"][1]["profile"][0][2] = 0.0
+    p = tmp_path / "s.scn"
+    p.write_text(yaml.safe_dump(doc))
+    out = str(tmp_path / "o")
+    assert main(["grad", str(p), "--params", params, "--out", out]) == 1
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+    assert not os.path.exists(out)
+
+
+def test_trip_objective_gradient_matches_central_fd(merge_file, tmp_path):
+    spec = "trip:500:orig1:dest"
+    tokens = "q1,u1,u3,qmax3"
+    out = str(tmp_path / "o")
+    assert main(["grad", merge_file, "--params", tokens, "--objective", spec,
+                 "--out", out]) == 0
+    ad = {r["parameter"]: float(r["ad"])
+          for r in read_csv(os.path.join(out, "gradient.csv"))}
+    scn = merge_scenario()
+    ps = register_parameters(scn, tokens)
+    objective = build_objective(spec)
+    eps = 1e-4
+    for i, name in enumerate(ps.names):
+        side = []
+        for e in (eps, -eps):
+            x = list(ps.base_values)
+            x[i] += e
+            side.append(evaluate(objective, scn, ps, values=x))
+        assert ad[name] == pytest.approx((side[0] - side[1]) / (2 * eps),
+                                         rel=1e-6, abs=1e-6)
+    # the vehicle waits behind origin 1's own queue: more demand delays it
+    assert ad["q1"] > 0.0 and ad["qmax3"] < 0.0

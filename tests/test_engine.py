@@ -21,7 +21,7 @@ from diffnet.presets import (
     toll_grid_scenario,
     two_route_scenario,
 )
-from diffnet.scenario import Scenario, register_parameters
+from diffnet.scenario import Scenario, ValidationError, register_parameters
 
 
 # ----------------------------------------------------------------------
@@ -91,6 +91,43 @@ def test_values_without_a_parameter_set_are_rejected():
     ps = register_parameters(merge_scenario(), "q1")
     with pytest.raises(EngineError, match="does not match"):
         Simulator(merge_scenario(), params=ps, values=[0.5, 0.1])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("tokens, values, message", [
+    ("q1", [-0.3], "parameter 'q1': value -0.3 must be finite and >= 0"),
+    ("q1", [INF], "parameter 'q1': value inf must be finite and >= 0"),
+    ("kappa3", [0.0], "parameter 'kappa3': value 0.0 must be finite and > 0"),
+    ("alpha1", [-1.0], "parameter 'alpha1': value -1.0 must be finite and > 0"),
+    ("u3", [NAN], "parameter 'u3': value nan must be finite and > 0"),
+    ("w1", [0.0], "parameter 'w1': value 0.0 must be finite and > 0"),
+    ("toll:3:0", [NAN], "parameter 'toll:3:0': value nan must be finite"),
+    # the rules that tie a value to the link's other attributes
+    ("qmax1", [5.0], "parameter 'qmax1': link 1: critical density 0.25 must "
+     "be below jam density 0.2"),
+    ("u1,kappa1", [20.0, 0.04], "parameter 'u1', 'kappa1': link 1: critical "
+     "density 0.04 must be below jam density 0.04"),
+    ("u1", [250.0], "parameter 'u1': CFL violated on link 1: dt=5.0 > d/u=4"),
+])
+def test_parameter_values_obey_the_rules_of_their_field(tokens, values,
+                                                        message):
+    scn = merge_scenario()
+    ps = register_parameters(scn, tokens)
+    for grad in (True, False):
+        with pytest.raises(ValidationError) as err:
+            Simulator(scn, params=ps, values=values, grad=grad)
+        assert str(err.value) == message
+
+
+def test_negative_tolls_and_zero_rates_are_valid_parameter_values():
+    # finite-difference and SPSA probes step below a zero toll
+    scn = merge_scenario()
+    ps = register_parameters(scn, "toll:3:0,q2")
+    J = value(objective_ttt(run(scn, ps, values=[-1.0, 0.0], grad=False)))
+    assert J == value(objective_ttt(run(scn, ps, values=[0.0, 0.0],
+                                        grad=False)))
 
 
 def test_negative_routing_weight_is_an_error():
@@ -293,6 +330,28 @@ def test_trip_outside_demand_window_sensitivity_matches_fd():
         assert ad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
     # only the free-flow time of the feeder link moves: d / u^2 per m/s
     assert ad == pytest.approx([0.0, -2000.0 / 20.0 ** 2])
+
+
+def test_w_parameter_gradient_matches_central_fd():
+    # registering w on the bottleneck link fb switches it to the (u, w,
+    # kappa) parameterization: qmax is derived, and the run is unchanged
+    scn = two_route_scenario()
+    ps = register_parameters(scn, "wfb")
+    base = scn.link("fb").w
+    assert ps.base_values == [base]
+    sim = Simulator(scn, params=ps)
+    res = sim.run()
+    J = objective_ttt(res)
+    assert value(J) == pytest.approx(
+        value(objective_ttt(run(scn, grad=False))), rel=1e-12)
+    assert value(res.links["fb"].qmax) == pytest.approx(scn.link("fb").qmax,
+                                                        rel=1e-12)
+    (ad,) = res.tape.grad(J, [sim.param_vars["wfb"]])
+    eps = 1e-4
+    hi, lo = (value(objective_ttt(run(scn, ps, values=[base + e], grad=False)))
+              for e in (eps, -eps))
+    assert ad == pytest.approx((hi - lo) / (2 * eps), rel=1e-6)
+    assert ad < 0.0  # a faster backward wave means more bottleneck capacity
 
 
 @pytest.mark.parametrize("scn, origin", [

@@ -116,9 +116,19 @@ def test_two_destination_ttt_and_gradients_pinned():
 
 
 def test_per_destination_link_state_is_one_count_per_destination():
+    # one count per destination the link's head reaches; a link that
+    # reaches one destination keeps none, and its share is a plain 1.0
     res, _ = taped(two_destination_scenario(), "q1")
+    dests = {lid: lk.dests for lid, lk in res.links.items()}
+    assert dests == {"a": ("d1", "d2"), "b1": ("d1",), "b2": ("d2",),
+                     "c": ("d1", "d2"), "e1": ("d1",), "e2": ("d2",)}
     for lk in res.links.values():
-        assert set(lk.NU_s) == {"d1", "d2"}
+        if len(lk.dests) == 1:
+            assert lk.NU_s == {}
+            (share,) = composition(res.tape, lk).values()
+            assert share == 1.0 and type(share) is float
+            continue
+        assert list(lk.NU_s) == list(lk.dests)
         assert all(type(n) in (Var, float) for n in lk.NU_s.values())
         assert sum(value(n) for n in lk.NU_s.values()) == pytest.approx(
             value(lk.NU[-1]), rel=1e-12, abs=1e-12)

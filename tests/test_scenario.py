@@ -175,6 +175,18 @@ def test_toll_token_without_effect_rejected(token):
         register_parameters(merge_scenario(), token)
 
 
+def test_demand_token_on_a_zero_rate_profile_rejected():
+    # a zero-rate profile generates no vehicles whatever q2 is set to
+    d = merge_scenario().to_dict()
+    d["demands"][1]["profile"][0][2] = 0.0
+    scn = Scenario.from_dict(d)
+    with pytest.raises(ScenarioError) as err:
+        register_parameters(scn, "q1,q2")
+    assert str(err.value) == ("parameter 'q2': demand profile #2 has rate 0, "
+                              "so the parameter would have no effect")
+    assert register_parameters(scn, "q1").base_values == [0.45]
+
+
 def test_toll_token_on_untolled_link_in_horizon_accepted():
     ps = register_parameters(merge_scenario(), "toll:3:0")
     assert ps.base_values == [0.0]
@@ -213,7 +225,8 @@ def test_scenario_is_frozen():
 
 
 def brute_force_network(scn):
-    """Link ids per node, reachable sets and demands per origin, by search."""
+    """Link ids per node, the nodes reaching each demanded destination and
+    demands per origin, by search."""
     out = {n: [lk.id for lk in scn.links if lk.tail == n] for n in scn.nodes}
     inc = {n: [lk.id for lk in scn.links if lk.head == n] for n in scn.nodes}
     reach = {n: {n} for n in scn.nodes}
@@ -224,20 +237,37 @@ def brute_force_network(scn):
             if not reach[lk.head] <= reach[lk.tail]:
                 reach[lk.tail] |= reach[lk.head]
                 changed = True
+    reaching = {s: {n for n in scn.nodes if s in reach[n]}
+                for s in scn.destinations}
     demands = {o: [i for i, dm in enumerate(scn.demands) if dm.origin == o]
                for o in scn.origins}
-    return out, inc, reach, demands
+    return out, inc, reaching, demands
 
 
 def check_network(scn):
     net = scn.network
-    out, inc, reach, demands = brute_force_network(scn)
+    out, inc, reaching, demands = brute_force_network(scn)
     ids = [lk.id for lk in scn.links]
     assert {n: [ids[i] for i in v] for n, v in net.outlinks.items()} == out
     assert {n: [ids[i] for i in v] for n, v in net.inlinks.items()} == inc
-    assert net.reachable == reach
+    assert net.reaching == reaching
+    assert tuple(net.reaching) == scn.destinations
     assert net.origin_demands == demands
     assert scn.network is net  # built once
+
+
+def test_origins_and_destinations_are_computed_once_in_demand_order():
+    scn = random_scenario(random.Random(30))
+    dests, origins = [], []
+    for dm in scn.demands:
+        if dm.destination not in dests:
+            dests.append(dm.destination)
+        if dm.origin not in origins:
+            origins.append(dm.origin)
+    assert scn.destinations == tuple(dests)
+    assert scn.origins == tuple(origins)
+    assert scn.destinations is scn.destinations
+    assert scn.origins is scn.origins
 
 
 def test_network_matches_brute_force_on_random_scenarios():
@@ -249,6 +279,30 @@ def test_network_matches_brute_force_on_random_scenarios():
             continue
         check_network(scn)
         built += 1
+
+
+def test_links_keep_state_for_the_destinations_their_head_reaches():
+    # in these feed-forward networks the heads of many links reach only
+    # part of the destinations; the per-destination counts add up to NU
+    rng = random.Random(1234)
+    built = partial = 0
+    while built < 50:
+        scn = random_scenario(rng)
+        if scn is None:
+            continue
+        built += 1
+        _, _, reaching, _ = brute_force_network(scn)
+        for lk in run(scn, grad=False).links.values():
+            assert lk.dests == tuple(s for s in scn.destinations
+                                     if lk.head in reaching[s])
+            partial += 0 < len(lk.dests) < len(scn.destinations)
+            if len(lk.dests) > 1:
+                assert list(lk.NU_s) == list(lk.dests)
+                assert sum(lk.NU_s.values()) == pytest.approx(
+                    lk.NU[-1], rel=1e-12, abs=1e-12)
+            else:
+                assert lk.NU_s == {}
+    assert partial > 50
 
 
 def test_network_matches_brute_force_on_grid_and_results_keep_file_order():

@@ -13,12 +13,12 @@ this checkout (`bench/`, `tests/`), so both sides run the same inputs.
 
 For each fixture the JSON holds, by `repr` or SHA-256 of the exact bits:
 the objective, the gradients of the registered parameters, the `NU`/`ND`
-curves of every link, the rest of the run's state (per-destination counts,
-origin queues and injections, absorbed vehicles, per-link travel time and
-the conservation error), the tape length and a SHA-256 of the tape's four
-entry lists.  The CLI entry holds a SHA-256 of every CSV file that a fixed
-list of subcommands writes, with the wall-time column of `trace.csv`
-dropped.
+curves of every link, the per-destination counts (`nu_s`: each link's
+`NU_s` destination ids and values), the rest of the run's state (origin
+queues and injections, absorbed vehicles, per-link travel time and the
+conservation error), the tape length and a SHA-256 of the tape's four entry
+lists.  The CLI entry holds a SHA-256 of every CSV file that a fixed list
+of subcommands writes, with the wall-time column of `trace.csv` dropped.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ def run_record(dn, res, J, inputs, trips=()) -> dict:
     tape = res.tape
     links = list(res.links.values())
     curves = sha(float_bits(dn, lk.NU) + float_bits(dn, lk.ND) for lk in links)
-    state = [float_bits(dn, [lk.NU_s[s] for s in lk.NU_s]) for lk in links]
+    nu_s = sha(",".join(lk.NU_s).encode() + b":"
+               + float_bits(dn, list(lk.NU_s.values())) for lk in links)
+    state = []
     for per_origin in (res.queues, res.inj):
         for o, per_dest in per_origin.items():
             for s, seq in per_dest.items():
@@ -86,6 +88,7 @@ def run_record(dn, res, J, inputs, trips=()) -> dict:
         "objective": repr(dn.value(J)),
         "grad": [repr(g) for g in tape.grad(J, inputs)] if inputs else [],
         "curves": curves,
+        "nu_s": nu_s,
         "state": sha(state),
     }
     for t0, orig, dest in trips:
