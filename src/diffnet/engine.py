@@ -96,6 +96,35 @@ class SimResult:
         return self._sim.link_travel_time(self.links[link_id], t)
 
 
+class _NodePlan:
+    """What the node stage reads of one node, fixed for a run.
+
+    `ins` and `inlinks` are the node's inlink numbers and `LinkDyn`s, and
+    `alpha` their merge priorities.  `shares[k]` is the composition of
+    inlink k when its head reaches one destination, `{s: 1.0}` whether the
+    link is empty or not, and `None` when it must be computed each step;
+    `composed` says whether any inlink's is.
+    `outs` are the outlink numbers, `keeps[j]` says whether outlink j keeps
+    per-destination counts (`NU_s`), and `nu_s` whether any of them does.
+    """
+
+    __slots__ = ("node", "kind", "ins", "inlinks", "alpha", "shares",
+                 "composed", "outs", "keeps", "nu_s")
+
+    def __init__(self, node, kind, net, links):
+        self.node = node
+        self.kind = kind
+        self.ins = net.inlinks[node]
+        self.inlinks = [links[i] for i in self.ins]
+        self.alpha = [lk.alpha for lk in self.inlinks]
+        self.shares = [{lk.dests[0]: 1.0} if len(lk.dests) == 1 else None
+                       for lk in self.inlinks]
+        self.composed = None in self.shares
+        self.outs = net.outlinks[node]
+        self.keeps = [bool(links[o].NU_s) for o in self.outs]
+        self.nu_s = any(self.keeps)
+
+
 class Simulator:
     def __init__(self, scenario: Scenario, params: ParameterSet | None = None,
                  values=None, grad: bool = True):
@@ -166,15 +195,46 @@ class Simulator:
         self.ttt_queue: object = 0.0
         self.conservation_error = 0.0
         self.forward_time = 0.0
+
+        # demand intervals and toll periods in whole steps (their edges and
+        # widths are validated multiples of dt)
+        dt = scenario.config.dt
+        self._demand_steps = [
+            [(round(t0 / dt), round(t1 / dt), q) for t0, t1, q in dm.profile]
+            for dm in scenario.demands
+        ]
+        self._toll_steps = round(scenario.config.dt_toll / dt)
+
+        # Every node with outlinks gets routing rows; the node stage visits,
+        # in node order, the destinations, the origins with a queue and the
+        # junctions with outlinks (the others transfer nothing)
+        plans = [_NodePlan(node, kind, self.net, self.links)
+                 for node, kind in scenario.nodes.items()
+                 if kind == "destination" or self.net.outlinks[node]]
+        self._routed = [pl for pl in plans if pl.kind != "destination"]
+        self._plans = [pl for pl in plans
+                       if pl.kind != "origin" or pl.node in self.queue]
         # node -> reachable destination -> (outlink position, fraction)
-        # pairs, without the plain-float 0.0 fractions
-        self._probs: dict[str, dict[str, list]] = {}
+        # pairs, without the plain-float 0.0 fractions; and the dense row of
+        # the same fractions, by outlink position
+        self._probs: dict[str, dict[str, list]] = {
+            pl.node: {} for pl in self._routed}
+        self._rows: dict[str, dict[str, list]] = {
+            pl.node: {} for pl in self._routed}
+        # destination -> its next hops at the last refresh that built its rows
+        self._hops: dict[str, dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     # parameter-aware accessors
 
-    def demand_rate(self, idx: int, t_sec: float):
-        base = self.scn.demands[idx].rate_at(t_sec)
+    def demand_rate(self, idx: int, t: int):
+        """Rate of demand `idx` during step t: its registered Var, if any,
+        wherever the profile's rate is not 0."""
+        for k0, k1, base in self._demand_steps[idx]:
+            if k0 <= t < k1:
+                break
+        else:
+            return 0.0
         if base == 0.0:
             return 0.0
         over = self._demand_over.get(idx)
@@ -205,8 +265,9 @@ class Simulator:
                 total += value(over) * self._demand_seconds(i, t_sec)
         return total
 
-    def toll_value(self, link: int, t_sec: float):
-        return self._tolls[link][int(t_sec // self.scn.config.dt_toll)]
+    def toll_value(self, link: int, t: int):
+        """Toll of link number `link` during step t."""
+        return self._tolls[link][t // self._toll_steps]
 
     def all_toll_values(self):
         """Every toll scalar (Var where registered), for regularization terms:
@@ -222,26 +283,39 @@ class Simulator:
         return travel_time_avg(self.tape, link, t)
 
     def _refresh_routing(self, t: int) -> None:
+        """New routing fractions for every node, fixed until the next refresh.
+
+        Under deterministic routing (mu == 0) a destination's rows depend
+        only on its next hops (and on the static reachability), so a
+        destination whose next hops equal those of the refresh that built
+        its rows keeps them, and `turning_probs` runs only for the others.
+        """
         tape, scn = self.tape, self.scn
-        t_sec = t * scn.config.dt
+        mu = scn.config.mu
         weights = [
-            tape.add(self.link_travel_time(lk, t), self.toll_value(i, t_sec))
+            tape.add(self.link_travel_time(lk, t), self.toll_value(i, t))
             for i, lk in enumerate(self.links)
         ]
         table = build_routing(tape, scn.nodes, self.links, weights, self.dests)
-        # per-node routing fractions are fixed until the next refresh
-        self._probs = {}
-        for node, kind in scn.nodes.items():
-            outs = self.net.outlinks[node]
-            if kind == "destination" or not outs:
-                continue
-            row = self._probs[node] = {}
-            for s in self.dests:
-                p = turning_probs(tape, table, node, outs, s, scn.config.mu)
-                if p is not None:
-                    # a plain 0.0 fraction adds nothing to any flow
-                    row[s] = [(j, x) for j, x in enumerate(p)
-                              if type(x) is Var or x != 0.0]
+        hops = self._hops
+        changed = [s for s in self.dests
+                   if mu != 0.0 or table.next_link[s] != hops.get(s)]
+        for s in changed:
+            hops[s] = table.next_link[s]
+        for plan in self._routed:
+            node = plan.node
+            probs, rows = self._probs[node], self._rows[node]
+            for s in changed:
+                p = turning_probs(tape, table, node, plan.outs, s, mu)
+                if p is None:
+                    probs.pop(s, None)
+                    rows.pop(s, None)
+                    continue
+                # a plain 0.0 fraction adds nothing to any flow; `p` itself
+                # is the dense row, with a plain 0.0 where nothing is routed
+                probs[s] = [(j, x) for j, x in enumerate(p)
+                            if type(x) is Var or x != 0.0]
+                rows[s] = p
 
     # ------------------------------------------------------------------
 
@@ -255,7 +329,7 @@ class Simulator:
         T = cfg.n_steps
         rs = cfg.route_steps
         sub, madd, max2 = tape.sub, tape.madd, tape.max2
-        links, inlinks = self.links, self.net.inlinks
+        links = self.links
         L = len(links)
         ttt_link = self.ttt_link
 
@@ -289,20 +363,18 @@ class Simulator:
             f_in_s: list[dict] = [{} for _ in range(L)]
 
             # --- node transfers ----------------------------------------
-            for node, kind in scn.nodes.items():
+            for plan in self._plans:
+                kind = plan.kind
                 if kind == "destination":
-                    for i in inlinks[node]:
+                    for i in plan.ins:
                         f = f_out[i] = D[i]
                         splits = fifo_split(tape, links[i], f)
                         for s, fs in splits.items():
                             self.absorbed[s] = madd(self.absorbed[s], dt, fs)
                 elif kind == "origin":
-                    # origins without any demand profile have no queue state
-                    # and (having no inlinks) nothing to transfer
-                    if node in self.queue:
-                        self._origin_step(node, t, dt, S, f_in, f_in_s)
+                    self._origin_step(plan, t, dt, S, f_in, f_in_s)
                 else:
-                    self._junction_step(node, D, S, f_in, f_out, f_in_s)
+                    self._junction_step(plan, D, S, f_in, f_out, f_in_s)
 
             # --- boundary updates --------------------------------------
             for lk, fi, fo, fs in zip(links, f_in, f_out, f_in_s):
@@ -319,22 +391,31 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    def _transfer(self, node, D, comps, alpha, S, f_in, f_in_s):
+    def _transfer(self, plan, D, comps, alpha, S, f_in, f_in_s, split=True):
         """Node model at one node with outlinks.
 
-        Builds the turning-fraction rows from each inflow's destination
-        composition and the node's routing fractions, allocates flow with
-        the INM, and adds the aggregate inflows to the outlinks, and the
-        per-destination inflows to those that keep per-destination curves.
-        Returns the per-inflow totals and, per inflow, its per-destination
-        outflows.
+        Builds one turning-fraction row per inflow.  An inflow with a single
+        plain-float share 1.0 (one destination) uses the node's dense row for
+        that destination, built at the routing refresh: for it the sum
+        `add(0.0, mul(1.0, p))` is `p`.  Any other inflow's row sums
+        c[s] * p over its destinations, outlink by outlink.  Allocates flow
+        with the INM and adds the aggregate inflows to the outlinks.  With
+        `split`, it also records each inflow's per-destination outflows and
+        adds them, routed, to the outlinks that keep per-destination counts.
+        Returns the per-inflow totals and, with `split`, the per-inflow
+        per-destination outflows (else `None`).
         """
         tape = self.tape
         add, mul = tape.add, tape.mul
-        outs = self.net.outlinks[node]
-        probs = self._probs[node]
+        outs = plan.outs
+        probs, rows = self._probs[plan.node], self._rows[plan.node]
         B = []
         for c in comps:
+            if len(c) == 1:
+                ((s, cs),) = c.items()
+                if cs == 1.0 and type(cs) is float:
+                    B.append(rows[s])
+                    continue
             # B[j] sums c[s] * p over the destinations routed to outlink j,
             # outlink by outlink (the sort is stable, so destinations keep
             # their order within an outlink)
@@ -348,36 +429,41 @@ class Simulator:
         qin, qout = inm_fixed(tape, D, [S[o] for o in outs], B, alpha)
         for o, q in zip(outs, qout):
             f_in[o] = add(f_in[o], q)
+        if not split:
+            return qin, None
 
         per_dest = []
+        keeps, nu_s = plan.keeps, plan.nu_s
         for q, c in zip(qin, comps):
             out = {}
             for s, cs in c.items():
                 fs = out[s] = mul(q, cs)
-                for j, p in probs[s]:
-                    o = outs[j]
-                    if self.links[o].NU_s:
-                        f_in_s[o][s] = add(f_in_s[o].get(s, 0.0), mul(fs, p))
+                if nu_s:
+                    for j, p in probs[s]:
+                        if keeps[j]:
+                            o = outs[j]
+                            f_in_s[o][s] = add(f_in_s[o].get(s, 0.0),
+                                               mul(fs, p))
             per_dest.append(out)
         return qin, per_dest
 
-    def _origin_step(self, node, t, dt, S, f_in, f_in_s):
+    def _origin_step(self, plan, t, dt, S, f_in, f_in_s):
         tape = self.tape
         add, madd = tape.add, tape.madd
-        t_sec = t * dt
+        node = plan.node
 
         # arrivals join the per-destination vertical queue
         pre = dict(self.queue[node])
         for i in self.net.origin_demands[node]:
             s = self.scn.demands[i].destination
-            pre[s] = madd(pre[s], dt, self.demand_rate(i, t_sec))
+            pre[s] = madd(pre[s], dt, self.demand_rate(i, t))
 
         # An exactly-empty queue may still carry sensitivities (it was
         # positive under an infinitesimal parameter change).  Whenever the
         # outlinks it would use have supply slack, that perturbed queue
         # drains within the step, so serve it now: the sensitivity leaves
         # with the flow instead of lingering on the node forever.
-        self._flush_zero_queues(node, pre, S, f_in, f_in_s, dt)
+        self._flush_zero_queues(plan, pre, S, f_in, f_in_s, dt)
 
         total = 0.0
         for q in pre.values():
@@ -388,7 +474,7 @@ class Simulator:
                 tape, {s: q for s, q in pre.items() if value(q) > 0.0}, total
             )
             _, (out,) = self._transfer(
-                node, [tape.div(total, dt)], [comp], [1.0], S, f_in, f_in_s
+                plan, [tape.div(total, dt)], [comp], [1.0], S, f_in, f_in_s
             )
             for s, out_s in out.items():
                 pre[s] = madd(pre[s], -dt, out_s)
@@ -396,52 +482,62 @@ class Simulator:
                 inj.append(madd(inj[-1], dt, out_s))
         self.queue[node] = pre
 
-    def _flush_zero_queues(self, node, pre, S, f_in, f_in_s, dt):
+    def _flush_zero_queues(self, plan, pre, S, f_in, f_in_s, dt):
         tape = self.tape
-        outs = self.net.outlinks[node]
+        outs, keeps = plan.outs, plan.keeps
+        probs = self._probs[plan.node]
         for s, q in pre.items():
-            if not isinstance(q, Var) or value(q) != 0.0:
+            if type(q) is not Var or q.val != 0.0:
                 continue
-            used = [(outs[j], p) for j, p in self._probs[node][s]
-                    if value(p) > 0.0]
-            if not used or any(value(S[o]) <= 1e-12 for o, _ in used):
+            used = [(j, p) for j, p in probs[s] if value(p) > 0.0]
+            if not used or any(value(S[outs[j]]) <= 1e-12 for j, _ in used):
                 continue
             out_s = tape.div(q, dt)
-            for o, p in used:
+            for j, p in used:
+                o = outs[j]
                 flow = tape.mul(out_s, p)
                 f_in[o] = tape.add(f_in[o], flow)
-                if self.links[o].NU_s:
+                if keeps[j]:
                     f_in_s[o][s] = tape.add(f_in_s[o].get(s, 0.0), flow)
-            self.inj[node][s].append(tape.madd(self.inj[node][s][-1], dt, out_s))
+            inj = self.inj[plan.node][s]
+            inj.append(tape.madd(inj[-1], dt, out_s))
             pre[s] = tape.sub(q, q)
 
-    def _junction_step(self, node, D, S, f_in, f_out, f_in_s):
-        ins = self.net.inlinks[node]
-        if not self.net.outlinks[node]:
-            return  # dead end; routed flow never reaches here
-        if all(value(D[i]) <= 0.0 for i in ins):
-            return
+    def _junction_step(self, plan, D, S, f_in, f_out, f_in_s):
+        ins = plan.ins
+        D_in = [D[i] for i in ins]
+        for d in D_in:
+            if not (d.val if type(d) is Var else d) <= 0.0:
+                break
+        else:
+            return  # no inlink has demand
 
-        inlinks = [self.links[i] for i in ins]
-        comps = []
-        for lk in inlinks:
-            c = composition(self.tape, lk)
-            if c is None:
-                # a link that has seen no vehicles: an even split over the
-                # destinations its head reaches
-                if not lk.dests:
-                    raise EngineError(
-                        f"node {node}: no destination reachable for inlink {lk.id}"
-                    )
-                c = dict.fromkeys(lk.dests, 1.0 / len(lk.dests))
-            comps.append(c)
-
-        qin, _ = self._transfer(
-            node, [D[i] for i in ins], comps,
-            [lk.alpha for lk in inlinks], S, f_in, f_in_s,
-        )
+        comps = plan.shares
+        if plan.composed:
+            comps = [c if c is not None else self._composition(plan.node, lk)
+                     for c, lk in zip(comps, plan.inlinks)]
+        # the per-destination outflows of a junction are only read where an
+        # outlink keeps per-destination counts; elsewhere they are computed
+        # only for the tape entries that products by computed shares record
+        split = plan.nu_s or (plan.composed and type(self.tape) is Tape)
+        qin, _ = self._transfer(plan, D_in, comps, plan.alpha, S, f_in,
+                                f_in_s, split)
         for i, q in zip(ins, qin):
             f_out[i] = q
+
+    def _composition(self, node, lk):
+        """Destination shares of an inlink whose head reaches two or more
+        destinations (or none, which is an error once it has demand)."""
+        c = composition(self.tape, lk)
+        if c is None:
+            # a link that has seen no vehicles: an even split over the
+            # destinations its head reaches
+            if not lk.dests:
+                raise EngineError(
+                    f"node {node}: no destination reachable for inlink {lk.id}"
+                )
+            c = dict.fromkeys(lk.dests, 1.0 / len(lk.dests))
+        return c
 
     # ------------------------------------------------------------------
     # virtual vehicle tracing (post-scan, same tape)

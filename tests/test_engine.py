@@ -478,3 +478,69 @@ def test_scheduled_toll_moves_flow_only_within_its_period():
         assert inflow(r0, "sa", t) == 0.0
     for t in range(200, 220):  # period 2, demand still on: back to fast
         assert inflow(r1, "fa", t) > 0.0 and inflow(r1, "sa", t) == 0.0
+
+
+def test_demand_interval_and_toll_period_follow_the_step_index():
+    # dt = 0.7 s: step t starts at t * 0.7 s, which rounds below the
+    # interval edge 2.1 s at t = 3 (2.0999999999999996), and below every
+    # toll period edge; each lookup goes by whole steps instead
+    def lk(lid, tail, head):
+        return {"id": lid, "from": tail, "to": head, "d": 100.0, "u": 20.0,
+                "qmax": 1.0, "kappa": 0.2, "alpha": 1.0}
+
+    scn = Scenario.from_dict({
+        "meta": {"dt": 0.7, "T_max": 21.0, "dt_route": 0.7, "dt_toll": 2.1,
+                 "mu": 0.0},
+        "nodes": [{"id": "orig", "kind": "origin"},
+                  {"id": "m", "kind": "intermediate"},
+                  {"id": "dest", "kind": "destination"}],
+        "links": [lk("a", "orig", "m"), lk("b1", "m", "dest"),
+                  lk("b2", "m", "dest")],
+        "demands": [{"origin": "orig", "destination": "dest",
+                     "profile": [[0.0, 2.1, 0.1], [2.1, 10.5, 0.3]]}],
+        # b1, the tie winner, is tolled off in odd periods
+        "tolls": [{"link": "b1", "values": [0.0, 100.0] * 5}],
+    })
+    assert 3 * 0.7 // 2.1 == 0.0  # the float lookup's wrong period
+    sim = Simulator(scn)
+    res = sim.run()
+    assert [sim.demand_rate(0, t) for t in range(30)] == (
+        [0.1] * 3 + [0.3] * 12 + [0.0] * 15)
+    assert [sim.toll_value(1, t) for t in range(30)] == (
+        [0.0] * 3 + [100.0] * 3) * 5
+    assert res.conservation_error <= 1e-9
+
+    def inflow(lid, t):
+        return value(res.links[lid].NU[t + 1]) - value(res.links[lid].NU[t])
+
+    routed = 0
+    for t in range(30):
+        if inflow("b1", t) + inflow("b2", t) > 0.0:
+            routed += 1
+            free = t // 3 % 2 == 0
+            assert (inflow("b1", t) > 0.0) == free
+            assert (inflow("b2", t) > 0.0) == (not free)
+    assert routed >= 15
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1(b): at an exact two-Var tie in inm_fixed's "
+    "`min2(alpha*theta, D - qin)` the first argument takes the adjoint, "
+    "which is not the constraint active just after the queue clears"))
+@pytest.mark.parametrize("rate", [0.6, 0.45])
+def test_bottleneck_capacity_gradient_lies_in_the_one_sided_fd_bracket(rate):
+    scn = bottleneck_scenario(rate=rate)
+    ps = register_parameters(scn, "qmaxexit")
+    sim = Simulator(scn, params=ps)
+    res = sim.run()
+    J = objective_ttt(res)
+    ad = res.tape.grad(J, [sim.param_vars["qmaxexit"]])[0]
+
+    def ttt(v):
+        return value(objective_ttt(run(scn, ps, values=[v], grad=False)))
+
+    base, eps = ps.base_values[0], 1e-5
+    right = (ttt(base + eps) - ttt(base)) / eps
+    left = (ttt(base) - ttt(base - eps)) / eps
+    slack = 1e-6 * max(abs(left), abs(right))
+    assert min(left, right) - slack <= ad <= max(left, right) + slack

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from diffnet.adcore import Tape, value
-from diffnet.nodemodel import inm_fixed, inm_reference
+from diffnet.adcore import FloatTape, Tape, Var, value
+from diffnet.nodemodel import ACTIVE_EPS, B_EPS, inm_fixed, inm_reference
 
 
 def run_fixed(D, S, B, alpha):
@@ -189,3 +189,176 @@ def test_gradients_match_fd_away_from_ties():
                 ok = False
         assert ok
         tested += 1
+
+
+# ----------------------------------------------------------------------
+# the recorded tape
+
+
+def inm_fixed_before(tape, D, S, B, alpha):
+    """`inm_fixed` as it was before its flags were computed in one pass and
+    its forward values read inline: the oracle for its tape, entry by entry.
+    """
+    I, J = len(D), len(S)
+    add, sub, mul = tape.add, tape.sub, tape.mul
+    qin = [0.0] * I
+    qout = [0.0] * J
+    D_v = [value(x) for x in D]
+    S_v = [value(x) for x in S]
+    conn = [[o for o in range(J) if value(B[l][o]) > B_EPS] for l in range(I)]
+    feed = [[] for _ in range(J)]
+    for l, outs in enumerate(conn):
+        for o in outs:
+            feed[o].append(l)
+    qin_v = [0.0] * I
+    qout_v = [0.0] * J
+
+    for _ in range(I + J + 1):
+        slack = [S_v[o] - qout_v[o] for o in range(J)]
+        unblocked = [not any(slack[o] <= ACTIVE_EPS for o in conn[l])
+                     for l in range(I)]
+        act_in = [unblocked[l] and D_v[l] - qin_v[l] > ACTIVE_EPS
+                  for l in range(I)]
+        converged = not any(act_in)
+
+        if not converged:
+            phi_out = [0.0] * J
+            for o in range(J):
+                acc = 0.0
+                for l in feed[o]:
+                    if act_in[l]:
+                        acc = add(acc, mul(B[l][o], alpha[l]))
+                phi_out[o] = acc
+
+            theta = None
+            for o in range(J):
+                if (slack[o] > ACTIVE_EPS and value(phi_out[o]) > 0.0
+                        and any(act_in[l] for l in feed[o])):
+                    cand = tape.div(sub(S[o], qout[o]), phi_out[o])
+                    theta = cand if theta is None else tape.min2(theta, cand)
+            for l in range(I):
+                if act_in[l]:
+                    cand = tape.div(sub(D[l], qin[l]), alpha[l])
+                    theta = cand if theta is None else tape.min2(theta, cand)
+
+        for l in range(I):
+            if not unblocked[l]:
+                continue
+            step = sub(D[l], qin[l])
+            if not converged:
+                step = tape.min2(mul(alpha[l], theta), step)
+            q = qin[l] = add(qin[l], step)
+            qin_v[l] = value(q)
+            for o in conn[l]:
+                q = qout[o] = add(qout[o], mul(B[l][o], step))
+                qout_v[o] = value(q)
+        if converged:
+            break
+
+    return qin, qout
+
+
+def tie_node(rng):
+    """A node of up to 4 x 4 links whose inputs are specs (value, is_var).
+
+    Values come from a small grid so that demands equal supplies, supply
+    candidates equal each other, and blocked, empty and saturated links
+    occur; turning rows may route nothing to some outlinks.
+    """
+    I, J = rng.randint(1, 4), rng.randint(1, 4)
+    grid = [0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6]
+
+    def draw():
+        return rng.choice(grid) if rng.random() < 0.8 else rng.uniform(0, 0.6)
+
+    S = [draw() for _ in range(J)]
+    if rng.random() < 0.5:
+        S = [S[0]] * J  # equal supplies: equal supply candidates
+    D = [draw() for _ in range(I)]
+    for l in range(I):
+        if rng.random() < 0.3:
+            D[l] = rng.choice(S)  # demand equal to a supply
+    B = []
+    for _ in range(I):
+        kind = rng.random()
+        if kind < 0.3:
+            row = [0.0] * J
+            row[rng.randrange(J)] = 1.0
+        elif kind < 0.6:
+            row = [1.0 / J] * J
+        else:
+            row = [rng.choice([0.0, 1.0, 2.0, rng.random()]) for _ in range(J)]
+            tot = sum(row)
+            row = [x / tot for x in row] if tot > 0.0 else [1.0] + [0.0] * (J - 1)
+        B.append(row)
+    alpha = [rng.choice([1.0, 1.0, 2.0, rng.uniform(0.1, 3.0)])
+             for _ in range(I)]
+
+    def spec(x):
+        return (x, rng.random() < 0.5)
+
+    return ([spec(x) for x in D], [spec(x) for x in S],
+            [[spec(x) for x in row] for row in B], [spec(x) for x in alpha])
+
+
+def materialize(tape, node):
+    """The node's inputs on `tape`: each `Var` spec becomes an input, in a
+    fixed order, so two tapes get the same entries."""
+    def make(sp):
+        x, is_var = sp
+        return tape.input(x) if is_var else x
+
+    D, S, B, alpha = node
+    return ([make(x) for x in D], [make(x) for x in S],
+            [[make(x) for x in row] for row in B], [make(x) for x in alpha])
+
+
+def same_outputs(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert type(x) is type(y)
+        if type(x) is Var:
+            assert (x.idx, repr(x.val)) == (y.idx, repr(y.val))
+        else:
+            assert repr(x) == repr(y)
+
+
+class TieCountingTape(Tape):
+    """A tape that counts `min2` calls on two `Var`s of equal value."""
+
+    ties = 0
+
+    def min2(self, a, b):
+        if type(a) is Var and type(b) is Var and a.val == b.val:
+            self.ties += 1
+        return super().min2(a, b)
+
+
+def test_tape_and_values_equal_the_earlier_form_on_tied_nodes():
+    rng = random.Random(2011)
+    ties = 0
+    for _ in range(600):
+        node = tie_node(rng)
+        tapes = []
+        outs = []
+        for impl in (inm_fixed, inm_fixed_before):
+            tape = TieCountingTape()
+            outs.append(impl(tape, *materialize(tape, node)))
+            tapes.append(tape)
+        new, old = tapes
+        assert (new._p1, new._p2, new._d1, new._d2) == (
+            old._p1, old._p2, old._d1, old._d2)
+        for a, b in zip(*outs):
+            same_outputs(a, b)
+        ties += new.ties
+        # the float op table: the same values, nothing recorded
+        D, S, B, alpha = node
+        floats = ([(x, False) for x, _ in D], [(x, False) for x, _ in S],
+                  [[(x, False) for x, _ in row] for row in B],
+                  [(x, False) for x, _ in alpha])
+        got = inm_fixed(FloatTape(), *materialize(None, floats))
+        want = inm_fixed_before(FloatTape(), *materialize(None, floats))
+        for a, b in zip(got, want):
+            same_outputs(a, b)
+    # the draws reach exact two-Var ties, where the first argument wins
+    assert ties > 50

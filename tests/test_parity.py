@@ -176,3 +176,57 @@ def test_replanned_grid_ttt_and_route_changes_pinned_exactly(grad, monkeypatch):
     if grad:
         g = res.tape.grad(J, [sim.param_vars["q2"]])
         assert repr(float(g[0])) == "140820.5511699265"
+
+
+def test_replanned_grid_rows_are_rebuilt_only_where_next_hops_change(
+        monkeypatch):
+    # deterministic routing: after each refresh every node's rows equal what
+    # `turning_probs` gives for that refresh's table, and a destination's
+    # rows are recomputed exactly when its next hops changed
+    tables, recomputed = [], []
+    build_routing = diffnet.engine.build_routing
+    turning_probs = diffnet.engine.turning_probs
+
+    def recording_build(*args):
+        tables.append(build_routing(*args))
+        recomputed.append(set())
+        return tables[-1]
+
+    def recording_probs(tape, table, node, outs, s, mu):
+        recomputed[-1].add(s)
+        return turning_probs(tape, table, node, outs, s, mu)
+
+    refresh = Simulator._refresh_routing
+
+    def checked_refresh(sim, t):
+        refresh(sim, t)
+        table = tables[-1]
+        for plan in sim._routed:
+            rows, probs = sim._rows[plan.node], sim._probs[plan.node]
+            for s in sim.dests:
+                want = turning_probs(sim.tape, table, plan.node, plan.outs, s,
+                                     0.0)
+                if want is None:
+                    assert s not in rows and s not in probs
+                    continue
+                assert rows[s] == want
+                assert probs[s] == [(j, x) for j, x in enumerate(want)
+                                    if x != 0.0]
+
+    monkeypatch.setattr(diffnet.engine, "build_routing", recording_build)
+    monkeypatch.setattr(diffnet.engine, "turning_probs", recording_probs)
+    monkeypatch.setattr(Simulator, "_refresh_routing", checked_refresh)
+    scn = Scenario.from_dict(load_grid().grid_document(
+        n=4, n_dest=3, demand=0.10, mu=0.0, dt_route=5.0))
+    sim = Simulator(scn)
+    sim.run()
+    assert len(tables) == 240
+    assert recomputed[0] == set(sim.dests)
+    reused = rebuilt = 0
+    for k in range(1, len(tables)):
+        for s in sim.dests:
+            moved = tables[k].next_link[s] != tables[k - 1].next_link[s]
+            assert (s in recomputed[k]) == moved
+            rebuilt += moved
+            reused += not moved
+    assert reused > 0 and rebuilt > 0
