@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .adcore import FloatTape, Tape, Var, value
 from .ltm import LinkDyn, interp
@@ -46,9 +45,6 @@ __all__ = [
     "build_objective",
     "parse_trip",
 ]
-
-
-_first = itemgetter(0)
 
 
 class EngineError(Exception):
@@ -100,16 +96,13 @@ class _NodePlan:
     """What the node stage reads of one node, fixed for a run.
 
     `ins` and `inlinks` are the node's inlink numbers and `LinkDyn`s, and
-    `alpha` their merge priorities.  `shares[k]` is the composition of
-    inlink k when its head reaches one destination, `{s: 1.0}` whether the
-    link is empty or not, and `None` when it must be computed each step;
-    `composed` says whether any inlink's is.
-    `outs` are the outlink numbers, `keeps[j]` says whether outlink j keeps
-    per-destination counts (`NU_s`), and `nu_s` whether any of them does.
+    `alpha` their merge priorities.  `outs` are the outlink numbers,
+    `keeps[j]` says whether outlink j keeps per-destination counts (`NU_s`),
+    and `nu_s` whether any of them does.
     """
 
-    __slots__ = ("node", "kind", "ins", "inlinks", "alpha", "shares",
-                 "composed", "outs", "keeps", "nu_s")
+    __slots__ = ("node", "kind", "ins", "inlinks", "alpha", "outs", "keeps",
+                 "nu_s")
 
     def __init__(self, node, kind, net, links):
         self.node = node
@@ -117,9 +110,6 @@ class _NodePlan:
         self.ins = net.inlinks[node]
         self.inlinks = [links[i] for i in self.ins]
         self.alpha = [lk.alpha for lk in self.inlinks]
-        self.shares = [{lk.dests[0]: 1.0} if len(lk.dests) == 1 else None
-                       for lk in self.inlinks]
-        self.composed = None in self.shares
         self.outs = net.outlinks[node]
         self.keeps = [bool(links[o].NU_s) for o in self.outs]
         self.nu_s = any(self.keeps)
@@ -134,7 +124,6 @@ class Simulator:
         self.scn = scenario
         # a run with no Var input records nothing: bind the float op table
         self.tape = Tape() if grad and params else FloatTape()
-        self.grad = grad
         self.param_vars: dict[str, object] = {}
         self._link_over: dict[str, dict[str, object]] = {}
         self._demand_over: dict[int, object] = {}
@@ -214,11 +203,8 @@ class Simulator:
         self._routed = [pl for pl in plans if pl.kind != "destination"]
         self._plans = [pl for pl in plans
                        if pl.kind != "origin" or pl.node in self.queue]
-        # node -> reachable destination -> (outlink position, fraction)
-        # pairs, without the plain-float 0.0 fractions; and the dense row of
-        # the same fractions, by outlink position
-        self._probs: dict[str, dict[str, list]] = {
-            pl.node: {} for pl in self._routed}
+        # node -> reachable destination -> its turning fractions, by outlink
+        # position (a plain 0.0 where nothing is routed)
         self._rows: dict[str, dict[str, list]] = {
             pl.node: {} for pl in self._routed}
         # destination -> its next hops at the last refresh that built its rows
@@ -304,18 +290,13 @@ class Simulator:
             hops[s] = table.next_link[s]
         for plan in self._routed:
             node = plan.node
-            probs, rows = self._probs[node], self._rows[node]
+            rows = self._rows[node]
             for s in changed:
                 p = turning_probs(tape, table, node, plan.outs, s, mu)
                 if p is None:
-                    probs.pop(s, None)
                     rows.pop(s, None)
-                    continue
-                # a plain 0.0 fraction adds nothing to any flow; `p` itself
-                # is the dense row, with a plain 0.0 where nothing is routed
-                probs[s] = [(j, x) for j, x in enumerate(p)
-                            if type(x) is Var or x != 0.0]
-                rows[s] = p
+                else:
+                    rows[s] = p
 
     # ------------------------------------------------------------------
 
@@ -394,21 +375,22 @@ class Simulator:
     def _transfer(self, plan, D, comps, alpha, S, f_in, f_in_s, split=True):
         """Node model at one node with outlinks.
 
-        Builds one turning-fraction row per inflow.  An inflow with a single
-        plain-float share 1.0 (one destination) uses the node's dense row for
-        that destination, built at the routing refresh: for it the sum
-        `add(0.0, mul(1.0, p))` is `p`.  Any other inflow's row sums
-        c[s] * p over its destinations, outlink by outlink.  Allocates flow
-        with the INM and adds the aggregate inflows to the outlinks.  With
-        `split`, it also records each inflow's per-destination outflows and
-        adds them, routed, to the outlinks that keep per-destination counts.
-        Returns the per-inflow totals and, with `split`, the per-inflow
-        per-destination outflows (else `None`).
+        Builds one turning-fraction row per inflow from the node's rows,
+        built at the routing refresh.  An inflow with a single plain-float
+        share 1.0 (one destination) uses that destination's row itself: for
+        it the sum `add(0.0, mul(1.0, p))` is `p`.  Any other inflow's row
+        sums c[s] * p over its destinations, outlink by outlink.  A plain
+        0.0 fraction adds nothing to any flow, so every sum here skips it.
+        Allocates flow with the INM and adds the aggregate inflows to the
+        outlinks.  With `split`, it also records each inflow's
+        per-destination outflows and adds them, routed, to the outlinks that
+        keep per-destination counts.  Returns the per-inflow totals and,
+        with `split`, the per-inflow per-destination outflows (else `None`).
         """
         tape = self.tape
         add, mul = tape.add, tape.mul
         outs = plan.outs
-        probs, rows = self._probs[plan.node], self._rows[plan.node]
+        rows = self._rows[plan.node]
         B = []
         for c in comps:
             if len(c) == 1:
@@ -416,14 +398,12 @@ class Simulator:
                 if cs == 1.0 and type(cs) is float:
                     B.append(rows[s])
                     continue
-            # B[j] sums c[s] * p over the destinations routed to outlink j,
-            # outlink by outlink (the sort is stable, so destinations keep
-            # their order within an outlink)
-            terms = sorted(((j, cs, p) for s, cs in c.items()
-                            for j, p in probs[s]), key=_first)
             row = [0.0] * len(outs)
-            for j, cs, p in terms:
-                row[j] = add(row[j], mul(cs, p))
+            for j in range(len(outs)):
+                for s, cs in c.items():
+                    p = rows[s][j]
+                    if type(p) is Var or p != 0.0:
+                        row[j] = add(row[j], mul(cs, p))
             B.append(row)
 
         qin, qout = inm_fixed(tape, D, [S[o] for o in outs], B, alpha)
@@ -439,8 +419,8 @@ class Simulator:
             for s, cs in c.items():
                 fs = out[s] = mul(q, cs)
                 if nu_s:
-                    for j, p in probs[s]:
-                        if keeps[j]:
+                    for j, p in enumerate(rows[s]):
+                        if keeps[j] and (type(p) is Var or p != 0.0):
                             o = outs[j]
                             f_in_s[o][s] = add(f_in_s[o].get(s, 0.0),
                                                mul(fs, p))
@@ -485,11 +465,11 @@ class Simulator:
     def _flush_zero_queues(self, plan, pre, S, f_in, f_in_s, dt):
         tape = self.tape
         outs, keeps = plan.outs, plan.keeps
-        probs = self._probs[plan.node]
+        rows = self._rows[plan.node]
         for s, q in pre.items():
             if type(q) is not Var or q.val != 0.0:
                 continue
-            used = [(j, p) for j, p in probs[s] if value(p) > 0.0]
+            used = [(j, p) for j, p in enumerate(rows[s]) if value(p) > 0.0]
             if not used or any(value(S[outs[j]]) <= 1e-12 for j, _ in used):
                 continue
             out_s = tape.div(q, dt)
@@ -512,32 +492,13 @@ class Simulator:
         else:
             return  # no inlink has demand
 
-        comps = plan.shares
-        if plan.composed:
-            comps = [c if c is not None else self._composition(plan.node, lk)
-                     for c, lk in zip(comps, plan.inlinks)]
+        comps = [composition(self.tape, lk) for lk in plan.inlinks]
         # the per-destination outflows of a junction are only read where an
-        # outlink keeps per-destination counts; elsewhere they are computed
-        # only for the tape entries that products by computed shares record
-        split = plan.nu_s or (plan.composed and type(self.tape) is Tape)
+        # outlink keeps per-destination counts
         qin, _ = self._transfer(plan, D_in, comps, plan.alpha, S, f_in,
-                                f_in_s, split)
+                                f_in_s, plan.nu_s)
         for i, q in zip(ins, qin):
             f_out[i] = q
-
-    def _composition(self, node, lk):
-        """Destination shares of an inlink whose head reaches two or more
-        destinations (or none, which is an error once it has demand)."""
-        c = composition(self.tape, lk)
-        if c is None:
-            # a link that has seen no vehicles: an even split over the
-            # destinations its head reaches
-            if not lk.dests:
-                raise EngineError(
-                    f"node {node}: no destination reachable for inlink {lk.id}"
-                )
-            c = dict.fromkeys(lk.dests, 1.0 / len(lk.dests))
-        return c
 
     # ------------------------------------------------------------------
     # virtual vehicle tracing (post-scan, same tape)

@@ -188,26 +188,29 @@ def normalized_shares(tape: Tape, parts: dict, total):
 
 
 def composition(tape: Tape, link: LinkDyn):
-    """Normalized per-destination upstream composition of a link now.
+    """Per-destination shares of a link's upstream count now.
 
-    Returns fractions summing to 1; `None` if the link has seen no vehicles
-    (callers fall back to a neutral composition).
+    A link whose head reaches one destination has the plain float share
+    `{s: 1.0}`, whether it is empty or not.  One that reaches several has
+    the even split `1 / len(dests)` while it has seen no vehicles, and its
+    normalized `NU_s` shares (summing to 1) once it has.
     """
+    dests = link.dests
+    if len(dests) == 1:
+        return {dests[0]: 1.0}
     total = link.NU[-1]
     if value(total) <= 0.0:
-        return None
-    if not link.NU_s:  # one reachable destination, the single share
-        return {link.dests[0]: 1.0}
+        return {s: 1.0 / len(dests) for s in dests}
     return normalized_shares(tape, link.NU_s, total)
 
 
 def fifo_split(tape: Tape, link: LinkDyn, f_out):
     """Split aggregate outflow across destinations by upstream composition.
 
-    The splits are `f_out` times the normalized composition, so they sum to
-    the aggregate; an empty link splits nothing.
+    The splits are `f_out` times the link's `composition`, so they sum to
+    the aggregate; an empty link splits nothing (a plain 0.0 for each
+    destination its head reaches).
     """
-    comp = composition(tape, link)
-    if comp is None:
+    if value(link.NU[-1]) <= 0.0:
         return {s: 0.0 for s in link.dests}
-    return {s: tape.mul(f_out, c) for s, c in comp.items()}
+    return {s: tape.mul(f_out, c) for s, c in composition(tape, link).items()}

@@ -96,12 +96,6 @@ class DemandProfile:
     # piecewise-constant rate: list of (t_start, t_end, rate) in seconds / veh/s
     profile: tuple[tuple[float, float, float], ...]
 
-    def rate_at(self, t_sec: float) -> float:
-        for t0, t1, q in self.profile:
-            if t0 <= t_sec < t1:
-                return q
-        return 0.0
-
     def cumulative(self, t_sec: float) -> float:
         """Vehicles generated on [0, t_sec)."""
         total = 0.0

@@ -181,8 +181,9 @@ def test_replanned_grid_ttt_and_route_changes_pinned_exactly(grad, monkeypatch):
 def test_replanned_grid_rows_are_rebuilt_only_where_next_hops_change(
         monkeypatch):
     # deterministic routing: after each refresh every node's rows equal what
-    # `turning_probs` gives for that refresh's table, and a destination's
-    # rows are recomputed exactly when its next hops changed
+    # `turning_probs` gives for that refresh's table (no row where it gives
+    # `None`), and a destination's rows are recomputed exactly when its next
+    # hops changed
     tables, recomputed = [], []
     build_routing = diffnet.engine.build_routing
     turning_probs = diffnet.engine.turning_probs
@@ -202,16 +203,14 @@ def test_replanned_grid_rows_are_rebuilt_only_where_next_hops_change(
         refresh(sim, t)
         table = tables[-1]
         for plan in sim._routed:
-            rows, probs = sim._rows[plan.node], sim._probs[plan.node]
+            rows = sim._rows[plan.node]
             for s in sim.dests:
                 want = turning_probs(sim.tape, table, plan.node, plan.outs, s,
                                      0.0)
                 if want is None:
-                    assert s not in rows and s not in probs
-                    continue
-                assert rows[s] == want
-                assert probs[s] == [(j, x) for j, x in enumerate(want)
-                                    if x != 0.0]
+                    assert s not in rows
+                else:
+                    assert rows[s] == want
 
     monkeypatch.setattr(diffnet.engine, "build_routing", recording_build)
     monkeypatch.setattr(diffnet.engine, "turning_probs", recording_probs)

@@ -10,6 +10,7 @@ from diffnet.adcore import Tape, value
 from diffnet.ltm import LinkDyn
 from diffnet.routing import (
     build_routing,
+    composition,
     fifo_split,
     turning_probs,
     travel_time_avg,
@@ -258,7 +259,44 @@ def test_logit_cost_gradients_nonzero_deterministic_zero():
 
 
 # ----------------------------------------------------------------------
-# FIFO splits
+# compositions and FIFO splits
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_composition_of_a_one_destination_link_is_a_plain_one(loaded):
+    tape = Tape()
+    lk = make_link(tape, "L", "a", "b", dests=("s",))
+    if loaded:
+        lk.update_boundaries(tape, 5.0, tape.input(0.3), 0.0, {})
+    comp = composition(tape, lk)
+    assert comp == {"s": 1.0} and type(comp["s"]) is float
+
+
+@pytest.mark.parametrize("dests", [("s1", "s2"), ("s1", "s2", "s3")])
+def test_composition_of_an_empty_link_splits_evenly(dests):
+    tape = Tape()
+    lk = make_link(tape, "L", "a", "b", dests=dests)
+    comp = composition(tape, lk)
+    assert list(comp) == list(dests)
+    assert all(type(c) is float and c == 1.0 / len(dests)
+               for c in comp.values())
+
+
+def test_composition_of_a_loaded_link_sums_to_one():
+    rng = random.Random(5)
+    tape = Tape()
+    dests = ("s1", "s2", "s3")
+    lk = make_link(tape, "L", "a", "b", dests=dests)
+    for _ in range(20):
+        f = {s: tape.input(rng.uniform(0.0, 0.25)) for s in dests}
+        total = 0.0
+        for x in f.values():
+            total = tape.add(total, x)
+        lk.update_boundaries(tape, 5.0, total, 0.0, f)
+    comp = composition(tape, lk)
+    assert list(comp) == list(dests)
+    assert sum(value(c) for c in comp.values()) == pytest.approx(
+        1.0, rel=0.0, abs=1e-12)
 
 
 def test_fifo_split_proportional_to_composition():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from diffnet.engine import run
+from diffnet.engine import Simulator, run
 from diffnet.presets import merge_scenario
 from diffnet.scenario import (
     Scenario,
@@ -200,12 +200,12 @@ def test_toll_wildcard_skips_periods_past_the_horizon():
 
 
 def test_demand_rate_lookup():
-    scn = merge_scenario()
-    dm = scn.demands[1]
-    assert dm.rate_at(300.0) == 0.0
-    assert dm.rate_at(400.0) == 0.6
-    assert dm.rate_at(999.9) == 0.6
-    assert dm.rate_at(1000.0) == 0.0
+    # demand 1 runs at 0.6 veh/s on [400 s, 1000 s); dt is 5 s
+    sim = Simulator(merge_scenario())
+    assert sim.demand_rate(1, 60) == 0.0
+    assert sim.demand_rate(1, 80) == 0.6
+    assert sim.demand_rate(1, 199) == 0.6
+    assert sim.demand_rate(1, 200) == 0.0
 
 
 def test_config_step_counts():

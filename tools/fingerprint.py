@@ -16,9 +16,13 @@ the objective, the gradients of the registered parameters, the `NU`/`ND`
 curves of every link, the per-destination counts (`nu_s`: each link's
 `NU_s` destination ids and values), the rest of the run's state (origin
 queues and injections, absorbed vehicles, per-link travel time and the
-conservation error), the tape length and a SHA-256 of the tape's four entry
-lists.  The CLI entry holds a SHA-256 of every CSV file that a fixed list
-of subcommands writes, with the wall-time column of `trace.csv` dropped.
+conservation error), the tape length, the number of tape entries with a
+nonzero adjoint in the objective's sweep (`tape_live`, 0 on float runs) and
+a SHA-256 of the tape's four entry lists.  A change that only drops dead
+entries (ones nothing reads) shows `tape_len` falling while `tape_live`
+stays the same.  The CLI entry holds a SHA-256 of every CSV file that a
+fixed list of subcommands writes, with the wall-time column of `trace.csv`
+dropped.
 """
 
 from __future__ import annotations
@@ -97,6 +101,7 @@ def run_record(dn, res, J, inputs, trips=()) -> dict:
             repr(dn.value(tt)), [repr(g) for g in tape.grad(tt, inputs)]
             if inputs else []]
     rec["tape_len"] = len(tape)
+    rec["tape_live"] = sum(1 for a in tape.backward(J) if a != 0.0)
     rec["tape_sha"] = tape_sha(tape)
     return rec
 
