@@ -93,18 +93,21 @@ class SimResult:
 
 
 class _NodePlan:
-    """What the node stage reads of one node, fixed for a run.
+    """What the node stage reads of one node, and the node's routing rows.
 
     `ins` and `inlinks` are the node's inlink numbers and `LinkDyn`s, and
     `alpha` their merge priorities.  `outs` are the outlink numbers,
     `keeps[j]` says whether outlink j keeps per-destination counts (`NU_s`),
-    and `nu_s` whether any of them does.
+    and `nu_s` whether any of them does.  `dests` are the destinations the
+    outlinks lead to, in scenario order, and `choice` those that more than
+    one outlink leads to.  `rows[s]` is the turning row toward s, by outlink
+    position, built at a refresh for the next hop `hops[s]`.
     """
 
     __slots__ = ("node", "kind", "ins", "inlinks", "alpha", "outs", "keeps",
-                 "nu_s")
+                 "nu_s", "dests", "choice", "rows", "hops")
 
-    def __init__(self, node, kind, net, links):
+    def __init__(self, node, kind, net, links, dests):
         self.node = node
         self.kind = kind
         self.ins = net.inlinks[node]
@@ -113,6 +116,11 @@ class _NodePlan:
         self.outs = net.outlinks[node]
         self.keeps = [bool(links[o].NU_s) for o in self.outs]
         self.nu_s = any(self.keeps)
+        leads = {s: sum(s in links[o].dests for o in self.outs) for s in dests}
+        self.dests = [s for s in dests if leads[s]]
+        self.choice = {s for s in dests if leads[s] > 1}
+        self.rows: dict[str, list] = {}
+        self.hops: dict[str, int] = {}
 
 
 class Simulator:
@@ -194,21 +202,14 @@ class Simulator:
         ]
         self._toll_steps = round(scenario.config.dt_toll / dt)
 
-        # Every node with outlinks gets routing rows; the node stage visits,
-        # in node order, the destinations, the origins with a queue and the
-        # junctions with outlinks (the others transfer nothing)
-        plans = [_NodePlan(node, kind, self.net, self.links)
-                 for node, kind in scenario.nodes.items()
-                 if kind == "destination" or self.net.outlinks[node]]
-        self._routed = [pl for pl in plans if pl.kind != "destination"]
-        self._plans = [pl for pl in plans
-                       if pl.kind != "origin" or pl.node in self.queue]
-        # node -> reachable destination -> its turning fractions, by outlink
-        # position (a plain 0.0 where nothing is routed)
-        self._rows: dict[str, dict[str, list]] = {
-            pl.node: {} for pl in self._routed}
-        # destination -> its next hops at the last refresh that built its rows
-        self._hops: dict[str, dict[str, int]] = {}
+        # the node stage visits, in node order, the destinations, the origins
+        # with a queue and the junctions with outlinks (the others transfer
+        # nothing)
+        self._plans = [
+            _NodePlan(node, kind, self.net, self.links, dests)
+            for node, kind in scenario.nodes.items()
+            if (node in self.queue if kind == "origin"
+                else kind == "destination" or self.net.outlinks[node])]
 
     # ------------------------------------------------------------------
     # parameter-aware accessors
@@ -269,12 +270,13 @@ class Simulator:
         return travel_time_avg(self.tape, link, t)
 
     def _refresh_routing(self, t: int) -> None:
-        """New routing fractions for every node, fixed until the next refresh.
+        """New routing rows for the visited nodes, fixed until the next
+        refresh.
 
-        Under deterministic routing (mu == 0) a destination's rows depend
-        only on its next hops (and on the static reachability), so a
-        destination whose next hops equal those of the refresh that built
-        its rows keeps them, and `turning_probs` runs only for the others.
+        A (node, destination) row is rebuilt only when the node's next hop
+        there changed since the row was built, or when mu > 0 and more than
+        one outlink leads there: the logit rows with a choice, the only rows
+        that record tape entries, are rebuilt at every refresh.
         """
         tape, scn = self.tape, self.scn
         mu = scn.config.mu
@@ -283,20 +285,14 @@ class Simulator:
             for i, lk in enumerate(self.links)
         ]
         table = build_routing(tape, scn.nodes, self.links, weights, self.dests)
-        hops = self._hops
-        changed = [s for s in self.dests
-                   if mu != 0.0 or table.next_link[s] != hops.get(s)]
-        for s in changed:
-            hops[s] = table.next_link[s]
-        for plan in self._routed:
-            node = plan.node
-            rows = self._rows[node]
-            for s in changed:
-                p = turning_probs(tape, table, node, plan.outs, s, mu)
-                if p is None:
-                    rows.pop(s, None)
-                else:
-                    rows[s] = p
+        next_link = table.next_link
+        for plan in self._plans:
+            node, outs, rows, hops = plan.node, plan.outs, plan.rows, plan.hops
+            for s in plan.dests:
+                hop = next_link[s][node]
+                if hop != hops.get(s) or (mu != 0.0 and s in plan.choice):
+                    hops[s] = hop
+                    rows[s] = turning_probs(tape, table, node, outs, s, mu)
 
     # ------------------------------------------------------------------
 
@@ -358,10 +354,11 @@ class Simulator:
                     self._junction_step(plan, D, S, f_in, f_out, f_in_s)
 
             # --- boundary updates --------------------------------------
-            for lk, fi, fo, fs in zip(links, f_in, f_out, f_in_s):
-                if not (math.isfinite(value(fi)) and math.isfinite(value(fo))):
-                    raise EngineError(f"non-finite flow on link {lk.id} at step {t}")
-                lk.update_boundaries(tape, dt, fi, fo, fs)
+            try:
+                for lk, fi, fo, fs in zip(links, f_in, f_out, f_in_s):
+                    lk.update_boundaries(tape, dt, fi, fo, fs)
+            except ValueError as exc:  # a flow that is NaN, inf or negative
+                raise EngineError(str(exc)) from None
             for per_dest in self.inj.values():
                 for cur in per_dest.values():
                     if len(cur) == t + 1:
@@ -389,8 +386,7 @@ class Simulator:
         """
         tape = self.tape
         add, mul = tape.add, tape.mul
-        outs = plan.outs
-        rows = self._rows[plan.node]
+        outs, rows = plan.outs, plan.rows
         B = []
         for c in comps:
             if len(c) == 1:
@@ -464,8 +460,7 @@ class Simulator:
 
     def _flush_zero_queues(self, plan, pre, S, f_in, f_in_s, dt):
         tape = self.tape
-        outs, keeps = plan.outs, plan.keeps
-        rows = self._rows[plan.node]
+        outs, keeps, rows = plan.outs, plan.keeps, plan.rows
         for s, q in pre.items():
             if type(q) is not Var or q.val != 0.0:
                 continue

@@ -149,9 +149,17 @@ class LinkDyn:
 
     def update_boundaries(self, tape, dt: float, f_in, f_out, f_in_s):
         """Extend both boundary curves one step and advance the
-        per-destination upstream counts."""
-        if value(f_in) < -1e-12 or value(f_out) < -1e-12:
-            raise ValueError(f"link {self.id}: negative boundary flow")
+        per-destination upstream counts.
+
+        The one check on the flows a run produces: both must be finite and
+        not below -1e-12, else a `ValueError` names the link, the step and
+        the flows.
+        """
+        vi, vo = value(f_in), value(f_out)
+        if not (-1e-12 <= vi < math.inf and -1e-12 <= vo < math.inf):
+            raise ValueError(f"link {self.id} at step {len(self.ND) - 1}: "
+                             f"boundary flows in {vi!r} and out {vo!r} must "
+                             "be finite and >= 0")
         self.NU.append(tape.madd(self.NU[-1], dt, f_in))
         self.ND.append(tape.madd(self.ND[-1], dt, f_out))
         for s, n in self.NU_s.items():

@@ -37,6 +37,15 @@ __all__ = [
 # configuration
 
 
+def _require_positive(config, *fields: str) -> None:
+    """Raise a `ValueError` naming the first field that is not finite and > 0
+    (NaN included)."""
+    for name in fields:
+        v = getattr(config, name)
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and > 0 (got {v!r})")
+
+
 @dataclass
 class AdamConfig:
     lr: float = 7.0
@@ -50,8 +59,7 @@ class AdamConfig:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("momentum decay factors must lie in [0, 1)")
-        if self.lr <= 0.0:
-            raise ValueError("learning rate must be positive")
+        _require_positive(self, "lr", "eps", "clip_norm")
         if self.iters < 1:
             raise ValueError(f"iters must be at least 1 (got {self.iters})")
 
@@ -68,8 +76,7 @@ class SPSAConfig:
     project_nonneg: bool = True
 
     def __post_init__(self):
-        if min(self.a, self.c, self.A, self.alpha, self.gamma) <= 0.0:
-            raise ValueError("SPSA decay parameters must be positive")
+        _require_positive(self, "a", "c", "A", "alpha", "gamma")
         if self.iters < 1:
             raise ValueError(f"iters must be at least 1 (got {self.iters})")
 

@@ -499,8 +499,20 @@ def register_parameters(scenario: Scenario, selection) -> ParameterSet:
         tokens = list(selection)
 
     params: list[Parameter] = []
+    # (kind, target) -> (token, parameter name); one token never registers
+    # a target twice, so a target already here came from an earlier token
+    owner: dict[tuple, tuple[str, str]] = {}
     link_ids = {lk.id for lk in scenario.links}
     seen_fd: dict[str, set[str]] = {}
+
+    def add(token: str, name: str, kind: str, target: tuple, base: float):
+        if (kind, target) in owner:
+            first, first_name = owner[kind, target]
+            raise ScenarioError(
+                f"parameters {first!r} and {token!r} both register {first_name}"
+            )
+        owner[kind, target] = (token, name)
+        params.append(Parameter(name=name, kind=kind, target=target, base=base))
 
     def link_attr(attr: str, lid: str, token: str):
         if lid not in link_ids:
@@ -515,7 +527,7 @@ def register_parameters(scenario: Scenario, selection) -> ParameterSet:
                     "(dependent parameterization)"
                 )
         base = lk.w if attr == "w" else getattr(lk, attr)
-        params.append(Parameter(name=token, kind="link", target=(lid, attr), base=base))
+        add(token, token, "link", (lid, attr), base)
 
     n_periods = scenario.config.n_toll_periods
     for token in tokens:
@@ -526,14 +538,7 @@ def register_parameters(scenario: Scenario, selection) -> ParameterSet:
                 for lid in sorted(scenario.tolls.values):
                     vals = scenario.tolls.values[lid][:n_periods]
                     for p, v in enumerate(vals):
-                        params.append(
-                            Parameter(
-                                name=f"toll:{lid}:{p}",
-                                kind="toll",
-                                target=(lid, p),
-                                base=v,
-                            )
-                        )
+                        add(token, f"toll:{lid}:{p}", "toll", (lid, p), v)
                 continue
             try:
                 lid, period = rest.rsplit(":", 1)
@@ -549,9 +554,7 @@ def register_parameters(scenario: Scenario, selection) -> ParameterSet:
                 )
             vals = scenario.tolls.values.get(lid, ())
             base = vals[period] if period < len(vals) else 0.0
-            params.append(
-                Parameter(name=token, kind="toll", target=(lid, period), base=base)
-            )
+            add(token, token, "toll", (lid, period), base)
         elif token.startswith("q") and token[1:].isdigit():
             k = int(token[1:])
             if not 1 <= k <= len(scenario.demands):
@@ -570,9 +573,7 @@ def register_parameters(scenario: Scenario, selection) -> ParameterSet:
                     f"parameter {token!r}: demand profile #{k} has rate 0, "
                     "so the parameter would have no effect"
                 )
-            params.append(
-                Parameter(name=token, kind="demand", target=(k - 1,), base=rate)
-            )
+            add(token, token, "demand", (k - 1,), rate)
         else:
             for attr in ("kappa", "qmax", "alpha", "u", "w"):
                 if token.startswith(attr):

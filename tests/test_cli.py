@@ -1,6 +1,7 @@
 """End-to-end CLI tests on the merge fixture."""
 
 import csv
+import math
 import os
 
 import pytest
@@ -16,6 +17,7 @@ from diffnet.presets import (
     two_route_scenario,
 )
 from diffnet.scenario import register_parameters
+from test_engine import give_first_outlink
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +155,16 @@ def test_unfinished_trip_is_runtime_error(tmp_path, capsys):
     assert main(["trace", str(p), "--trip", "1990:orig:dest", "--out",
                  str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("runtime error: ")
+
+
+@pytest.mark.parametrize("flow", [math.nan, math.inf, -1e-9])
+def test_bad_boundary_flow_is_runtime_error(merge_file, tmp_path, capsys,
+                                            monkeypatch, flow):
+    give_first_outlink(monkeypatch, flow)
+    assert main(["run", merge_file, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"runtime error: link 1 at step 0: boundary flows in {flow!r} and "
+        "out 0.0 must be finite and >= 0\n")
 
 
 def test_malformed_trip_spec_is_scenario_error(merge_file, tmp_path):
@@ -367,6 +379,7 @@ def test_unreadable_scenario_file_exits_1_with_one_line(tmp_path, capsys,
      "pieces individually via the scenario file"),
     ("zero", "q2", "parameter 'q2': demand profile #2 has rate 0, so the "
      "parameter would have no effect"),
+    ("merge", "q1,q1", "parameters 'q1' and 'q1' both register q1"),
 ])
 def test_bad_parameter_token_exits_1_with_one_line(tmp_path, capsys, fixture,
                                                    params, message):

@@ -1,10 +1,12 @@
 """End-to-end simulation engine: conservation, fixtures, trip tracing."""
 
 import dataclasses
+import math
 import random
 
 import pytest
 
+import diffnet.engine
 from diffnet.adcore import Tape, value
 from diffnet.engine import (
     EngineError,
@@ -128,6 +130,29 @@ def test_negative_tolls_and_zero_rates_are_valid_parameter_values():
     J = value(objective_ttt(run(scn, ps, values=[-1.0, 0.0], grad=False)))
     assert J == value(objective_ttt(run(scn, ps, values=[0.0, 0.0],
                                         grad=False)))
+
+
+def give_first_outlink(monkeypatch, flow):
+    """Make every node-model call send `flow` into the node's first outlink."""
+    inm_fixed = diffnet.engine.inm_fixed
+
+    def patched(tape, D, S, B, alpha):
+        qin, qout = inm_fixed(tape, D, S, B, alpha)
+        return qin, [flow, *qout[1:]]
+
+    monkeypatch.setattr(diffnet.engine, "inm_fixed", patched)
+
+
+@pytest.mark.parametrize("flow", [math.nan, math.inf, -1e-9])
+@pytest.mark.parametrize("grad", [False, True])
+def test_bad_boundary_flow_is_an_engine_error(monkeypatch, flow, grad):
+    # the first node-model call is orig1's at step 0, into link 1
+    give_first_outlink(monkeypatch, flow)
+    scn = merge_scenario()
+    with pytest.raises(EngineError) as err:
+        run(scn, register_parameters(scn, "q1"), grad=grad)
+    assert str(err.value) == (f"link 1 at step 0: boundary flows in {flow!r} "
+                              "and out 0.0 must be finite and >= 0")
 
 
 def test_negative_routing_weight_is_an_error():

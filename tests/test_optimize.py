@@ -164,6 +164,15 @@ def test_config_validation():
         AdamConfig(lr=0.0)
     with pytest.raises(ValueError):
         SPSAConfig(alpha=-1.0)
+    bad = (0.0, -1.0, math.nan, math.inf)
+    for field in ("lr", "eps", "clip_norm"):
+        for v in bad:
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                AdamConfig(**{field: v})
+    for field in ("a", "c", "A", "alpha", "gamma"):
+        for v in bad:
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                SPSAConfig(**{field: v})
     for iters in (0, -2):
         with pytest.raises(ValueError, match="iters must be at least 1"):
             AdamConfig(iters=iters)

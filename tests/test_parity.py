@@ -6,6 +6,7 @@ relative.  On the re-planned grid a last-bit change can flip a route tie,
 so that pin is exact.
 """
 
+import copy
 import importlib.util
 import math
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import diffnet.engine
-from diffnet.adcore import Var, value
+from diffnet.adcore import FloatTape, Var, value
 from diffnet.engine import Simulator, build_objective, objective_ttt
 from diffnet.presets import merge_scenario, toll_grid_scenario, two_route_scenario
 from diffnet.routing import composition
@@ -178,54 +179,103 @@ def test_replanned_grid_ttt_and_route_changes_pinned_exactly(grad, monkeypatch):
         assert repr(float(g[0])) == "140820.5511699265"
 
 
-def test_replanned_grid_rows_are_rebuilt_only_where_next_hops_change(
-        monkeypatch):
-    # deterministic routing: after each refresh every node's rows equal what
-    # `turning_probs` gives for that refresh's table (no row where it gives
-    # `None`), and a destination's rows are recomputed exactly when its next
-    # hops changed
-    tables, recomputed = [], []
+def record_refreshes(monkeypatch):
+    """Patch the engine to check every routing refresh.
+
+    Returns the list of routing tables, one per refresh, and the list of
+    (node, destination) pairs `turning_probs` ran for at each refresh.
+    After every refresh each visited node's rows must have the values that
+    `turning_probs` gives for that refresh's table, with no row where it
+    gives `None`.  The check runs on the table's float values and a
+    `FloatTape`, so the run's tape is left as it is.
+    """
+    tables, rebuilt = [], []
     build_routing = diffnet.engine.build_routing
     turning_probs = diffnet.engine.turning_probs
 
     def recording_build(*args):
         tables.append(build_routing(*args))
-        recomputed.append(set())
+        rebuilt.append([])
         return tables[-1]
 
     def recording_probs(tape, table, node, outs, s, mu):
-        recomputed[-1].add(s)
+        rebuilt[-1].append((node, s))
         return turning_probs(tape, table, node, outs, s, mu)
 
     refresh = Simulator._refresh_routing
 
     def checked_refresh(sim, t):
         refresh(sim, t)
-        table = tables[-1]
-        for plan in sim._routed:
-            rows = sim._rows[plan.node]
+        table, mu = copy.copy(tables[-1]), sim.scn.config.mu
+        table.link_cost_var = {
+            s: [None if c is None else value(c) for c in costs]
+            for s, costs in table.link_cost_var.items()}
+        for plan in sim._plans:
+            want = {}
             for s in sim.dests:
-                want = turning_probs(sim.tape, table, plan.node, plan.outs, s,
-                                     0.0)
-                if want is None:
-                    assert s not in rows
-                else:
-                    assert rows[s] == want
+                p = turning_probs(FloatTape(), table, plan.node, plan.outs, s,
+                                  mu)
+                if p is not None:
+                    want[s] = [value(x) for x in p]
+            assert {s: [value(x) for x in p]
+                    for s, p in plan.rows.items()} == want
 
     monkeypatch.setattr(diffnet.engine, "build_routing", recording_build)
     monkeypatch.setattr(diffnet.engine, "turning_probs", recording_probs)
     monkeypatch.setattr(Simulator, "_refresh_routing", checked_refresh)
+    return tables, rebuilt
+
+
+def test_replanned_grid_rows_are_rebuilt_only_where_next_hops_change(
+        monkeypatch):
+    # deterministic routing: a (node, destination) row is rebuilt exactly
+    # when that node's next hop toward the destination changed, and both
+    # cases occur
+    tables, rebuilt = record_refreshes(monkeypatch)
     scn = Scenario.from_dict(load_grid().grid_document(
         n=4, n_dest=3, demand=0.10, mu=0.0, dt_route=5.0))
     sim = Simulator(scn)
     sim.run()
     assert len(tables) == 240
-    assert recomputed[0] == set(sim.dests)
-    reused = rebuilt = 0
+    pairs = [(plan.node, s) for plan in sim._plans for s in plan.dests]
+    assert rebuilt[0] == pairs
+    n_moved = 0
     for k in range(1, len(tables)):
-        for s in sim.dests:
-            moved = tables[k].next_link[s] != tables[k - 1].next_link[s]
-            assert (s in recomputed[k]) == moved
-            rebuilt += moved
-            reused += not moved
-    assert reused > 0 and rebuilt > 0
+        now, before = tables[k].next_link, tables[k - 1].next_link
+        moved = [(node, s) for node, s in pairs
+                 if now[s][node] != before[s][node]]
+        assert rebuilt[k] == moved
+        n_moved += len(moved)
+    assert 0 < n_moved < (len(tables) - 1) * len(pairs)
+
+
+def test_logit_rows_are_rebuilt_only_where_outlinks_offer_a_choice(
+        monkeypatch):
+    # logit routing on the toll grid: each corridor midpoint has one outlink,
+    # so its row is built once; the origin chooses among 12 corridors at
+    # every one of the 20 refreshes.  The tape of the run and its TTT keeps
+    # the length it had when every row was rebuilt at every refresh.
+    tables, rebuilt = record_refreshes(monkeypatch)
+    res, _ = taped(toll_grid_scenario(), "toll:*")
+    assert len(tables) == 20
+    assert rebuilt[0][0] == ("orig", "dest")
+    assert sorted(node for node, _ in rebuilt[0][1:]) == sorted(
+        f"m{c}{i}" for c in "fs" for i in range(6))
+    assert all(calls == [("orig", "dest")] for calls in rebuilt[1:])
+    assert sum(map(len, rebuilt)) == 32
+    objective_ttt(res)
+    assert len(res.tape) == 20_213
+
+
+def test_an_origin_without_demand_gets_no_rows(monkeypatch):
+    # an origin whose two outlinks lead to both destinations, under logit
+    # routing, but with no demand: the node stage never visits it, so no
+    # row of it is built
+    doc = two_destination_scenario().to_dict()
+    doc["nodes"].append({"id": "o2", "kind": "origin"})
+    doc["links"] += [_lk("g1", "o2", "m", 600.0), _lk("g2", "o2", "n", 700.0)]
+    tables, rebuilt = record_refreshes(monkeypatch)
+    res, _ = taped(Scenario.from_dict(doc), "q1")
+    assert "o2" not in [plan.node for plan in res._sim._plans]
+    assert len(tables) == 60 and all(rebuilt)
+    assert all(node != "o2" for calls in rebuilt for node, _ in calls)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from diffnet.engine import Simulator, run
-from diffnet.presets import merge_scenario
+from diffnet.presets import merge_scenario, toll_grid_scenario
 from diffnet.scenario import (
     Scenario,
     ScenarioError,
@@ -141,6 +141,22 @@ def test_parameter_registration_tokens():
     ps = register_parameters(scn, "q1,q2,u1,kappa3,alpha2")
     assert ps.names == ["q1", "q2", "u1", "kappa3", "alpha2"]
     assert ps.base_values == [0.45, 0.6, 20.0, 0.2, 1.0]
+
+
+@pytest.mark.parametrize("scn, tokens, message", [
+    (merge_scenario, "q1,q1", "parameters 'q1' and 'q1' both register q1"),
+    (merge_scenario, "u3,u3", "parameters 'u3' and 'u3' both register u3"),
+    (toll_grid_scenario, "toll:*,toll:f0a:0",
+     "parameters 'toll:*' and 'toll:f0a:0' both register toll:f0a:0"),
+    (toll_grid_scenario, "toll:f0a:0,toll:f0a:00",
+     "parameters 'toll:f0a:0' and 'toll:f0a:00' both register toll:f0a:0"),
+])
+def test_duplicate_parameter_targets_are_rejected(scn, tokens, message):
+    # a second parameter on the same target would override the first,
+    # leaving the first with no effect
+    with pytest.raises(ScenarioError) as err:
+        register_parameters(scn(), tokens)
+    assert str(err.value) == message
 
 
 def test_unknown_token_rejected():

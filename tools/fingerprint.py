@@ -5,7 +5,7 @@ by fingerprinting the old and the new source tree and diffing the outputs:
 
     python tools/fingerprint.py --root /path/to/old/checkout --out old.json
     python tools/fingerprint.py --out new.json
-    diff old.json new.json
+    python tools/fingerprint.py --compare old.json new.json
 
 `--root` names the checkout whose `src/diffnet` is imported (default: the
 checkout holding this script).  The fixtures themselves always come from
@@ -23,6 +23,12 @@ entries (ones nothing reads) shows `tape_len` falling while `tape_live`
 stays the same.  The CLI entry holds a SHA-256 of every CSV file that a
 fixed list of subcommands writes, with the wall-time column of `trace.csv`
 dropped.
+
+`--compare OLD NEW` prints each fixture whose record differs, the fields
+that differ and, where the record has a tape, `tape_len` and `tape_live`
+old -> new.  It exits 1 if a fixture is missing on one side, if any field
+other than `tape_len` and `tape_sha` differs, or if `tape_live` moved, so it
+exits 0 only when at most dead tape entries changed.
 """
 
 from __future__ import annotations
@@ -241,12 +247,47 @@ def cli_hashes(dn) -> dict:
     return out
 
 
+# the fields a change that drops dead tape entries may move
+TAPE_FIELDS = ("tape_len", "tape_sha")
+
+
+def compare(old: dict, new: dict) -> int:
+    """Print how two fingerprints differ; 1 unless only dead entries moved."""
+    differ = bad = 0
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name), new.get(name)
+        if a == b:
+            continue
+        differ += 1
+        if a is None or b is None:
+            print(f"{name}: only in {'NEW' if a is None else 'OLD'}")
+            bad = 1
+            continue
+        fields = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        line = f"{name}: {', '.join(fields)}"
+        if "tape_len" in a:
+            line += (f" (tape_len {a['tape_len']} -> {b.get('tape_len')}, "
+                     f"tape_live {a.get('tape_live')} -> {b.get('tape_live')})")
+        print(line)
+        if any(f not in TAPE_FIELDS for f in fields):
+            bad = 1
+    print(f"{differ} of {len(old.keys() | new.keys())} entries differ; "
+          + ("values, gradients or live tape entries moved" if bad
+             else "every value, gradient and live tape count is identical"))
+    return bad
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=str(HERE),
                     help="checkout whose src/diffnet is fingerprinted")
     ap.add_argument("--out", default="-", help="output JSON file ('-': stdout)")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two fingerprint files instead")
     args = ap.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(p).read_text()) for p in args.compare)
+        return compare(old, new)
     sys.path.insert(0, str(Path(args.root).resolve() / "src"))
     dn = importlib.import_module("diffnet")
 
