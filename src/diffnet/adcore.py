@@ -26,6 +26,16 @@ An int 0 or 1 is not a plain float and still records.  `madd(y, a, x)`
 records the affine update y + a*x (plain float `a`) as one entry with
 partials (1, a) instead of two, with the value `add(y, mul(a, x))` gives.
 
+A fourth rule is kept by the callers:
+  * decided on values: where a `min2`/`max2` against a plain float decides
+    whether an expression survives, the caller first runs the code that
+    records it on `FLOAT`, the shared `FloatTape`, over forward values, and
+    records the expression only if it wins; a plain float that wins is
+    returned as it is, and on a float run the first evaluation is the
+    answer.  The link clamps (`ltm`), free-flow travel times and
+    deterministic routing (`routing`, `engine`) and the INM step size
+    (`nodemodel`) are decided this way.
+
 Kink conventions:
   * min2/max2 at an exact tie route the full partial to the FIRST argument,
     and with one `Var` operand the first argument is the one returned.
@@ -38,7 +48,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["Var", "Tape", "FloatTape", "TapeError", "GUARD_EPS"]
+__all__ = ["Var", "Tape", "FloatTape", "FLOAT", "TapeError", "GUARD_EPS"]
 
 # guard constant for protected divisions (vehicle units)
 GUARD_EPS = 1e-9
@@ -360,3 +370,7 @@ class FloatTape(Tape):
 
     def max2(self, a, b):
         return a if a >= b else b
+
+
+# the float op table that decisions on forward values run on
+FLOAT = FloatTape()

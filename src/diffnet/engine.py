@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .adcore import FloatTape, Tape, Var, value
+from .adcore import FLOAT, FloatTape, Tape, Var, value
 from .ltm import LinkDyn, interp
 from .nodemodel import inm_fixed
 from .routing import (
@@ -89,7 +89,7 @@ class SimResult:
         return self._sim.trace_trip(t0, origin, destination)
 
     def travel_time_at(self, link_id: str, t: int):
-        return self._sim.link_travel_time(self.links[link_id], t)
+        return self._sim.link_travel_time(self.tape, self.links[link_id], t)
 
 
 class _NodePlan:
@@ -211,6 +211,17 @@ class Simulator:
             if (node in self.queue if kind == "origin"
                 else kind == "destination" or self.net.outlinks[node])]
 
+        # Deterministic DUO rows are next-hop indicators and read no tree
+        # cost expression, so a taped run routes on forward values.  Segment
+        # travel times interpolate at a `Var` index on a link whose u or w
+        # is a `Var`, where floats could differ in the last bit; such a run
+        # routes on its tape.
+        cfg = scenario.config
+        self._route_on_values = (
+            not isinstance(self.tape, FloatTape) and cfg.mu == 0.0
+            and (cfg.tt_method == "average" or not any(
+                type(lk.u) is Var or type(lk.w) is Var for lk in self.links)))
+
     # ------------------------------------------------------------------
     # parameter-aware accessors
 
@@ -263,11 +274,13 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    def link_travel_time(self, link: LinkDyn, t: int):
+    def link_travel_time(self, tape: Tape, link, t: int):
+        """Travel time of `link` (a `LinkDyn`, or its `LinkValues` on
+        `FLOAT`) at step t."""
         cfg = self.scn.config
         if cfg.tt_method == "segments":
-            return travel_time_segments(self.tape, link, t, cfg.M, cfg.dt)
-        return travel_time_avg(self.tape, link, t)
+            return travel_time_segments(tape, link, t, cfg.M, cfg.dt)
+        return travel_time_avg(tape, link, t)
 
     def _refresh_routing(self, t: int) -> None:
         """New routing rows for the visited nodes, fixed until the next
@@ -276,15 +289,28 @@ class Simulator:
         A (node, destination) row is rebuilt only when the node's next hop
         there changed since the row was built, or when mu > 0 and more than
         one outlink leads there: the logit rows with a choice, the only rows
-        that record tape entries, are rebuilt at every refresh.
+        that record tape entries, are rebuilt at every refresh.  A run that
+        routes on forward values weighs the links and builds the table on
+        `FLOAT`, recording nothing.
         """
         tape, scn = self.tape, self.scn
         mu = scn.config.mu
-        weights = [
-            tape.add(self.link_travel_time(lk, t), self.toll_value(i, t))
-            for i, lk in enumerate(self.links)
-        ]
-        table = build_routing(tape, scn.nodes, self.links, weights, self.dests)
+        if self._route_on_values:
+            rtape = FLOAT
+            weights = [
+                FLOAT.add(self.link_travel_time(FLOAT, lk.vals, t),
+                          value(self.toll_value(i, t)))
+                for i, lk in enumerate(self.links)
+            ]
+        else:
+            rtape = tape
+            weights = [
+                tape.add(self.link_travel_time(tape, lk, t),
+                         self.toll_value(i, t))
+                for i, lk in enumerate(self.links)
+            ]
+        table = build_routing(rtape, scn.nodes, self.links, weights,
+                              self.dests)
         next_link = table.next_link
         for plan in self._plans:
             node, outs, rows, hops = plan.node, plan.outs, plan.rows, plan.hops

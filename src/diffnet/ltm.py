@@ -2,16 +2,18 @@
 
 All quantities live on an AD tape; parameters and curve values may be tape
 variables or plain floats interchangeably.  Time is handled in timestep
-units internally (index i corresponds to i * dt seconds).
+units internally (index i corresponds to i * dt seconds).  A link on a
+taped run keeps its forward values in a `LinkValues`, on which the clamps of
+its sending and receiving rates are decided before anything is recorded.
 """
 
 from __future__ import annotations
 
 import math
 
-from .adcore import Tape, Var, value
+from .adcore import FLOAT, FloatTape, Tape, Var, value
 
-__all__ = ["LinkDyn", "interp", "fd_speed", "V_MIN", "K_TINY"]
+__all__ = ["LinkDyn", "LinkValues", "interp", "fd_speed", "V_MIN", "K_TINY"]
 
 # congested-branch speed floor (m/s): caps travel time at jam density
 V_MIN = 0.01
@@ -27,14 +29,14 @@ def interp(tape: Tape, curve: list, tau):
     `tau` may itself be a tape variable, in which case the result also
     carries the sensitivity to the index (hence to u and w).
     """
-    tv = value(tau)
+    tv = tau.val if type(tau) is Var else tau
     last = len(curve) - 1
     if tv <= 0.0:
         return 0.0
     if tv >= last:
         return curve[last]
-    i = int(math.floor(tv))
-    if isinstance(tau, Var):
+    i = int(tv)  # tv > 0: truncation is the floor
+    if type(tau) is Var:
         # N[i] + (tau - i) * slope: differentiable in tau and values.  When
         # tau sits exactly on a grid point the one-sided slopes differ at
         # curve kinks; the centered slope is used there so the index
@@ -76,6 +78,8 @@ class LinkDyn:
     vehicle on the link heads anywhere else.  `NU_s` holds the running
     upstream count of each of them, only when there are two or more; with
     one, `NU` is that destination's curve and its share is a plain 1.0.
+    `vals` holds the link's forward values on a taped run, a `LinkValues`;
+    it is `None` on a float run, whose link holds nothing else.
     """
 
     __slots__ = (
@@ -92,6 +96,7 @@ class LinkDyn:
         "NU",
         "ND",
         "NU_s",
+        "vals",
     )
 
     def __init__(self, tape, params, dests, u=None, qmax=None, kappa=None,
@@ -119,6 +124,7 @@ class LinkDyn:
         self.NU = [0.0]
         self.ND = [0.0]
         self.NU_s = {s: 0.0 for s in dests} if len(dests) > 1 else {}
+        self.vals = None if isinstance(tape, FloatTape) else LinkValues(self)
 
     # ------------------------------------------------------------------
     def newell_N(self, tape, t, x, dt: float):
@@ -133,19 +139,48 @@ class LinkDyn:
         return tape.min2(free, cong)
 
     def demand(self, tape, t: int, dt: float):
-        """Maximum sending rate at the downstream boundary during step t."""
-        tau = tape.sub(float(t + 1), tape.div(self.d / dt, self.u))
-        raw = tape.div(tape.sub(interp(tape, self.NU, tau), self.ND[t]), dt)
-        return tape.min2(tape.max2(raw, 0.0), self.qmax)
+        """Maximum sending rate at the downstream boundary during step t:
+        the sending rate clamped to [0, qmax], decided on values."""
+        return self._clamped(tape, LinkDyn._sending, self.u, t, dt)
 
     def supply(self, tape, t: int, dt: float):
-        """Maximum receiving rate at the upstream boundary during step t."""
-        tau = tape.sub(float(t + 1), tape.div(self.d / dt, self.w))
+        """Maximum receiving rate at the upstream boundary during step t:
+        the receiving rate clamped to [0, qmax], decided on values."""
+        return self._clamped(tape, LinkDyn._receiving, self.w, t, dt)
+
+    def _sending(self, tape, t: int, tau, dt: float):
+        return tape.div(tape.sub(interp(tape, self.NU, tau), self.ND[t]), dt)
+
+    def _receiving(self, tape, t: int, tau, dt: float):
         room = tape.add(
             interp(tape, self.ND, tau), tape.mul(self.kappa, self.d)
         )
-        raw = tape.div(tape.sub(room, self.NU[t]), dt)
-        return tape.min2(tape.max2(raw, 0.0), self.qmax)
+        return tape.div(tape.sub(room, self.NU[t]), dt)
+
+    def _clamped(self, tape, rate, speed, t: int, dt: float):
+        """min2(max2(`rate`, 0.0), qmax) at step t, decided on values.
+
+        `rate` reads a boundary curve at the index `tau`, one travel time at
+        wave speed `speed` before the end of step t.  It is first evaluated
+        on `FLOAT` over `vals`, and only a rate that wins the clamp is
+        recorded; when 0.0 or `qmax` wins, that plain float is returned.  On
+        a float run the clamp is evaluated once.  A link whose `speed` or
+        `qmax` is a `Var` records the clamp as it stands: `interp` picks its
+        formula by the type of its index, so a decision on floats could
+        disagree with the recorded value in the last bit.
+        """
+        qmax = self.qmax
+        as_is = self.vals is None or type(speed) is Var or type(qmax) is Var
+        ops = tape if as_is else FLOAT
+        tau = ops.sub(float(t + 1), ops.div(self.d / dt, speed))
+        if as_is:
+            return tape.min2(tape.max2(rate(self, tape, t, tau, dt), 0.0),
+                             qmax)
+        raw = rate(self.vals, FLOAT, t, tau, dt)
+        # the rate wins max2 and min2 alike at a tie, as their first operand
+        if raw >= 0.0 and raw <= qmax:
+            return rate(self, tape, t, tau, dt)
+        return FLOAT.min2(FLOAT.max2(raw, 0.0), qmax)
 
     def update_boundaries(self, tape, dt: float, f_in, f_out, f_in_s):
         """Extend both boundary curves one step and advance the
@@ -155,12 +190,41 @@ class LinkDyn:
         not below -1e-12, else a `ValueError` names the link, the step and
         the flows.
         """
-        vi, vo = value(f_in), value(f_out)
+        vi = f_in.val if type(f_in) is Var else f_in
+        vo = f_out.val if type(f_out) is Var else f_out
         if not (-1e-12 <= vi < math.inf and -1e-12 <= vo < math.inf):
             raise ValueError(f"link {self.id} at step {len(self.ND) - 1}: "
                              f"boundary flows in {vi!r} and out {vo!r} must "
                              "be finite and >= 0")
-        self.NU.append(tape.madd(self.NU[-1], dt, f_in))
-        self.ND.append(tape.madd(self.ND[-1], dt, f_out))
+        nu = tape.madd(self.NU[-1], dt, f_in)
+        nd = tape.madd(self.ND[-1], dt, f_out)
+        self.NU.append(nu)
+        self.ND.append(nd)
+        vals = self.vals
+        if vals is not None:
+            vals.NU.append(nu.val if type(nu) is Var else nu)
+            vals.ND.append(nd.val if type(nd) is Var else nd)
         for s, n in self.NU_s.items():
             self.NU_s[s] = tape.madd(n, dt, f_in_s.get(s, 0.0))
+
+
+class LinkValues:
+    """Forward values of a taped link: its parameters as plain floats and
+    its boundary curves as plain float lists, which `update_boundaries`
+    extends with the link's.  The `LinkDyn` methods that read only these
+    attributes run on it under `FLOAT`.  Like a float run's link, it holds
+    nothing but forward values, so its `vals` is `None`.
+    """
+
+    __slots__ = ("d", "u", "w", "kappa", "NU", "ND")
+
+    vals = None
+
+    newell_N = LinkDyn.newell_N
+
+    def __init__(self, link: LinkDyn):
+        self.d = link.d
+        self.u, self.w, self.kappa = (x.val if type(x) is Var else x
+                                      for x in (link.u, link.w, link.kappa))
+        self.NU = [value(x) for x in link.NU]
+        self.ND = [value(x) for x in link.ND]

@@ -6,9 +6,11 @@ I + J + 1 iterations; the name of its old fixed-length form stays because the
 benchmark wraps it.  Active-set membership is decided on forward values only
 (piecewise-constant indicators), read straight from each `Var`; gradients
 flow through the step-size and update arithmetic of whichever constraints
-are active.  It only reads its turning-fraction rows, so the engine passes
-the same row object for every single-destination inflow of a node that
-heads for the same destination.
+are active.  The step size is decided on values: its minimum over the
+candidate steps is replayed on forward values first, and only the candidates
+that can still reach it are recorded.  It only reads its turning-fraction
+rows, so the engine passes the same row object for every single-destination
+inflow of a node that heads for the same destination.
 
 `inm_reference` is the plain variable-length while-loop formulation used as
 an independent oracle in the tests.
@@ -16,7 +18,7 @@ an independent oracle in the tests.
 
 from __future__ import annotations
 
-from .adcore import Tape, Var
+from .adcore import FLOAT, FloatTape, Tape, Var
 
 __all__ = ["inm_fixed", "inm_reference", "ACTIVE_EPS", "B_EPS"]
 
@@ -49,6 +51,46 @@ def _active_sets(qin_v, qout_v, D_v, S_v, B_v):
     return act_in, act_out, unblocked
 
 
+def _step_size(tape: Tape, cands):
+    """`min2` over the candidate steps (x - q) / w on a taped run, in order,
+    decided on values.
+
+    `cands` holds (x, q, w) triples.  The chain is first replayed on the
+    candidates' forward values and on whether each is a `Var`: the
+    candidates up to the last point where the running minimum is a plain
+    float cannot reach the result, so only those after it are recorded, and
+    nothing is when a plain float wins.
+    """
+    theta = floor = None
+    var = False
+    start = 0  # the candidates from here on are recorded, from `floor`
+    for k, (x, q, w) in enumerate(cands):
+        is_var = False
+        if type(x) is Var:
+            x, is_var = x.val, True
+        if type(q) is Var:
+            q, is_var = q.val, True
+        if type(w) is Var:
+            w, is_var = w.val, True
+        c = _candidate(FLOAT, x, q, w)
+        # min2 returns one of its operands: `c` itself if it wins
+        if theta is None or FLOAT.min2(theta, c) is c:
+            theta, var = c, is_var
+        if not var:
+            floor, start = theta, k + 1
+    if not var:
+        return theta
+    theta = floor
+    for k in range(start, len(cands)):
+        c = _candidate(tape, *cands[k])
+        theta = c if theta is None else tape.min2(theta, c)
+    return theta
+
+
+def _candidate(tape: Tape, x, q, w):
+    return tape.div(tape.sub(x, q), w)
+
+
 def inm_fixed(tape: Tape, D, S, B, alpha):
     """Incremental flow allocation at one node.
 
@@ -72,7 +114,8 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
         (qin, qout): allocated per-inlink outflow and per-outlink inflow.
     """
     I, J = len(D), len(S)
-    add, sub, mul, div, min2 = tape.add, tape.sub, tape.mul, tape.div, tape.min2
+    add, sub, mul, min2 = tape.add, tape.sub, tape.mul, tape.min2
+    floats = isinstance(tape, FloatTape)
     qin = [0.0] * I
     qout = [0.0] * J
     D_v = [x.val if type(x) is Var else x for x in D]
@@ -122,17 +165,30 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
             # candidates first so a demand/supply tie resolves to the supply
             # branch (the side that persists under perturbation).  An
             # outlink with no active feeder has phi 0.0 and no candidate.
-            theta = None
-            for o in range(J):
-                phi = phi_out[o]
-                if slack[o] > ACTIVE_EPS and (
-                        phi.val if type(phi) is Var else phi) > 0.0:
-                    cand = div(sub(S[o], qout[o]), phi)
-                    theta = cand if theta is None else min2(theta, cand)
-            for l in range(I):
-                if act_in[l]:
-                    cand = div(sub(D[l], qin[l]), alpha[l])
-                    theta = cand if theta is None else min2(theta, cand)
+            if floats:
+                # on floats the chain is its own decision: the candidates go
+                # straight into it, without the list a taped run replays
+                theta = None
+                for o in range(J):
+                    phi = phi_out[o]
+                    if slack[o] > ACTIVE_EPS and phi > 0.0:
+                        c = _candidate(tape, S[o], qout[o], phi)
+                        theta = c if theta is None else min2(theta, c)
+                for l in range(I):
+                    if act_in[l]:
+                        c = _candidate(tape, D[l], qin[l], alpha[l])
+                        theta = c if theta is None else min2(theta, c)
+            else:
+                cands = []
+                for o in range(J):
+                    phi = phi_out[o]
+                    if slack[o] > ACTIVE_EPS and (
+                            phi.val if type(phi) is Var else phi) > 0.0:
+                        cands.append((S[o], qout[o], phi))
+                for l in range(I):
+                    if act_in[l]:
+                        cands.append((D[l], qin[l], alpha[l]))
+                theta = _step_size(tape, cands)
 
         # per-inlink step: the residual demand, or alpha*theta capped at the
         # remaining demand (same fixed point; the cap carries the demand

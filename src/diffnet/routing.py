@@ -5,16 +5,17 @@ found on forward float values by a label-setting (Dijkstra) search from each
 destination over the reversed links; the cost *values* along the chosen tree
 are then rebuilt as tape expressions so that gradients flow through link
 travel times and tolls.  Deterministic DUO uses hard indicators (zero cost
-gradient); logit-DUO softens them with a stabilized softmin over remaining
-path costs.
+gradient), so its callers may build the table on `FLOAT` from forward
+values; logit-DUO softens them with a stabilized softmin over remaining path
+costs.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .adcore import Tape, value
-from .ltm import LinkDyn, fd_speed, interp
+from .adcore import FLOAT, Tape, Var, value
+from .ltm import V_MIN, LinkDyn, fd_speed
 
 __all__ = [
     "travel_time_avg",
@@ -30,11 +31,28 @@ __all__ = [
 INF = float("inf")
 
 
-def travel_time_avg(tape: Tape, link: LinkDyn, t: int):
-    """Instantaneous travel time from the link-average density."""
+def _avg_speed(tape: Tape, link, t: int):
     kbar = tape.div(tape.sub(link.NU[t], link.ND[t]), link.d)
-    v = fd_speed(tape, link.u, link.w, link.kappa, kbar)
-    return tape.div(link.d, v)
+    return fd_speed(tape, link.u, link.w, link.kappa, kbar)
+
+
+def travel_time_avg(tape: Tape, link, t: int):
+    """Instantaneous travel time from the link-average density.
+
+    Decided on values: with a plain float `u`, the speed is first found on
+    `FLOAT` over `link.vals`, and when a plain float wins it (free flow `u`
+    or the floor `V_MIN`), d / speed is returned and nothing is recorded.
+    On a link whose `vals` is `None` (a float run's link, or a
+    `LinkValues`) that first value is the answer.
+    """
+    u, vals = link.u, link.vals
+    if type(u) is not Var:
+        v = _avg_speed(FLOAT, link if vals is None else vals, t)
+        # min2 and max2 return one of their operands, so `is` names the
+        # winner
+        if vals is None or v is u or v is V_MIN:
+            return FLOAT.div(link.d, v)
+    return tape.div(link.d, _avg_speed(tape, link, t))
 
 
 def travel_time_segments(tape: Tape, link: LinkDyn, t: int, M: int, dt: float):

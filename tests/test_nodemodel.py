@@ -196,8 +196,10 @@ def test_gradients_match_fd_away_from_ties():
 
 
 def inm_fixed_before(tape, D, S, B, alpha):
-    """`inm_fixed` as it was before its flags were computed in one pass and
-    its forward values read inline: the oracle for its tape, entry by entry.
+    """`inm_fixed` as it was before its flags were computed in one pass, its
+    forward values read inline and its step size decided on values: the
+    oracle for its tape, entry by entry.  On a `TieCountingTape` it notes
+    the entries of each step-size chain.
     """
     I, J = len(D), len(S)
     add, sub, mul = tape.add, tape.sub, tape.mul
@@ -230,6 +232,7 @@ def inm_fixed_before(tape, D, S, B, alpha):
                         acc = add(acc, mul(B[l][o], alpha[l]))
                 phi_out[o] = acc
 
+            start = len(tape)
             theta = None
             for o in range(J):
                 if (slack[o] > ACTIVE_EPS and value(phi_out[o]) > 0.0
@@ -240,6 +243,8 @@ def inm_fixed_before(tape, D, S, B, alpha):
                 if act_in[l]:
                     cand = tape.div(sub(D[l], qin[l]), alpha[l])
                     theta = cand if theta is None else tape.min2(theta, cand)
+            if isinstance(tape, TieCountingTape):
+                tape.chains.append((start, len(tape)))
 
         for l in range(I):
             if not unblocked[l]:
@@ -313,20 +318,28 @@ def materialize(tape, node):
             [[make(x) for x in row] for row in B], [make(x) for x in alpha])
 
 
-def same_outputs(a, b):
+def same_outputs(a, b, renumber=None):
+    """`a` and `b` hold the same values, with `b`'s entries renumbered by
+    `renumber` (old index -> new) if given."""
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert type(x) is type(y)
         if type(x) is Var:
-            assert (x.idx, repr(x.val)) == (y.idx, repr(y.val))
+            idx = y.idx if renumber is None else renumber[y.idx]
+            assert (x.idx, repr(x.val)) == (idx, repr(y.val))
         else:
             assert repr(x) == repr(y)
 
 
 class TieCountingTape(Tape):
-    """A tape that counts `min2` calls on two `Var`s of equal value."""
+    """A tape that counts `min2` calls on two `Var`s of equal value, with
+    `chains` for `inm_fixed_before`."""
 
     ties = 0
+
+    def __init__(self):
+        super().__init__()
+        self.chains = []
 
     def min2(self, a, b):
         if type(a) is Var and type(b) is Var and a.val == b.val:
@@ -334,9 +347,37 @@ class TieCountingTape(Tape):
         return super().min2(a, b)
 
 
+def without_unreferenced(tape, spans):
+    """The tape's four entry lists with the entries recorded within `spans`
+    ((first, end) index ranges) that no kept later entry reads removed, and
+    the parents renumbered; also the map from kept old index to new."""
+    p1, p2, d1, d2 = tape._p1, tape._p2, tape._d1, tape._d2
+    inside = [False] * len(p1)
+    for first, end in spans:
+        inside[first:end] = [True] * (end - first)
+    read = [False] * len(p1)
+    kept = []
+    for i in range(len(p1) - 1, -1, -1):
+        if inside[i] and not read[i]:
+            continue
+        kept.append(i)
+        for j in (p1[i], p2[i]):
+            if j >= 0:
+                read[j] = True
+    kept.reverse()
+    renumber = {i: k for k, i in enumerate(kept)}
+
+    def parent(j):
+        return renumber[j] if j >= 0 else -1
+
+    lists = ([parent(p1[i]) for i in kept], [parent(p2[i]) for i in kept],
+             [d1[i] for i in kept], [d2[i] for i in kept])
+    return lists, renumber
+
+
 def test_tape_and_values_equal_the_earlier_form_on_tied_nodes():
     rng = random.Random(2011)
-    ties = 0
+    ties = dropped = 0
     for _ in range(600):
         node = tie_node(rng)
         tapes = []
@@ -346,10 +387,13 @@ def test_tape_and_values_equal_the_earlier_form_on_tied_nodes():
             outs.append(impl(tape, *materialize(tape, node)))
             tapes.append(tape)
         new, old = tapes
-        assert (new._p1, new._p2, new._d1, new._d2) == (
-            old._p1, old._p2, old._d1, old._d2)
+        # the earlier form's tape less the step-size entries nothing reads,
+        # entry for entry
+        pruned, renumber = without_unreferenced(old, old.chains)
+        assert (new._p1, new._p2, new._d1, new._d2) == pruned
+        dropped += len(old) - len(new)
         for a, b in zip(*outs):
-            same_outputs(a, b)
+            same_outputs(a, b, renumber)
         ties += new.ties
         # the float op table: the same values, nothing recorded
         D, S, B, alpha = node
@@ -360,5 +404,7 @@ def test_tape_and_values_equal_the_earlier_form_on_tied_nodes():
         want = inm_fixed_before(FloatTape(), *materialize(None, floats))
         for a, b in zip(got, want):
             same_outputs(a, b)
-    # the draws reach exact two-Var ties, where the first argument wins
+    # the draws reach exact two-Var ties, where the first argument wins,
+    # and step-size chains that a plain float wins
     assert ties > 50
+    assert dropped > 0

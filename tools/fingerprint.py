@@ -132,6 +132,15 @@ def fixtures(dn):
     def grid_scn(**kw):
         return dn.Scenario.from_dict(grid.grid_document(**kw))
 
+    def idle_origin_scn():
+        # the two-destination fixture plus an origin without demand whose
+        # two outlinks lead to both destinations
+        doc = parity.two_destination_scenario().to_dict()
+        doc["nodes"].append({"id": "o2", "kind": "origin"})
+        doc["links"] += [parity._lk("g1", "o2", "m", 600.0),
+                         parity._lk("g2", "o2", "n", 700.0)]
+        return dn.Scenario.from_dict(doc)
+
     out = []
     for grad in (True, False):
         tag = "taped" if grad else "float"
@@ -147,6 +156,8 @@ def fixtures(dn):
             (f"two-destination {tag}", lambda g=grad: simulate(
                 dn, parity.two_destination_scenario(), "q1,q2,qmaxb1,ua,ub2",
                 grad=g)),
+            (f"two-destination idle origin {tag}", lambda g=grad: simulate(
+                dn, idle_origin_scn(), "q1,q2,qmaxb1,ua,ub2", grad=g)),
             (f"grid n=4 2 dests {tag}", lambda g=grad: simulate(
                 dn, grid_scn(n=4, n_dest=2), "q1,un0_0-n0_1", grad=g)),
             (f"grid n=6 3 dests replan q2 {tag}", lambda g=grad: simulate(
