@@ -30,11 +30,13 @@ A fourth rule is kept by the callers:
   * decided on values: where a `min2`/`max2` against a plain float decides
     whether an expression survives, the caller first runs the code that
     records it on `FLOAT`, the shared `FloatTape`, over forward values, and
-    records the expression only if it wins; a plain float that wins is
-    returned as it is, and on a float run the first evaluation is the
-    answer.  The link clamps (`ltm`), free-flow travel times and
-    deterministic routing (`routing`, `engine`) and the INM step size
-    (`nodemodel`) are decided this way.
+    records the expression only if it wins; a bound that wins is returned
+    as it is, and on a float run the first evaluation is the answer.  The
+    forward values are those the tape records, bit for bit, so this holds
+    for every link, registered parameters or not.  The link clamps
+    (`ltm`), free-flow travel times and deterministic routing (`routing`,
+    `engine`) and the INM step size and step caps (`nodemodel`) are decided
+    this way.
 
 Kink conventions:
   * min2/max2 at an exact tie route the full partial to the FIRST argument,

@@ -211,17 +211,6 @@ class Simulator:
             if (node in self.queue if kind == "origin"
                 else kind == "destination" or self.net.outlinks[node])]
 
-        # Deterministic DUO rows are next-hop indicators and read no tree
-        # cost expression, so a taped run routes on forward values.  Segment
-        # travel times interpolate at a `Var` index on a link whose u or w
-        # is a `Var`, where floats could differ in the last bit; such a run
-        # routes on its tape.
-        cfg = scenario.config
-        self._route_on_values = (
-            not isinstance(self.tape, FloatTape) and cfg.mu == 0.0
-            and (cfg.tt_method == "average" or not any(
-                type(lk.u) is Var or type(lk.w) is Var for lk in self.links)))
-
     # ------------------------------------------------------------------
     # parameter-aware accessors
 
@@ -289,16 +278,16 @@ class Simulator:
         A (node, destination) row is rebuilt only when the node's next hop
         there changed since the row was built, or when mu > 0 and more than
         one outlink leads there: the logit rows with a choice, the only rows
-        that record tape entries, are rebuilt at every refresh.  A run that
-        routes on forward values weighs the links and builds the table on
-        `FLOAT`, recording nothing.
+        that record tape entries, are rebuilt at every refresh.  The
+        deterministic rows (mu == 0) read no tree cost: the links are weighed
+        and the table built on `FLOAT`, over forward values.
         """
         tape, scn = self.tape, self.scn
         mu = scn.config.mu
-        if self._route_on_values:
+        if mu == 0.0:
             rtape = FLOAT
             weights = [
-                FLOAT.add(self.link_travel_time(FLOAT, lk.vals, t),
+                FLOAT.add(self.link_travel_time(FLOAT, lk.vals or lk, t),
                           value(self.toll_value(i, t)))
                 for i, lk in enumerate(self.links)
             ]

@@ -4,7 +4,8 @@ All quantities live on an AD tape; parameters and curve values may be tape
 variables or plain floats interchangeably.  Time is handled in timestep
 units internally (index i corresponds to i * dt seconds).  A link on a
 taped run keeps its forward values in a `LinkValues`, on which the clamps of
-its sending and receiving rates are decided before anything is recorded.
+its sending and receiving rates are decided before anything is recorded,
+whichever of its parameters are registered.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ def interp(tape: Tape, curve: list, tau):
 
     Out-of-range indices are clamped: tau < 0 returns 0 (no vehicles before
     the start), tau beyond the last stored index returns the latest value.
-    `tau` may itself be a tape variable, in which case the result also
-    carries the sensitivity to the index (hence to u and w).
+    Inside it is (1 - delta) * N[i] + delta * N[i+1], delta = tau - i, for
+    a float `tau` and a tape variable alike, so a decision on forward values
+    reads the recorded value.  A variable `tau` also carries the sensitivity
+    to the index (hence to u and w).
     """
     tv = tau.val if type(tau) is Var else tau
     last = len(curve) - 1
@@ -36,22 +39,29 @@ def interp(tape: Tape, curve: list, tau):
     if tv >= last:
         return curve[last]
     i = int(tv)  # tv > 0: truncation is the floor
-    if type(tau) is Var:
-        # N[i] + (tau - i) * slope: differentiable in tau and values.  When
-        # tau sits exactly on a grid point the one-sided slopes differ at
-        # curve kinks; the centered slope is used there so the index
-        # sensitivity matches the symmetric (central-difference) limit.
-        if tv == i and i >= 1:
-            slope = tape.mul(0.5, tape.sub(curve[i + 1], curve[i - 1]))
-        else:
-            slope = tape.sub(curve[i + 1], curve[i])
+    if tv == i:
+        if type(tau) is not Var:
+            return curve[i]
+        # value N[i]; the centred slope makes the index sensitivity at a
+        # curve kink the symmetric (central-difference) limit
+        slope = tape.mul(0.5, tape.sub(curve[i + 1], curve[i - 1]))
         return tape.add(curve[i], tape.mul(tape.sub(tau, float(i)), slope))
-    delta = tv - i
-    if delta == 0.0:
-        return curve[i]
-    return tape.add(
-        tape.mul(1.0 - delta, curve[i]), tape.mul(delta, curve[i + 1])
-    )
+    delta = tape.sub(tau, float(i))
+    lo = curve[i]
+    if type(lo) is Var or lo != 0.0:  # else (1 - delta) * N[i] is 0.0
+        lo = tape.mul(tape.sub(1.0, delta), lo)
+    return tape.add(lo, tape.mul(delta, curve[i + 1]))
+
+
+def moves_with_index(curve: list, tv: float) -> bool:
+    """Whether `interp` of `curve` at an index of value `tv` moves with the
+    index: `tv` is strictly inside, and the entries it interpolates between
+    (a grid point's neighbours) are not one plain float."""
+    if not 0.0 < tv < len(curve) - 1:
+        return False
+    i = int(tv)
+    a, b = curve[i - 1] if tv == i else curve[i], curve[i + 1]
+    return type(a) is Var or type(b) is Var or a != b
 
 
 def fd_speed(tape: Tape, u, w, kappa, k):
@@ -141,12 +151,13 @@ class LinkDyn:
     def demand(self, tape, t: int, dt: float):
         """Maximum sending rate at the downstream boundary during step t:
         the sending rate clamped to [0, qmax], decided on values."""
-        return self._clamped(tape, LinkDyn._sending, self.u, t, dt)
+        return self._clamped(tape, LinkDyn._sending, self.u, self.NU, t, dt)
 
     def supply(self, tape, t: int, dt: float):
         """Maximum receiving rate at the upstream boundary during step t:
         the receiving rate clamped to [0, qmax], decided on values."""
-        return self._clamped(tape, LinkDyn._receiving, self.w, t, dt)
+        return self._clamped(tape, LinkDyn._receiving, self.w, self.ND, t,
+                             dt)
 
     def _sending(self, tape, t: int, tau, dt: float):
         return tape.div(tape.sub(interp(tape, self.NU, tau), self.ND[t]), dt)
@@ -157,30 +168,30 @@ class LinkDyn:
         )
         return tape.div(tape.sub(room, self.NU[t]), dt)
 
-    def _clamped(self, tape, rate, speed, t: int, dt: float):
+    def _clamped(self, tape, rate, speed, curve, t: int, dt: float):
         """min2(max2(`rate`, 0.0), qmax) at step t, decided on values.
 
-        `rate` reads a boundary curve at the index `tau`, one travel time at
-        wave speed `speed` before the end of step t.  It is first evaluated
-        on `FLOAT` over `vals`, and only a rate that wins the clamp is
-        recorded; when 0.0 or `qmax` wins, that plain float is returned.  On
-        a float run the clamp is evaluated once.  A link whose `speed` or
-        `qmax` is a `Var` records the clamp as it stands: `interp` picks its
-        formula by the type of its index, so a decision on floats could
-        disagree with the recorded value in the last bit.
+        `rate` reads `curve` at the index `tau`, one travel time at wave
+        speed `speed` before the end of step t.  It is first evaluated on
+        `FLOAT` (over `vals` on a taped link); 0.0 or `qmax` is returned as
+        it is if it wins, and on a float run the rate is the answer.  A
+        taped link records the rate, reading a `Var` speed only where the
+        value moves with the index.
         """
+        vals = self.vals
+        tau = float(t + 1) - self.d / dt / (
+            speed.val if type(speed) is Var else speed)
+        raw = rate(self if vals is None else vals, FLOAT, t, tau, dt)
         qmax = self.qmax
-        as_is = self.vals is None or type(speed) is Var or type(qmax) is Var
-        ops = tape if as_is else FLOAT
-        tau = ops.sub(float(t + 1), ops.div(self.d / dt, speed))
-        if as_is:
-            return tape.min2(tape.max2(rate(self, tape, t, tau, dt), 0.0),
-                             qmax)
-        raw = rate(self.vals, FLOAT, t, tau, dt)
+        qv = qmax.val if type(qmax) is Var else qmax
         # the rate wins max2 and min2 alike at a tie, as their first operand
-        if raw >= 0.0 and raw <= qmax:
-            return rate(self, tape, t, tau, dt)
-        return FLOAT.min2(FLOAT.max2(raw, 0.0), qmax)
+        if not 0.0 <= raw <= qv:
+            return qmax if raw > qv else 0.0
+        if vals is None:
+            return raw
+        if type(speed) is Var and moves_with_index(curve, tau):
+            tau = tape.sub(float(t + 1), tape.div(self.d / dt, speed))
+        return rate(self, tape, t, tau, dt)
 
     def update_boundaries(self, tape, dt: float, f_in, f_out, f_in_s):
         """Extend both boundary curves one step and advance the

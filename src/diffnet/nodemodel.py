@@ -6,11 +6,13 @@ I + J + 1 iterations; the name of its old fixed-length form stays because the
 benchmark wraps it.  Active-set membership is decided on forward values only
 (piecewise-constant indicators), read straight from each `Var`; gradients
 flow through the step-size and update arithmetic of whichever constraints
-are active.  The step size is decided on values: its minimum over the
-candidate steps is replayed on forward values first, and only the candidates
-that can still reach it are recorded.  It only reads its turning-fraction
-rows, so the engine passes the same row object for every single-destination
-inflow of a node that heads for the same destination.
+are active.  The step size and the step caps are decided on values: the
+minimum over the candidate steps is replayed on forward values first, and
+only the candidates that can still reach it are recorded, and only if a
+step cap that a plain-float remaining demand does not win reads it.  It
+only reads its turning-fraction rows, so the engine passes the same row
+object for every single-destination inflow of a node that heads for the
+same destination.
 
 `inm_reference` is the plain variable-length while-loop formulation used as
 an independent oracle in the tests.
@@ -18,7 +20,7 @@ an independent oracle in the tests.
 
 from __future__ import annotations
 
-from .adcore import FLOAT, FloatTape, Tape, Var
+from .adcore import FloatTape, Tape, Var
 
 __all__ = ["inm_fixed", "inm_reference", "ACTIVE_EPS", "B_EPS"]
 
@@ -51,36 +53,32 @@ def _active_sets(qin_v, qout_v, D_v, S_v, B_v):
     return act_in, act_out, unblocked
 
 
-def _step_size(tape: Tape, cands):
-    """`min2` over the candidate steps (x - q) / w on a taped run, in order,
-    decided on values.
+def _step_size(cands):
+    """`min2` over the candidate steps (x - q) / w, in order, on forward
+    values.
 
-    `cands` holds (x, q, w) triples.  The chain is first replayed on the
-    candidates' forward values and on whether each is a `Var`: the
-    candidates up to the last point where the running minimum is a plain
-    float cannot reach the result, so only those after it are recorded, and
-    nothing is when a plain float wins.
+    `cands` holds (x, q, w) triples.  The candidates up to the last point
+    where the running minimum is a plain float cannot reach the result.
+    Returns the step size's value and `None` when a plain float wins, else
+    its value and the (floor, start) from which `_record_step` records it.
     """
     theta = floor = None
     var = False
     start = 0  # the candidates from here on are recorded, from `floor`
     for k, (x, q, w) in enumerate(cands):
-        is_var = False
-        if type(x) is Var:
-            x, is_var = x.val, True
-        if type(q) is Var:
-            q, is_var = q.val, True
-        if type(w) is Var:
-            w, is_var = w.val, True
-        c = _candidate(FLOAT, x, q, w)
-        # min2 returns one of its operands: `c` itself if it wins
-        if theta is None or FLOAT.min2(theta, c) is c:
+        is_var = type(x) is Var or type(q) is Var or type(w) is Var
+        if is_var:
+            x, q, w = (v.val if type(v) is Var else v for v in (x, q, w))
+        c = (x - q) / w  # `_candidate` on plain floats
+        if theta is None or not theta <= c:  # c wins min2(theta, c)
             theta, var = c, is_var
         if not var:
             floor, start = theta, k + 1
-    if not var:
-        return theta
-    theta = floor
+    return theta, ((floor, start) if var else None)
+
+
+def _record_step(tape: Tape, cands, theta, start: int):
+    """The step size chain from candidate `start` on, from `theta`."""
     for k in range(start, len(cands)):
         c = _candidate(tape, *cands[k])
         theta = c if theta is None else tape.min2(theta, c)
@@ -165,30 +163,25 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
             # candidates first so a demand/supply tie resolves to the supply
             # branch (the side that persists under perturbation).  An
             # outlink with no active feeder has phi 0.0 and no candidate.
-            if floats:
-                # on floats the chain is its own decision: the candidates go
-                # straight into it, without the list a taped run replays
-                theta = None
-                for o in range(J):
-                    phi = phi_out[o]
-                    if slack[o] > ACTIVE_EPS and phi > 0.0:
-                        c = _candidate(tape, S[o], qout[o], phi)
-                        theta = c if theta is None else min2(theta, c)
-                for l in range(I):
-                    if act_in[l]:
-                        c = _candidate(tape, D[l], qin[l], alpha[l])
-                        theta = c if theta is None else min2(theta, c)
-            else:
-                cands = []
-                for o in range(J):
-                    phi = phi_out[o]
-                    if slack[o] > ACTIVE_EPS and (
-                            phi.val if type(phi) is Var else phi) > 0.0:
-                        cands.append((S[o], qout[o], phi))
-                for l in range(I):
-                    if act_in[l]:
-                        cands.append((D[l], qin[l], alpha[l]))
-                theta = _step_size(tape, cands)
+            cands = []
+            for o in range(J):
+                phi = phi_out[o]
+                if slack[o] > ACTIVE_EPS and (
+                        phi.val if type(phi) is Var else phi) > 0.0:
+                    cands.append((S[o], qout[o], phi))
+            for l in range(I):
+                if act_in[l]:
+                    cands.append((D[l], qin[l], alpha[l]))
+            theta, chain = _step_size(cands)
+            if not floats:
+                # a step cap alpha*theta is recorded unless a plain-float
+                # remaining demand wins it, and the step size only if read
+                capped = [unblocked[l] and (
+                    type(D[l]) is Var or type(qin[l]) is Var
+                    or (a.val if type(a) is Var else a) * theta
+                    <= D_v[l] - qin_v[l]) for l, a in enumerate(alpha)]
+                if chain is not None and any(capped):
+                    theta = _record_step(tape, cands, *chain)
 
         # per-inlink step: the residual demand, or alpha*theta capped at the
         # remaining demand (same fixed point; the cap carries the demand
@@ -197,7 +190,7 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
             if not unblocked[l]:
                 continue
             step = sub(D[l], qin[l])
-            if not converged:
+            if not converged and (floats or capped[l]):
                 step = min2(mul(alpha[l], theta), step)
             q = qin[l] = add(qin[l], step)
             qin_v[l] = q.val if type(q) is Var else q

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 
-from .adcore import FLOAT, Tape, Var, value
+from .adcore import FLOAT, Tape, value
 from .ltm import V_MIN, LinkDyn, fd_speed
 
 __all__ = [
@@ -39,19 +39,19 @@ def _avg_speed(tape: Tape, link, t: int):
 def travel_time_avg(tape: Tape, link, t: int):
     """Instantaneous travel time from the link-average density.
 
-    Decided on values: with a plain float `u`, the speed is first found on
-    `FLOAT` over `link.vals`, and when a plain float wins it (free flow `u`
-    or the floor `V_MIN`), d / speed is returned and nothing is recorded.
-    On a link whose `vals` is `None` (a float run's link, or a
-    `LinkValues`) that first value is the answer.
+    Decided on values: the speed is first found on `FLOAT` over
+    `link.vals`, or over the link itself where `vals` is `None` (a float
+    run's link, or a `LinkValues`), and there it is the answer.  If the
+    floor `V_MIN` wins, d / V_MIN is returned; if the free-flow `u` wins,
+    d / u; only a congested speed is recorded whole.
     """
-    u, vals = link.u, link.vals
-    if type(u) is not Var:
-        v = _avg_speed(FLOAT, link if vals is None else vals, t)
-        # min2 and max2 return one of their operands, so `is` names the
-        # winner
-        if vals is None or v is u or v is V_MIN:
-            return FLOAT.div(link.d, v)
+    vals = link.vals
+    v = _avg_speed(FLOAT, link if vals is None else vals, t)
+    # min2 and max2 return one of their operands, so `is` names the winner
+    if vals is None or v is V_MIN:
+        return FLOAT.div(link.d, v)
+    if v is vals.u:
+        return tape.div(link.d, link.u)
     return tape.div(link.d, _avg_speed(tape, link, t))
 
 

@@ -1,20 +1,26 @@
 """Recording decided on values: the link clamps, the free-flow travel times
-and the INM step size record only what their result reads.
+and the INM step size and step cap record only what their result reads, on
+every link.  Deciding on values is sound because a taped run computes the
+forward values of a gradient-free run, bit for bit.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 import diffnet.engine
 import diffnet.ltm
 import diffnet.nodemodel
-from diffnet.adcore import FloatTape, Tape, Var
+from diffnet.adcore import FloatTape, Tape, Var, value
 from diffnet.engine import Simulator, build_objective, run
 from diffnet.ltm import LinkDyn
+from diffnet.nodemodel import inm_fixed
 from diffnet.presets import merge_scenario, toll_grid_scenario, two_route_scenario
+from diffnet.routing import build_routing, turning_probs
 from diffnet.scenario import register_parameters
 
+from test_engine import random_scenario
 from test_parity import two_destination_scenario
 
 
@@ -55,20 +61,8 @@ def tag_sites(monkeypatch):
     wrap(LinkDyn, "demand", 1, 0)
     wrap(LinkDyn, "supply", 1, 0)
     wrap(diffnet.engine, "travel_time_avg", 0, 1)
-    wrap(diffnet.nodemodel, "_step_size", 0, None)
+    wrap(diffnet.nodemodel, "_record_step", 0, None)
     monkeypatch.setattr(diffnet.engine, "Tape", SiteTape)
-
-
-def decided(site, link):
-    """Whether the call is decided on values: the clamp's interpolation
-    speed and bound, or the free-flow speed, are plain floats."""
-    if site == "demand":
-        return type(link.u) is not Var and type(link.qmax) is not Var
-    if site == "supply":
-        return type(link.w) is not Var and type(link.qmax) is not Var
-    if site == "travel_time_avg":
-        return type(link.u) is not Var
-    return True
 
 
 def unread(tape, start, end, out):
@@ -80,12 +74,23 @@ def unread(tape, start, end, out):
     return [i for i in range(start, end) if i not in read and i != result]
 
 
+def segments(scn, **config):
+    return dataclasses.replace(scn, config=dataclasses.replace(
+        scn.config, M=3, tt_method="segments", **config))
+
+
+def segments_merge():
+    return segments(merge_scenario())
+
+
 FIXTURES = [
     ("toll grid", toll_grid_scenario, "toll:*", "toll-J"),
     ("two-route qmaxfb", two_route_scenario, "qmaxfb", "ttt"),
+    ("two-route wfb", two_route_scenario, "wfb", "ttt"),
     ("two-destination", two_destination_scenario, "q1,q2,qmaxb1,ua,ub2",
      "ttt"),
     ("merge u1", merge_scenario, "u1", "ttt"),
+    ("segments merge u1,u3", segments_merge, "u1,u3", "ttt"),
 ]
 
 
@@ -101,29 +106,26 @@ def test_decided_sites_record_nothing_that_nothing_reads(
     tape = res.tape
     seen = {}
     for site, link, start, end, out in tape.calls:
-        if not decided(site, link):
-            continue
         seen[site] = seen.get(site, 0) + 1
         # each entry the call records feeds its result, and a call whose
         # result is a plain float records nothing
         assert unread(tape, start, end, out) == [], (site, link and link.id)
         if type(out) is not Var:
             assert start == end, (site, link and link.id)
-    assert {"demand", "supply", "_step_size"} <= set(seen)
+    assert {"demand", "supply", "_record_step"} <= set(seen)
     if scn.config.mu != 0.0:
         assert seen["travel_time_avg"] > 0
 
 
-def test_a_var_speed_keeps_the_recorded_clamp(monkeypatch):
-    # merge with u1 registered: link 1's sending-rate index is a Var, so its
-    # clamp records the rate even where a bound wins, as before
-    tag_sites(monkeypatch)
-    scn = merge_scenario()
-    res = Simulator(scn, params=register_parameters(scn, "u1")).run()
-    tape = res.tape
-    assert any(unread(tape, start, end, out)
-               for site, link, start, end, out in tape.calls
-               if site == "demand" and link.id == "1")
+def test_a_remaining_demand_that_wins_the_step_cap_records_no_cap():
+    # inlink 0 has no demand left while inlink 1 sets a taped step: the cap
+    # 2.0 * theta of inlink 0 loses to its plain-float remaining demand 0.0
+    tape = Tape()
+    d = tape.input(0.3)
+    qin, qout = inm_fixed(tape, [0.0, d], [0.5], [[1.0], [1.0]], [2.0, 1.5])
+    assert [value(q) for q in qin] == [0.0, 0.3]
+    outs = {q.idx for q in qin + qout if type(q) is Var}
+    assert unread(tape, 1, len(tape), None) == sorted(outs - {d.idx})
 
 
 def test_deterministic_routing_builds_its_table_on_floats(monkeypatch):
@@ -141,21 +143,33 @@ def test_deterministic_routing_builds_its_table_on_floats(monkeypatch):
         Simulator(scn, params=register_parameters(scn, tokens)).run()
         assert tapes and set(tapes) == {FloatTape}
         tapes.clear()
+    # segment travel times interpolate at a Var index where u1 is
+    # registered, and still route on forward values
+    scn = segments_merge()
+    Simulator(scn, params=register_parameters(scn, "u1")).run()
+    assert tapes and set(tapes) == {FloatTape}
+    tapes.clear()
     # logit routing reads the tree costs: the table is built on the tape
     scn = toll_grid_scenario()
     Simulator(scn, params=register_parameters(scn, "toll:f0a:0")).run()
     assert tapes and set(tapes) == {Tape}
-    tapes.clear()
-    # segment travel times at a Var index could differ from floats in the
-    # last bit, so such a run routes on its tape
-    scn = segments(merge_scenario())
-    Simulator(scn, params=register_parameters(scn, "u1")).run()
-    assert tapes and set(tapes) == {Tape}
 
 
-def segments(scn, **config):
-    return dataclasses.replace(scn, config=dataclasses.replace(
-        scn.config, M=3, tt_method="segments", **config))
+def refresh_on_the_tape(sim, t):
+    """The routing refresh of a deterministic (mu = 0) run, with the links
+    weighed and the table built on the run's tape."""
+    tape = sim.tape
+    weights = [tape.add(sim.link_travel_time(tape, lk, t),
+                        sim.toll_value(i, t))
+               for i, lk in enumerate(sim.links)]
+    table = build_routing(tape, sim.scn.nodes, sim.links, weights, sim.dests)
+    for plan in sim._plans:
+        for s in plan.dests:
+            hop = table.next_link[s][plan.node]
+            if hop != plan.hops.get(s):
+                plan.hops[s] = hop
+                plan.rows[s] = turning_probs(tape, table, plan.node,
+                                             plan.outs, s, 0.0)
 
 
 @pytest.mark.parametrize("scn, tokens", [
@@ -164,15 +178,16 @@ def segments(scn, **config):
     (segments(toll_grid_scenario(), mu=0.0), "toll:f0a:0,toll:s2a:1,q1"),
 ], ids=["merge", "two-route", "toll grid segments"])
 def test_routing_on_values_gives_the_answers_of_routing_on_the_tape(
-        scn, tokens):
+        monkeypatch, scn, tokens):
     # the same run with deterministic routing taped: the same objective and
     # gradients, bit for bit, and the same live entries
     out = []
     for on_values in (True, False):
+        if not on_values:
+            monkeypatch.setattr(Simulator, "_refresh_routing",
+                                refresh_on_the_tape)
         ps = register_parameters(scn, tokens)
         sim = Simulator(scn, params=ps)
-        assert sim._route_on_values
-        sim._route_on_values = on_values
         res = sim.run()
         J = build_objective("ttt")(res)
         adj = res.tape.backward(J)
@@ -199,3 +214,49 @@ def test_a_float_run_interpolates_once_per_clamp(monkeypatch, make):
     # one sending and one receiving rate per link-step, each interpolated
     # once
     assert len(calls) == 2 * len(scn.links) * scn.config.n_steps
+
+
+def random_draws(n):
+    rng = random.Random(1234)
+    draws = []
+    while len(draws) < n:
+        scn = random_scenario(rng)
+        if scn is not None:
+            tokens = [f"q{i + 1}" for i in range(len(scn.demands))]
+            draws.append((scn, ",".join(tokens + [f"u{scn.links[0].id}"])))
+    return draws
+
+
+def forward_values(res):
+    """Every forward value a run keeps, as exact hex strings: the boundary
+    curves and per-destination counts of each link, the origin queues, the
+    absorbed vehicles and the total travel time."""
+    def bits(xs):
+        return [value(x).hex() for x in xs]
+
+    out = {}
+    for lid, lk in res.links.items():
+        out[lid] = (bits(lk.NU), bits(lk.ND), sorted(lk.NU_s),
+                    bits(lk.NU_s[s] for s in sorted(lk.NU_s)))
+    out["queues"] = {o: {s: bits(q) for s, q in per_dest.items()}
+                     for o, per_dest in res.queues.items()}
+    out["absorbed"] = bits(res.absorbed.values())
+    out["objective"] = bits([build_objective("ttt")(res)])
+    return out
+
+
+@pytest.mark.parametrize("scn, tokens", [
+    (merge_scenario(), "u1,u2,u3"),
+    (two_route_scenario(), "qmaxfb"),
+    (two_route_scenario(), "wfb"),
+    (segments_merge(), "u1"),
+    (two_destination_scenario(), "q1,q2,qmaxb1,ua,ub2"),
+] + random_draws(50), ids=[
+    "merge", "two-route qmaxfb", "two-route wfb", "segments merge",
+    "two-destination"] + [f"random {k:02d}" for k in range(50)])
+def test_a_taped_run_has_the_forward_values_of_a_float_run(scn, tokens):
+    ps = register_parameters(scn, tokens)
+    taped = Simulator(scn, params=ps).run()
+    floats = Simulator(scn, params=ps, grad=False).run()
+    assert isinstance(floats.tape, FloatTape)
+    assert forward_values(taped) == forward_values(floats)

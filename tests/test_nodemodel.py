@@ -197,9 +197,10 @@ def test_gradients_match_fd_away_from_ties():
 
 def inm_fixed_before(tape, D, S, B, alpha):
     """`inm_fixed` as it was before its flags were computed in one pass, its
-    forward values read inline and its step size decided on values: the
-    oracle for its tape, entry by entry.  On a `TieCountingTape` it notes
-    the entries of each step-size chain.
+    forward values read inline and its step size and step cap decided on
+    values: the oracle for its tape, entry by entry.  On a `TieCountingTape`
+    it notes the entries of each step-size chain and of each step cap
+    alpha * theta.
     """
     I, J = len(D), len(S)
     add, sub, mul = tape.add, tape.sub, tape.mul
@@ -251,7 +252,11 @@ def inm_fixed_before(tape, D, S, B, alpha):
                 continue
             step = sub(D[l], qin[l])
             if not converged:
-                step = tape.min2(mul(alpha[l], theta), step)
+                start = len(tape)
+                cap = mul(alpha[l], theta)
+                if isinstance(tape, TieCountingTape):
+                    tape.chains.append((start, len(tape)))
+                step = tape.min2(cap, step)
             q = qin[l] = add(qin[l], step)
             qin_v[l] = value(q)
             for o in conn[l]:
@@ -347,15 +352,19 @@ class TieCountingTape(Tape):
         return super().min2(a, b)
 
 
-def without_unreferenced(tape, spans):
+def without_unreferenced(tape, spans, outputs):
     """The tape's four entry lists with the entries recorded within `spans`
-    ((first, end) index ranges) that no kept later entry reads removed, and
-    the parents renumbered; also the map from kept old index to new."""
+    ((first, end) index ranges) that are not among `outputs` and that no
+    kept later entry reads removed, and the parents renumbered; also the map
+    from kept old index to new."""
     p1, p2, d1, d2 = tape._p1, tape._p2, tape._d1, tape._d2
     inside = [False] * len(p1)
     for first, end in spans:
         inside[first:end] = [True] * (end - first)
     read = [False] * len(p1)
+    for x in outputs:
+        if type(x) is Var:
+            read[x.idx] = True
     kept = []
     for i in range(len(p1) - 1, -1, -1):
         if inside[i] and not read[i]:
@@ -387,9 +396,10 @@ def test_tape_and_values_equal_the_earlier_form_on_tied_nodes():
             outs.append(impl(tape, *materialize(tape, node)))
             tapes.append(tape)
         new, old = tapes
-        # the earlier form's tape less the step-size entries nothing reads,
-        # entry for entry
-        pruned, renumber = without_unreferenced(old, old.chains)
+        # the earlier form's tape less the step-size and step-cap entries
+        # nothing reads, entry for entry
+        pruned, renumber = without_unreferenced(
+            old, old.chains, outs[1][0] + outs[1][1])
         assert (new._p1, new._p2, new._d1, new._d2) == pruned
         dropped += len(old) - len(new)
         for a, b in zip(*outs):

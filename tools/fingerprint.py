@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -141,6 +142,13 @@ def fixtures(dn):
                          parity._lk("g2", "o2", "n", 700.0)]
         return dn.Scenario.from_dict(doc)
 
+    def segments_merge():
+        # merge with segment travel times: deterministic routing reads
+        # `interp` at a `Var` index on a link whose `u` is registered
+        scn = presets.merge_scenario()
+        return dataclasses.replace(scn, config=dataclasses.replace(
+            scn.config, M=3, tt_method="segments"))
+
     out = []
     for grad in (True, False):
         tag = "taped" if grad else "float"
@@ -150,6 +158,8 @@ def fixtures(dn):
                 trips=MERGE_TRIPS)),
             (f"two-route qmaxfb {tag}", lambda g=grad: simulate(
                 dn, presets.two_route_scenario(), "qmaxfb", grad=g)),
+            (f"segments merge u1,u3 {tag}", lambda g=grad: simulate(
+                dn, segments_merge(), "u1,u3", grad=g)),
             (f"toll grid toll-J zero tolls {tag}", lambda g=grad: simulate(
                 dn, presets.toll_grid_scenario(), "toll:*", grad=g,
                 objective="toll-J", lam=1e-3)),
