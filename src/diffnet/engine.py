@@ -6,9 +6,9 @@ x_{t+1} = g(x_t, t; theta).  Registered parameters become tape inputs; with
 uses a `FloatTape`: the same scan on plain float operations, recording
 nothing (the finite-difference and SPSA paths).
 
-Derived outputs (total travel time, per-link travel-time averages, virtual
-vehicle trips) are recorded on the same tape after the scan, so their
-adjoints are available from the same backward sweep.
+Derived outputs (total travel time, absorbed vehicles, per-link travel-time
+averages, virtual vehicle trips) are recorded on the same tape after the
+scan, which carries only state, so one backward sweep gives their adjoints.
 """
 
 from __future__ import annotations
@@ -76,12 +76,35 @@ class SimResult:
         self.param_vars = sim.param_vars
         self.queues = sim.queue_hist  # origin -> dest -> [veh per step]
         self.inj = sim.inj  # origin -> dest -> cumulative injection curve
-        self.absorbed = sim.absorbed  # dest -> veh (Var/float)
-        self.ttt_link = dict(zip(self.links, sim.ttt_link))  # link id -> veh*s
-        self.ttt_queue = sim.ttt_queue
-        self.conservation_error = sim.conservation_error  # max abs (veh)
         self.forward_time = sim.forward_time
         self._sim = sim
+
+        # one pass over the state of each step: the travel time terms, link
+        # by link then queue by queue, and, in floats, the conservation
+        # error (max abs veh); each destination absorbed its inlinks' `ND`
+        tape, dt, sinks = sim.tape, self.config.dt, sim._sinks
+        sub, madd, max2, links = tape.sub, tape.madd, tape.max2, sim.links
+        curves = [lk.vals or lk for lk in links]
+        hists = [h for per_dest in self.queues.values() for h in per_dest.values()]
+        ttt, self.ttt_queue, self.conservation_error = [0.0] * len(links), 0.0, 0.0
+        for t in range(self.config.n_steps):
+            onlink = queued = 0.0
+            for i, (lk, c) in enumerate(zip(links, curves)):
+                ttt[i] = madd(ttt[i], dt, max2(sub(lk.NU[t], lk.ND[t]), 0.0))
+                onlink += c.NU[t] - c.ND[t]
+            for h in hists:
+                q = h[t]
+                self.ttt_queue = madd(self.ttt_queue, dt, q)
+                queued += q.val if type(q) is Var else q
+            absorbed = sum(curves[i].ND[t] for _, i in sinks)
+            err = abs(sim._injected(t * dt) - (onlink + queued + absorbed))
+            if err > self.conservation_error:
+                self.conservation_error = err
+        self.ttt_link = dict(zip(self.links, ttt))  # link id -> veh*s
+        self.absorbed = {s: 0.0 for s in sim.dests}  # dest -> veh (Var/float)
+        for s, i in sinks:
+            split = fifo_split(tape, links[i], links[i].ND[-1])
+            self.absorbed[s] = tape.add(self.absorbed[s], split[s])
 
     # post-scan outputs -------------------------------------------------
 
@@ -187,11 +210,6 @@ class Simulator:
             self.queue[o] = {s: 0.0 for s in dests if s in wanted}
         self.queue_hist = {o: {s: [] for s in q} for o, q in self.queue.items()}
         self.inj = {o: {s: [0.0] for s in q} for o, q in self.queue.items()}
-        self.absorbed: dict[str, object] = {s: 0.0 for s in dests}
-        self.ttt_link: list = [0.0] * len(self.links)  # veh*s (Var/float)
-        self.ttt_queue: object = 0.0
-        self.conservation_error = 0.0
-        self.forward_time = 0.0
 
         # demand intervals and toll periods in whole steps (their edges and
         # widths are validated multiples of dt)
@@ -202,14 +220,16 @@ class Simulator:
         ]
         self._toll_steps = round(scenario.config.dt_toll / dt)
 
-        # the node stage visits, in node order, the destinations, the origins
-        # with a queue and the junctions with outlinks (the others transfer
-        # nothing)
+        # the node stage visits, in node order, the origins with a queue and
+        # the junctions with outlinks (the others transfer nothing)
         self._plans = [
             _NodePlan(node, kind, self.net, self.links, dests)
             for node, kind in scenario.nodes.items()
             if (node in self.queue if kind == "origin"
-                else kind == "destination" or self.net.outlinks[node])]
+                else self.net.outlinks[node])]
+        # (destination, link number) of each demanded destination's inlinks:
+        # they deliver their whole demand, of that destination's vehicles only
+        self._sinks = [(s, i) for s in dests for i in self.net.inlinks[s]]
 
     # ------------------------------------------------------------------
     # parameter-aware accessors
@@ -315,36 +335,19 @@ class Simulator:
         import time as _time
 
         t_start = _time.perf_counter()
-        tape, scn = self.tape, self.scn
-        cfg = scn.config
+        tape, cfg = self.tape, self.scn.config
         dt = cfg.dt
         T = cfg.n_steps
         rs = cfg.route_steps
-        sub, madd, max2 = tape.sub, tape.madd, tape.max2
         links = self.links
         L = len(links)
-        ttt_link = self.ttt_link
 
         for t in range(T):
             if t % rs == 0:
                 self._refresh_routing(t)
-
-            # --- bookkeeping with the state at step t ------------------
-            onlink = 0.0
-            queued = 0.0
-            for i, lk in enumerate(links):
-                n = sub(lk.NU[t], lk.ND[t])
-                ttt_link[i] = madd(ttt_link[i], dt, max2(n, 0.0))
-                onlink += value(n)
             for orig, per_dest in self.queue.items():
                 for s, q in per_dest.items():
                     self.queue_hist[orig][s].append(q)
-                    self.ttt_queue = madd(self.ttt_queue, dt, q)
-                    queued += value(q)
-            absorbed = sum(value(a) for a in self.absorbed.values())
-            err = abs(self._injected(t * dt) - (onlink + queued + absorbed))
-            if err > self.conservation_error:
-                self.conservation_error = err
 
             # --- demand / supply ---------------------------------------
             D = [lk.demand(tape, t, dt) for lk in links]
@@ -353,17 +356,12 @@ class Simulator:
             f_in: list = [0.0] * L
             f_out: list = [0.0] * L
             f_in_s: list[dict] = [{} for _ in range(L)]
+            for _, i in self._sinks:
+                f_out[i] = D[i]
 
             # --- node transfers ----------------------------------------
             for plan in self._plans:
-                kind = plan.kind
-                if kind == "destination":
-                    for i in plan.ins:
-                        f = f_out[i] = D[i]
-                        splits = fifo_split(tape, links[i], f)
-                        for s, fs in splits.items():
-                            self.absorbed[s] = madd(self.absorbed[s], dt, fs)
-                elif kind == "origin":
+                if plan.kind == "origin":
                     self._origin_step(plan, t, dt, S, f_in, f_in_s)
                 else:
                     self._junction_step(plan, D, S, f_in, f_out, f_in_s)
@@ -516,6 +514,8 @@ class Simulator:
     def trace_trip(self, t0: float, origin: str, destination: str) -> Trajectory:
         tape, net = self.tape, self.net
         dt = self.scn.config.dt
+        if not 0.0 <= t0 < math.inf:
+            raise ScenarioError(f"trip departure time {t0!r} must be finite and >= 0")
         if self.scn.nodes.get(origin) != "origin":
             raise EngineError(f"{origin} is not an origin node")
         dm_indices = [

@@ -172,6 +172,20 @@ def test_malformed_trip_spec_is_scenario_error(merge_file, tmp_path):
                  str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("t0", ["nan", "inf", "-inf", "-100", "-1e-9"])
+@pytest.mark.parametrize("command", ["trace", "run"])
+def test_departure_time_that_is_not_finite_and_nonnegative_exits_1(
+        merge_file, tmp_path, capsys, command, t0):
+    out = str(tmp_path / "o")
+    spec = f"{t0}:orig1:dest"
+    args = (["--trip=" + spec] if command == "trace"
+            else ["--objective", "trip:" + spec])
+    assert main([command, merge_file, *args, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"scenario error: trip departure time {float(t0)!r} "
+                   "must be finite and >= 0\n")
+
+
 def test_unknown_objective_is_scenario_error(merge_file, tmp_path):
     assert main(["run", merge_file, "--objective", "bogus", "--out",
                  str(tmp_path)]) == 1

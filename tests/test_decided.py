@@ -230,7 +230,7 @@ def random_draws(n):
 def forward_values(res):
     """Every forward value a run keeps, as exact hex strings: the boundary
     curves and per-destination counts of each link, the origin queues, the
-    absorbed vehicles and the total travel time."""
+    absorbed vehicles, the total travel time and the conservation error."""
     def bits(xs):
         return [value(x).hex() for x in xs]
 
@@ -242,6 +242,7 @@ def forward_values(res):
                      for o, per_dest in res.queues.items()}
     out["absorbed"] = bits(res.absorbed.values())
     out["objective"] = bits([build_objective("ttt")(res)])
+    out["conservation_error"] = res.conservation_error.hex()
     return out
 
 

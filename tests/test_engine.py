@@ -7,7 +7,7 @@ import random
 import pytest
 
 import diffnet.engine
-from diffnet.adcore import Tape, value
+from diffnet.adcore import Tape, Var, value
 from diffnet.engine import (
     EngineError,
     Simulator,
@@ -23,7 +23,12 @@ from diffnet.presets import (
     toll_grid_scenario,
     two_route_scenario,
 )
-from diffnet.scenario import Scenario, ValidationError, register_parameters
+from diffnet.scenario import (
+    Scenario,
+    ScenarioError,
+    ValidationError,
+    register_parameters,
+)
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +247,34 @@ def test_conservation_on_50_random_scenarios():
         built += 1
 
 
+def accumulation(tape, v):
+    """The entries of the `madd` accumulation that ends at `v`."""
+    chain = []
+    i = v.idx
+    while i >= 0:
+        chain.append(i)
+        i = tape._p1[i]
+    return chain
+
+
+@pytest.mark.parametrize("make, tokens", [
+    (merge_scenario, "q1,q2,u1,u2,u3,alpha1"),
+    (toll_grid_scenario, "toll:*"),
+], ids=["merge", "toll grid"])
+def test_the_scan_records_no_travel_time_term(make, tokens):
+    # the travel time is a reduction over the curves after the scan: every
+    # entry of each link's and of the queue accumulation is recorded after
+    # every curve entry
+    scn = make()
+    res = Simulator(scn, params=register_parameters(scn, tokens)).run()
+    last = max(x.idx for lk in res.links.values() for x in lk.NU + lk.ND
+               if type(x) is Var)
+    entries = [i for v in [*res.ttt_link.values(), res.ttt_queue]
+               if type(v) is Var for i in accumulation(res.tape, v)]
+    assert len(entries) > scn.config.n_steps
+    assert min(entries) > last
+
+
 def test_origin_state_lists_only_demanded_od_pairs():
     # three origins and three destinations, but o0 sends only to d0 and d1,
     # o1 to d0 and d2, and o2 to d1
@@ -388,6 +421,20 @@ def test_trip_ending_past_the_horizon_raises(scn, origin):
     res = run(scn, grad=False)
     with pytest.raises(TripIncompleteError):
         res.trace_trip(1990.0, origin, "dest")
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf, -100.0,
+                                -1e-9])
+@pytest.mark.parametrize("grad", [True, False])
+def test_departure_time_must_be_finite_and_nonnegative(t0, grad):
+    scn = merge_scenario()
+    ps = register_parameters(scn, "q1") if grad else None
+    res = Simulator(scn, params=ps).run()
+    with pytest.raises(ScenarioError,
+                       match=f"trip departure time {t0!r} must be finite"):
+        res.trace_trip(t0, "orig1", "dest")
+    trip = res.trace_trip(0.0, "orig1", "dest")
+    assert value(trip.exit_times[0]) >= 0.0
 
 
 def test_trace_trip_bad_origin_raises():

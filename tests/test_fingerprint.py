@@ -18,7 +18,9 @@ fingerprint = load_fingerprint()
 
 OLD = {
     "run taped": {"objective": "1.5", "grad": ["2.0"], "tape_len": 100,
-                  "tape_live": 40, "tape_sha": "aa"},
+                  "tape_live": 40, "tape_sha": "aa",
+                  "conservation_error": "0.0",
+                  "trip 5:o:d": ["7.0", ["0.0"]]},
     "cli": {"run a.scn": {"exit": 0, "summary.csv": "cc"}},
 }
 
@@ -40,6 +42,31 @@ def test_dropping_dead_entries_passes_and_reports_the_tape(capsys):
     assert capsys.readouterr().out.splitlines()[0] == (
         "run taped: tape_len, tape_sha (tape_len 100 -> 90, "
         "tape_live 40 -> 40)")
+
+
+def test_moved_numbers_are_printed_old_to_new_with_their_relative_move(
+        capsys):
+    new = changed(objective="1.25", **{"trip 5:o:d": ["7.0", ["1.0"]]})
+    assert fingerprint.compare(OLD, new) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "run taped: objective, trip 5:o:d (tape_len 100 -> 100, "
+        "tape_live 40 -> 40)",
+        "  objective: 1.5 -> 1.25 (-1.67e-01 rel)",
+        "  trip 5:o:d grad[0]: 0.0 -> 1.0 (+1.00e+00 abs)",
+    ]
+
+
+def test_a_record_holds_float_gradients_and_named_state():
+    import diffnet
+    from diffnet.presets import merge_scenario
+
+    rec = fingerprint.simulate(diffnet, merge_scenario(), "q1,u3",
+                               trips=[(500.0, "orig1", "dest")])
+    assert {"queues", "absorbed", "ttt", "conservation_error"} <= rec.keys()
+    assert "state" not in rec
+    for g in rec["grad"] + rec["trip 500:orig1:dest"][1]:
+        assert g == repr(float(g))
+    assert float(rec["conservation_error"]) <= 1e-6
 
 
 @pytest.mark.parametrize("edits", [

@@ -12,23 +12,25 @@ checkout holding this script).  The fixtures themselves always come from
 this checkout (`bench/`, `tests/`), so both sides run the same inputs.
 
 For each fixture the JSON holds, by `repr` or SHA-256 of the exact bits:
-the objective, the gradients of the registered parameters, the `NU`/`ND`
-curves of every link, the per-destination counts (`nu_s`: each link's
-`NU_s` destination ids and values), the rest of the run's state (origin
-queues and injections, absorbed vehicles, per-link travel time and the
-conservation error), the tape length, the number of tape entries with a
-nonzero adjoint in the objective's sweep (`tape_live`, 0 on float runs) and
-a SHA-256 of the tape's four entry lists.  A change that only drops dead
-entries (ones nothing reads) shows `tape_len` falling while `tape_live`
-stays the same.  The CLI entry holds a SHA-256 of every CSV file that a
-fixed list of subcommands writes, with the wall-time column of `trace.csv`
-dropped.
+the objective, the gradients of the registered parameters (`repr` of a
+float), the `NU`/`ND` curves of every link, the per-destination counts
+(`nu_s`: each link's `NU_s` destination ids and values), the origin queues
+and injections (`queues`), the absorbed vehicles (`absorbed`), the travel
+time terms of every link and of the queues (`ttt`), the conservation error,
+the tape length, the number of tape entries with a nonzero adjoint in the
+objective's sweep (`tape_live`, 0 on float runs) and a SHA-256 of the
+tape's four entry lists.  A change that only drops dead entries (ones
+nothing reads) shows `tape_len` falling while `tape_live` stays the same.
+The CLI entry holds a SHA-256 of every CSV file that a fixed list of
+subcommands writes, with the wall-time column of `trace.csv` dropped.
 
 `--compare OLD NEW` prints each fixture whose record differs, the fields
 that differ and, where the record has a tape, `tape_len` and `tape_live`
-old -> new.  It exits 1 if a fixture is missing on one side, if any field
-other than `tape_len` and `tape_sha` differs, or if `tape_live` moved, so it
-exits 0 only when at most dead tape entries changed.
+old -> new; below it, each objective, gradient, trip and conservation error
+that moved, old -> new with its relative move.  It exits 1 if a fixture is
+missing on one side, if any field other than `tape_len` and `tape_sha`
+differs, or if `tape_live` moved, so it exits 0 only when at most dead tape
+entries changed.
 """
 
 from __future__ import annotations
@@ -80,6 +82,10 @@ def tape_sha(tape) -> str:
                 array("d", tape._d1).tobytes(), array("d", tape._d2).tobytes()])
 
 
+def grads(tape, J, inputs) -> list:
+    return [repr(float(g)) for g in tape.grad(J, inputs)] if inputs else []
+
+
 def run_record(dn, res, J, inputs, trips=()) -> dict:
     """Fingerprint of one run, its objective `J` and its trips."""
     tape = res.tape
@@ -87,26 +93,24 @@ def run_record(dn, res, J, inputs, trips=()) -> dict:
     curves = sha(float_bits(dn, lk.NU) + float_bits(dn, lk.ND) for lk in links)
     nu_s = sha(",".join(lk.NU_s).encode() + b":"
                + float_bits(dn, list(lk.NU_s.values())) for lk in links)
-    state = []
-    for per_origin in (res.queues, res.inj):
-        for o, per_dest in per_origin.items():
-            for s, seq in per_dest.items():
-                state.append(f"{o}>{s}".encode() + float_bits(dn, seq))
-    state.append(float_bits(dn, list(res.absorbed.values())))
-    state.append(float_bits(dn, list(res.ttt_link.values())))
-    state.append(float_bits(dn, [res.ttt_queue, res.conservation_error]))
+    queues = sha(f"{o}>{s}".encode() + float_bits(dn, seq)
+                 for per_origin in (res.queues, res.inj)
+                 for o, per_dest in per_origin.items()
+                 for s, seq in per_dest.items())
     rec = {
         "objective": repr(dn.value(J)),
-        "grad": [repr(g) for g in tape.grad(J, inputs)] if inputs else [],
+        "grad": grads(tape, J, inputs),
         "curves": curves,
         "nu_s": nu_s,
-        "state": sha(state),
+        "queues": queues,
+        "absorbed": sha([float_bits(dn, list(res.absorbed.values()))]),
+        "ttt": sha([float_bits(dn, [*res.ttt_link.values(), res.ttt_queue])]),
+        "conservation_error": repr(res.conservation_error),
     }
     for t0, orig, dest in trips:
         tt = res.trace_trip(t0, orig, dest).travel_time
-        rec[f"trip {t0:g}:{orig}:{dest}"] = [
-            repr(dn.value(tt)), [repr(g) for g in tape.grad(tt, inputs)]
-            if inputs else []]
+        rec[f"trip {t0:g}:{orig}:{dest}"] = [repr(dn.value(tt)),
+                                              grads(tape, tt, inputs)]
     rec["tape_len"] = len(tape)
     rec["tape_live"] = sum(1 for a in tape.backward(J) if a != 0.0)
     rec["tape_sha"] = tape_sha(tape)
@@ -272,6 +276,29 @@ def cli_hashes(dn) -> dict:
 TAPE_FIELDS = ("tape_len", "tape_sha")
 
 
+def numbers(rec: dict) -> dict:
+    """label -> repr of each objective, gradient, trip and conservation
+    error a record holds."""
+    out = {}
+    for field, val in rec.items():
+        if field in ("objective", "conservation_error"):
+            out[field] = val
+        elif field == "grad":
+            out.update((f"grad[{i}]", g) for i, g in enumerate(val))
+        elif field.startswith("trip "):
+            out[field] = val[0]
+            out.update((f"{field} grad[{i}]", g)
+                       for i, g in enumerate(val[1]))
+    return out
+
+
+def move(old: str, new: str) -> str:
+    """`old -> new` and the relative move (the absolute one from 0)."""
+    a, b = float(old), float(new)
+    rel = f"{(b - a) / abs(a):+.2e} rel" if a != 0.0 else f"{b - a:+.2e} abs"
+    return f"{old} -> {new} ({rel})"
+
+
 def compare(old: dict, new: dict) -> int:
     """Print how two fingerprints differ; 1 unless only dead entries moved."""
     differ = bad = 0
@@ -290,6 +317,10 @@ def compare(old: dict, new: dict) -> int:
             line += (f" (tape_len {a['tape_len']} -> {b.get('tape_len')}, "
                      f"tape_live {a.get('tape_live')} -> {b.get('tape_live')})")
         print(line)
+        na, nb = numbers(a), numbers(b)
+        for label in na:
+            if na[label] != nb.get(label, na[label]):
+                print(f"  {label}: {move(na[label], nb[label])}")
         if any(f not in TAPE_FIELDS for f in fields):
             bad = 1
     print(f"{differ} of {len(old.keys() | new.keys())} entries differ; "
