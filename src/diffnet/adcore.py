@@ -27,16 +27,18 @@ records the affine update y + a*x (plain float `a`) as one entry with
 partials (1, a) instead of two, with the value `add(y, mul(a, x))` gives.
 
 A fourth rule is kept by the callers:
-  * decided on values: where a `min2`/`max2` against a plain float decides
-    whether an expression survives, the caller first runs the code that
-    records it on `FLOAT`, the shared `FloatTape`, over forward values, and
-    records the expression only if it wins; a bound that wins is returned
-    as it is, and on a float run the first evaluation is the answer.  The
-    forward values are those the tape records, bit for bit, so this holds
-    for every link, registered parameters or not.  The link clamps
-    (`ltm`), free-flow travel times and deterministic routing (`routing`,
-    `engine`) and the INM step size and step caps (`nodemodel`) are decided
-    this way.
+  * decided on values: where a `min2`/`max2` decides which expression
+    survives, the caller first runs the code that records its operands on
+    `FLOAT`, the shared `FloatTape`, over forward values, and records only
+    the one that wins; a bound that wins is returned as it is, and on a
+    float run the first evaluation is the answer.  The forward values are
+    those the tape records, bit for bit, so this holds for every link,
+    registered parameters or not.  The link clamps and the Newell counts
+    of segment travel times (`ltm`), free-flow travel times and
+    deterministic routing (`routing`, `engine`) are decided this way, and
+    so is the INM (`nodemodel`): it picks its step and each inlink's cap
+    or remaining demand on values, records only the winners and calls no
+    `min2`.
 
 Kink conventions:
   * min2/max2 at an exact tie route the full partial to the FIRST argument,

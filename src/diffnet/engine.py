@@ -81,25 +81,31 @@ class SimResult:
 
         # one pass over the state of each step: the travel time terms, link
         # by link then queue by queue, and, in floats, the conservation
-        # error (max abs veh); each destination absorbed its inlinks' `ND`
-        tape, dt, sinks = sim.tape, self.config.dt, sim._sinks
+        # error (max abs veh) of that state and of the state after the last
+        # step; each destination absorbed its inlinks' `ND`
+        tape, dt, sinks, T = sim.tape, self.config.dt, sim._sinks, self.config.n_steps
         sub, madd, max2, links = tape.sub, tape.madd, tape.max2, sim.links
         curves = [lk.vals or lk for lk in links]
         hists = [h for per_dest in self.queues.values() for h in per_dest.values()]
-        ttt, self.ttt_queue, self.conservation_error = [0.0] * len(links), 0.0, 0.0
-        for t in range(self.config.n_steps):
+
+        def error(t: int, queues) -> float:
             onlink = queued = 0.0
-            for i, (lk, c) in enumerate(zip(links, curves)):
-                ttt[i] = madd(ttt[i], dt, max2(sub(lk.NU[t], lk.ND[t]), 0.0))
+            for c in curves:
                 onlink += c.NU[t] - c.ND[t]
-            for h in hists:
-                q = h[t]
-                self.ttt_queue = madd(self.ttt_queue, dt, q)
+            for q in queues:
                 queued += q.val if type(q) is Var else q
             absorbed = sum(curves[i].ND[t] for _, i in sinks)
-            err = abs(sim._injected(t * dt) - (onlink + queued + absorbed))
-            if err > self.conservation_error:
-                self.conservation_error = err
+            return abs(sim._injected(t * dt) - (onlink + queued + absorbed))
+
+        ttt, self.ttt_queue, worst = [0.0] * len(links), 0.0, 0.0
+        for t in range(T):
+            for i, lk in enumerate(links):
+                ttt[i] = madd(ttt[i], dt, max2(sub(lk.NU[t], lk.ND[t]), 0.0))
+            for h in hists:
+                self.ttt_queue = madd(self.ttt_queue, dt, h[t])
+            worst = max(worst, error(t, [h[t] for h in hists]))
+        ends = [q for per_dest in sim.queue.values() for q in per_dest.values()]
+        self.conservation_error = max(worst, error(T, ends))
         self.ttt_link = dict(zip(self.links, ttt))  # link id -> veh*s
         self.absorbed = {s: 0.0 for s in sim.dests}  # dest -> veh (Var/float)
         for s, i in sinks:
@@ -306,11 +312,12 @@ class Simulator:
         mu = scn.config.mu
         if mu == 0.0:
             rtape = FLOAT
-            weights = [
-                FLOAT.add(self.link_travel_time(FLOAT, lk.vals or lk, t),
-                          value(self.toll_value(i, t)))
-                for i, lk in enumerate(self.links)
-            ]
+            weights = []
+            for i, lk in enumerate(self.links):
+                toll = self.toll_value(i, t)
+                weights.append(FLOAT.add(
+                    self.link_travel_time(FLOAT, lk.vals or lk, t),
+                    toll.val if type(toll) is Var else toll))
         else:
             rtape = tape
             weights = [

@@ -4,8 +4,8 @@ All quantities live on an AD tape; parameters and curve values may be tape
 variables or plain floats interchangeably.  Time is handled in timestep
 units internally (index i corresponds to i * dt seconds).  A link on a
 taped run keeps its forward values in a `LinkValues`, on which the clamps of
-its sending and receiving rates are decided before anything is recorded,
-whichever of its parameters are registered.
+its sending and receiving rates and its Newell counts are decided before
+anything is recorded, whichever of its parameters are registered.
 """
 
 from __future__ import annotations
@@ -138,15 +138,34 @@ class LinkDyn:
 
     # ------------------------------------------------------------------
     def newell_N(self, tape, t, x, dt: float):
-        """Newell cumulative count at time t (steps) and position x (m)."""
-        off_free = tape.div(x, tape.mul(self.u, dt))
-        off_cong = tape.div(self.d - x, tape.mul(self.w, dt))
-        free = interp(tape, self.NU, tape.sub(float(t), off_free))
-        cong = tape.add(
-            interp(tape, self.ND, tape.sub(float(t), off_cong)),
-            tape.mul(self.kappa, self.d - x),
-        )
-        return tape.min2(free, cong)
+        """Newell cumulative count at time t (steps) and position x (m):
+        min2 of the free-flow count, `NU` read x / u earlier, and the
+        congested count, `ND` read (d - x) / w earlier plus kappa * (d - x),
+        decided on values.
+
+        Both counts are first evaluated on `FLOAT` (over `vals` on a taped
+        link), and on a float run the smaller is the answer.  A taped link
+        records only the smaller, the free-flow count at a tie, reading a
+        `Var` speed only where the value moves with the index.
+        """
+        vals = self.vals
+        src = self if vals is None else vals
+        tau_free = float(t) - x / (src.u * dt)
+        tau_cong = float(t) - (self.d - x) / (src.w * dt)
+        free = interp(FLOAT, src.NU, tau_free)
+        cong = interp(FLOAT, src.ND, tau_cong) + src.kappa * (self.d - x)
+        if vals is None:
+            return free if free <= cong else cong
+        if free <= cong:
+            if type(self.u) is Var and moves_with_index(self.NU, tau_free):
+                tau_free = tape.sub(float(t),
+                                    tape.div(x, tape.mul(self.u, dt)))
+            return interp(tape, self.NU, tau_free)
+        if type(self.w) is Var and moves_with_index(self.ND, tau_cong):
+            tau_cong = tape.sub(float(t),
+                                tape.div(self.d - x, tape.mul(self.w, dt)))
+        return tape.add(interp(tape, self.ND, tau_cong),
+                        tape.mul(self.kappa, self.d - x))
 
     def demand(self, tape, t: int, dt: float):
         """Maximum sending rate at the downstream boundary during step t:

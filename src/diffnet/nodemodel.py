@@ -3,16 +3,15 @@
 `inm_fixed` is the differentiable variant (Flötteröd & Rohde 2011).  It
 stops after one residual pass, made once no inlink is active, within at most
 I + J + 1 iterations; the name of its old fixed-length form stays because the
-benchmark wraps it.  Active-set membership is decided on forward values only
-(piecewise-constant indicators), read straight from each `Var`; gradients
-flow through the step-size and update arithmetic of whichever constraints
-are active.  The step size and the step caps are decided on values: the
-minimum over the candidate steps is replayed on forward values first, and
-only the candidates that can still reach it are recorded, and only if a
-step cap that a plain-float remaining demand does not win reads it.  It
-only reads its turning-fraction rows, so the engine passes the same row
-object for every single-destination inflow of a node that heads for the
-same destination.
+benchmark wraps it.  Every decision is made on forward values, read straight
+from each `Var`: the active sets (piecewise-constant indicators), the
+winning step candidate and, per inlink, whether the step cap or the
+remaining demand wins.  Only the winners are recorded, so gradients flow
+through the step-size and update arithmetic of whichever constraints are
+active, and a float run and a taped run go through the same body.  It only
+reads its turning-fraction rows, so the engine passes the same row object
+for every single-destination inflow of a node that heads for the same
+destination.
 
 `inm_reference` is the plain variable-length while-loop formulation used as
 an independent oracle in the tests.
@@ -20,7 +19,7 @@ an independent oracle in the tests.
 
 from __future__ import annotations
 
-from .adcore import FloatTape, Tape, Var
+from .adcore import Tape, Var
 
 __all__ = ["inm_fixed", "inm_reference", "ACTIVE_EPS", "B_EPS"]
 
@@ -53,53 +52,21 @@ def _active_sets(qin_v, qout_v, D_v, S_v, B_v):
     return act_in, act_out, unblocked
 
 
-def _step_size(cands):
-    """`min2` over the candidate steps (x - q) / w, in order, on forward
-    values.
-
-    `cands` holds (x, q, w) triples.  The candidates up to the last point
-    where the running minimum is a plain float cannot reach the result.
-    Returns the step size's value and `None` when a plain float wins, else
-    its value and the (floor, start) from which `_record_step` records it.
-    """
-    theta = floor = None
-    var = False
-    start = 0  # the candidates from here on are recorded, from `floor`
-    for k, (x, q, w) in enumerate(cands):
-        is_var = type(x) is Var or type(q) is Var or type(w) is Var
-        if is_var:
-            x, q, w = (v.val if type(v) is Var else v for v in (x, q, w))
-        c = (x - q) / w  # `_candidate` on plain floats
-        if theta is None or not theta <= c:  # c wins min2(theta, c)
-            theta, var = c, is_var
-        if not var:
-            floor, start = theta, k + 1
-    return theta, ((floor, start) if var else None)
-
-
-def _record_step(tape: Tape, cands, theta, start: int):
-    """The step size chain from candidate `start` on, from `theta`."""
-    for k in range(start, len(cands)):
-        c = _candidate(tape, *cands[k])
-        theta = c if theta is None else tape.min2(theta, c)
-    return theta
-
-
-def _candidate(tape: Tape, x, q, w):
-    return tape.div(tape.sub(x, q), w)
-
-
 def inm_fixed(tape: Tape, D, S, B, alpha):
     """Incremental flow allocation at one node.
 
     Each iteration first finds, on forward values, which inlinks are blocked
     (an outlink they feed has no supply slack) and which are active
     (unblocked with demand left), in one pass over the inlinks.  While any
-    inlink is active, it records the priority-weighted direction `phi_out`,
-    the largest feasible step `theta` (supply candidates first, then demand
-    candidates) and one capped step per unblocked inlink.  Once no inlink is
-    active, one residual pass adds each unblocked inlink's remaining demand
-    and the loop stops; I + J + 1 iterations are a cap.
+    inlink is active, it picks on values the largest feasible step `theta`,
+    the smallest candidate: supply candidates first, then demand candidates,
+    the first of equal ones winning.  Each unblocked inlink steps by its cap
+    `alpha * theta` where that is no more than its remaining demand, else by
+    the remaining demand.  Only winners are recorded: the winning candidate
+    once, if a cap reads it (with the priority-weighted direction `phi` of
+    its outlink for a supply candidate), then each inlink's step.  Once no
+    inlink is active, one residual pass adds each unblocked inlink's
+    remaining demand and the loop stops; I + J + 1 iterations are a cap.
 
     Args:
         D: per-inlink demand rates (Var or float).
@@ -112,23 +79,25 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
         (qin, qout): allocated per-inlink outflow and per-outlink inflow.
     """
     I, J = len(D), len(S)
-    add, sub, mul, min2 = tape.add, tape.sub, tape.mul, tape.min2
-    floats = isinstance(tape, FloatTape)
-    qin = [0.0] * I
-    qout = [0.0] * J
+    add, sub, mul, div = tape.add, tape.sub, tape.mul, tape.div
+    qin, qout = [0.0] * I, [0.0] * J
     D_v = [x.val if type(x) is Var else x for x in D]
     S_v = [x.val if type(x) is Var else x for x in S]
+    a_v = [x.val if type(x) is Var else x for x in alpha]
     # connections (turning fraction above B_EPS): the outlinks each inlink
-    # feeds and the inlinks feeding each outlink, in index order
-    conn = [[o for o, b in enumerate(row)
-             if (b.val if type(b) is Var else b) > B_EPS] for row in B]
-    feed: list[list[int]] = [[] for _ in range(J)]
-    for l, outs in enumerate(conn):
-        for o in outs:
-            feed[o].append(l)
-    # forward values of qin and qout, updated with them
-    qin_v = [0.0] * I
-    qout_v = [0.0] * J
+    # feeds, and the inlinks feeding each outlink, in index order, with the
+    # value of their term B[l][o] * alpha[l] of phi
+    conn: list[list[int]] = []
+    feed: list[list[tuple[int, float]]] = [[] for _ in range(J)]
+    for l, row in enumerate(B):
+        outs = []
+        for o, b in enumerate(row):
+            b = b.val if type(b) is Var else b
+            if b > B_EPS:
+                outs.append(o)
+                feed[o].append((l, b * a_v[l]))
+        conn.append(outs)
+    qin_v, qout_v = [0.0] * I, [0.0] * J  # the values of qin and qout
 
     for _ in range(I + J + 1):
         slack = [s - q for s, q in zip(S_v, qout_v)]
@@ -148,50 +117,48 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
                     converged = False
         # Converged in value: the residual demand pass keeps the sensitivity
         # of exactly-exhausted (or not-yet-positive) demands attached.
+        capped = [False] * I
 
         if not converged:
-            # priority-weighted direction over the active inlinks
-            phi_out: list = [0.0] * J
+            # largest step not violating any active constraint: supply
+            # candidates (x - q) / w first, so a demand/supply tie resolves
+            # to the supply branch (the side that persists under
+            # perturbation).  An outlink with no active feeder has phi 0.0
+            # and no candidate.
+            theta = win = None
             for o in range(J):
-                acc = 0.0
-                for l in feed[o]:
-                    if act_in[l]:
-                        acc = add(acc, mul(B[l][o], alpha[l]))
-                phi_out[o] = acc
-
-            # largest step not violating any active constraint; supply
-            # candidates first so a demand/supply tie resolves to the supply
-            # branch (the side that persists under perturbation).  An
-            # outlink with no active feeder has phi 0.0 and no candidate.
-            cands = []
-            for o in range(J):
-                phi = phi_out[o]
-                if slack[o] > ACTIVE_EPS and (
-                        phi.val if type(phi) is Var else phi) > 0.0:
-                    cands.append((S[o], qout[o], phi))
+                if slack[o] > ACTIVE_EPS:
+                    phi = 0.0
+                    for l, ba in feed[o]:
+                        if act_in[l]:
+                            phi += ba
+                    if phi > 0.0:
+                        c = slack[o] / phi
+                        if win is None or not theta <= c:
+                            theta, win = c, o
             for l in range(I):
                 if act_in[l]:
-                    cands.append((D[l], qin[l], alpha[l]))
-            theta, chain = _step_size(cands)
-            if not floats:
-                # a step cap alpha*theta is recorded unless a plain-float
-                # remaining demand wins it, and the step size only if read
-                capped = [unblocked[l] and (
-                    type(D[l]) is Var or type(qin[l]) is Var
-                    or (a.val if type(a) is Var else a) * theta
-                    <= D_v[l] - qin_v[l]) for l, a in enumerate(alpha)]
-                if chain is not None and any(capped):
-                    theta = _record_step(tape, cands, *chain)
+                    c = (D_v[l] - qin_v[l]) / a_v[l]
+                    if win is None or not theta <= c:
+                        theta, win = c, J + l
+            # the cap wins a tie with the remaining demand
+            capped = [u and a * theta <= d - q for u, a, d, q
+                      in zip(unblocked, a_v, D_v, qin_v)]
+            if any(capped):
+                if win < J:  # a supply candidate, over phi of outlink win
+                    phi = 0.0
+                    for l, _ in feed[win]:
+                        if act_in[l]:
+                            phi = add(phi, mul(B[l][win], alpha[l]))
+                    theta = div(sub(S[win], qout[win]), phi)
+                else:
+                    l = win - J
+                    theta = div(sub(D[l], qin[l]), alpha[l])
 
-        # per-inlink step: the residual demand, or alpha*theta capped at the
-        # remaining demand (same fixed point; the cap carries the demand
-        # sensitivity when the demand is the binding constraint)
         for l in range(I):
             if not unblocked[l]:
                 continue
-            step = sub(D[l], qin[l])
-            if not converged and (floats or capped[l]):
-                step = min2(mul(alpha[l], theta), step)
+            step = mul(alpha[l], theta) if capped[l] else sub(D[l], qin[l])
             q = qin[l] = add(qin[l], step)
             qin_v[l] = q.val if type(q) is Var else q
             row = B[l]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 
-from .adcore import FLOAT, Tape, value
+from .adcore import FLOAT, Tape, Var, value
 from .ltm import V_MIN, LinkDyn, fd_speed
 
 __all__ = [
@@ -99,7 +99,7 @@ def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: list,
     be negative.
     """
     table = RoutingTable()
-    weights_f = [value(w) for w in weights]
+    weights_f = [w.val if type(w) is Var else w for w in weights]
     for w, lk in zip(weights_f, links):
         if w < 0.0:
             raise ValueError(f"link {lk.id}: negative routing weight {w!r}")

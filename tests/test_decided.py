@@ -1,7 +1,7 @@
-"""Recording decided on values: the link clamps, the free-flow travel times
-and the INM step size and step cap record only what their result reads, on
-every link.  Deciding on values is sound because a taped run computes the
-forward values of a gradient-free run, bit for bit.
+"""Recording decided on values: the link clamps, the free-flow travel times,
+the Newell counts of segment travel times and the INM record only what
+their result reads, on every link.  Deciding on values is sound because a
+taped run computes the forward values of a gradient-free run, bit for bit.
 """
 
 import dataclasses
@@ -27,9 +27,10 @@ from test_parity import two_destination_scenario
 class SiteTape(Tape):
     """A tape that tags the entries each call of a decided site records.
 
-    `calls` holds one (site, link, first entry, end, result) per call, in
+    `calls` holds one (site, link, first entry, end, results) per call, in
     the order the calls return; the call's entries are those from its first
-    entry up to `end`.
+    entry up to `end`, and its results are what it returns, for the INM
+    its outflows then its inflows.
     """
 
     def __init__(self):
@@ -39,7 +40,8 @@ class SiteTape(Tape):
     def site(self, name, link, fn, args):
         start = len(self)
         out = fn(*args)
-        self.calls.append((name, link, start, len(self), out))
+        results = out[0] + out[1] if name == "inm_fixed" else [out]
+        self.calls.append((name, link, start, len(self), results))
         return out
 
 
@@ -60,18 +62,19 @@ def tag_sites(monkeypatch):
 
     wrap(LinkDyn, "demand", 1, 0)
     wrap(LinkDyn, "supply", 1, 0)
+    wrap(LinkDyn, "newell_N", 1, 0)
     wrap(diffnet.engine, "travel_time_avg", 0, 1)
-    wrap(diffnet.nodemodel, "_record_step", 0, None)
+    wrap(diffnet.engine, "inm_fixed", 0, None)
     monkeypatch.setattr(diffnet.engine, "Tape", SiteTape)
 
 
-def unread(tape, start, end, out):
-    """Entries of [start, end) that are not `out` and that no later entry
-    of the range reads."""
+def unread(tape, start, end, results):
+    """Entries of [start, end) that are not among `results` and that no
+    later entry of the range reads."""
     read = {j for i in range(start, end)
             for j in (tape._p1[i], tape._p2[i]) if j >= start}
-    result = out.idx if type(out) is Var else None
-    return [i for i in range(start, end) if i not in read and i != result]
+    read |= {x.idx for x in results if type(x) is Var}
+    return [i for i in range(start, end) if i not in read]
 
 
 def segments(scn, **config):
@@ -79,8 +82,12 @@ def segments(scn, **config):
         scn.config, M=3, tt_method="segments", **config))
 
 
-def segments_merge():
-    return segments(merge_scenario())
+def segments_merge(**config):
+    return segments(merge_scenario(), **config)
+
+
+def segments_logit_merge():
+    return segments_merge(mu=0.1)
 
 
 FIXTURES = [
@@ -91,6 +98,7 @@ FIXTURES = [
      "ttt"),
     ("merge u1", merge_scenario, "u1", "ttt"),
     ("segments merge u1,u3", segments_merge, "u1,u3", "ttt"),
+    ("segments merge logit u1,u3", segments_logit_merge, "u1,u3", "ttt"),
 ]
 
 
@@ -105,16 +113,18 @@ def test_decided_sites_record_nothing_that_nothing_reads(
     build_objective(objective, 1e-3)(res)
     tape = res.tape
     seen = {}
-    for site, link, start, end, out in tape.calls:
+    for site, link, start, end, results in tape.calls:
         seen[site] = seen.get(site, 0) + 1
-        # each entry the call records feeds its result, and a call whose
-        # result is a plain float records nothing
-        assert unread(tape, start, end, out) == [], (site, link and link.id)
-        if type(out) is not Var:
+        # each entry the call records feeds a result, and a call whose
+        # results are plain floats records nothing
+        assert unread(tape, start, end, results) == [], (
+            site, link and link.id)
+        if all(type(x) is not Var for x in results):
             assert start == end, (site, link and link.id)
-    assert {"demand", "supply", "_record_step"} <= set(seen)
+    assert {"demand", "supply", "inm_fixed"} <= set(seen)
     if scn.config.mu != 0.0:
-        assert seen["travel_time_avg"] > 0
+        segs = scn.config.tt_method == "segments"
+        assert seen["newell_N" if segs else "travel_time_avg"] > 0
 
 
 def test_a_remaining_demand_that_wins_the_step_cap_records_no_cap():
@@ -125,7 +135,7 @@ def test_a_remaining_demand_that_wins_the_step_cap_records_no_cap():
     qin, qout = inm_fixed(tape, [0.0, d], [0.5], [[1.0], [1.0]], [2.0, 1.5])
     assert [value(q) for q in qin] == [0.0, 0.3]
     outs = {q.idx for q in qin + qout if type(q) is Var}
-    assert unread(tape, 1, len(tape), None) == sorted(outs - {d.idx})
+    assert unread(tape, 1, len(tape), []) == sorted(outs - {d.idx})
 
 
 def test_deterministic_routing_builds_its_table_on_floats(monkeypatch):
@@ -251,10 +261,12 @@ def forward_values(res):
     (two_route_scenario(), "qmaxfb"),
     (two_route_scenario(), "wfb"),
     (segments_merge(), "u1"),
+    (segments(toll_grid_scenario()), "toll:f0a:0,toll:s2a:1,q1"),
     (two_destination_scenario(), "q1,q2,qmaxb1,ua,ub2"),
 ] + random_draws(50), ids=[
     "merge", "two-route qmaxfb", "two-route wfb", "segments merge",
-    "two-destination"] + [f"random {k:02d}" for k in range(50)])
+    "toll grid segments", "two-destination"] + [
+    f"random {k:02d}" for k in range(50)])
 def test_a_taped_run_has_the_forward_values_of_a_float_run(scn, tokens):
     ps = register_parameters(scn, tokens)
     taped = Simulator(scn, params=ps).run()

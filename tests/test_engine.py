@@ -17,6 +17,7 @@ from diffnet.engine import (
     objective_ttt,
     run,
 )
+from diffnet.ltm import LinkDyn
 from diffnet.presets import (
     bottleneck_scenario,
     merge_scenario,
@@ -245,6 +246,26 @@ def test_conservation_on_50_random_scenarios():
         res = run(scn, grad=False)
         assert res.conservation_error <= 1e-6, scn.to_dict()
         built += 1
+
+
+@pytest.mark.parametrize("grad", [False, True])
+def test_conservation_error_checks_the_state_after_the_last_step(
+        monkeypatch, grad):
+    # link 1 sends 1 veh/s more than link 3 receives in the last step: the
+    # 5 lost vehicles (dt = 5 s) show only in the state after that step,
+    # and no boundary flow check fires, the flow being positive
+    scn = merge_scenario()
+    T = scn.config.n_steps
+    update = LinkDyn.update_boundaries
+
+    def leaky(link, tape, dt, f_in, f_out, f_in_s):
+        if link.id == "1" and len(link.ND) == T:
+            f_out = tape.add(f_out, 1.0)
+        update(link, tape, dt, f_in, f_out, f_in_s)
+
+    monkeypatch.setattr(LinkDyn, "update_boundaries", leaky)
+    res = run(scn, register_parameters(scn, "q1"), grad=grad)
+    assert res.conservation_error >= 5.0
 
 
 def accumulation(tape, v):

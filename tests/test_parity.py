@@ -176,7 +176,7 @@ def test_replanned_grid_ttt_and_route_changes_pinned_exactly(grad, monkeypatch):
     assert sum(a != b for a, b in zip(hops, hops[1:])) == 10
     if grad:
         g = res.tape.grad(J, [sim.param_vars["q2"]])
-        assert repr(float(g[0])) == "140820.5511699265"
+        assert repr(float(g[0])) == "140820.55116992674"
 
 
 def record_refreshes(monkeypatch):
@@ -255,9 +255,10 @@ def test_logit_rows_are_rebuilt_only_where_outlinks_offer_a_choice(
     # so its row is built once; the origin chooses among 12 corridors at
     # every one of the 20 refreshes.  The tape of the run and its TTT holds
     # 20,213 entries when the clamps, travel times and step sizes record
-    # both branches, 9,401 of them live; decided on values it keeps only
-    # what can be read, with the same live entries.  The absorbed counts,
-    # summed after the scan, add 6 of the entries.
+    # both branches, 9,401 of them live; decided on values, with the node
+    # model recording only the winning step and caps, it keeps only what can
+    # be read, with the same live entries.  The absorbed counts, summed
+    # after the scan, add 6 of the entries.
     tables, rebuilt = record_refreshes(monkeypatch)
     res, _ = taped(toll_grid_scenario(), "toll:*")
     assert len(tables) == 20
@@ -267,7 +268,7 @@ def test_logit_rows_are_rebuilt_only_where_outlinks_offer_a_choice(
     assert all(calls == [("orig", "dest")] for calls in rebuilt[1:])
     assert sum(map(len, rebuilt)) == 32
     J = objective_ttt(res)
-    assert len(res.tape) == 10_931
+    assert len(res.tape) == 10_571
     assert sum(1 for a in res.tape.backward(J) if a != 0.0) == 9_401
 
 

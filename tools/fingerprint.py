@@ -146,12 +146,12 @@ def fixtures(dn):
                          parity._lk("g2", "o2", "n", 700.0)]
         return dn.Scenario.from_dict(doc)
 
-    def segments_merge():
-        # merge with segment travel times: deterministic routing reads
-        # `interp` at a `Var` index on a link whose `u` is registered
+    def segments_merge(**config):
+        # merge with segment travel times: routing reads `interp` at a `Var`
+        # index on a link whose `u` is registered
         scn = presets.merge_scenario()
         return dataclasses.replace(scn, config=dataclasses.replace(
-            scn.config, M=3, tt_method="segments"))
+            scn.config, M=3, tt_method="segments", **config))
 
     out = []
     for grad in (True, False):
@@ -164,6 +164,8 @@ def fixtures(dn):
                 dn, presets.two_route_scenario(), "qmaxfb", grad=g)),
             (f"segments merge u1,u3 {tag}", lambda g=grad: simulate(
                 dn, segments_merge(), "u1,u3", grad=g)),
+            (f"segments merge logit u1,u3 {tag}", lambda g=grad: simulate(
+                dn, segments_merge(mu=0.1), "u1,u3", grad=g)),
             (f"toll grid toll-J zero tolls {tag}", lambda g=grad: simulate(
                 dn, presets.toll_grid_scenario(), "toll:*", grad=g,
                 objective="toll-J", lam=1e-3)),
