@@ -38,7 +38,9 @@ A fourth rule is kept by the callers:
     deterministic routing (`routing`, `engine`) are decided this way, and
     so is the INM (`nodemodel`): it picks its step and each inlink's cap
     or remaining demand on values, records only the winners and calls no
-    `min2`.
+    `min2`.  Where no outlink binds, it decides on values to take its
+    solution in closed form: each inlink's demand, returned as it is, and
+    the outlink sums of B * D, with no step recorded.
 
 Kink conventions:
   * min2/max2 at an exact tie route the full partial to the FIRST argument,

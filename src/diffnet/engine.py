@@ -82,20 +82,26 @@ class SimResult:
         # one pass over the state of each step: the travel time terms, link
         # by link then queue by queue, and, in floats, the conservation
         # error (max abs veh) of that state and of the state after the last
-        # step; each destination absorbed its inlinks' `ND`
+        # step.  Each destination absorbed its inlinks' `ND`, so a sink link
+        # that delivers more than it received balances; the error also takes
+        # the vehicles below zero on any link.
         tape, dt, sinks, T = sim.tape, self.config.dt, sim._sinks, self.config.n_steps
         sub, madd, max2, links = tape.sub, tape.madd, tape.max2, sim.links
         curves = [lk.vals or lk for lk in links]
         hists = [h for per_dest in self.queues.values() for h in per_dest.values()]
 
         def error(t: int, queues) -> float:
-            onlink = queued = 0.0
+            onlink = queued = below = 0.0
             for c in curves:
-                onlink += c.NU[t] - c.ND[t]
+                n = c.NU[t] - c.ND[t]
+                onlink += n
+                if -n > below:
+                    below = -n
             for q in queues:
                 queued += q.val if type(q) is Var else q
             absorbed = sum(curves[i].ND[t] for _, i in sinks)
-            return abs(sim._injected(t * dt) - (onlink + queued + absorbed))
+            return max(abs(sim._injected(t * dt) - (onlink + queued + absorbed)),
+                       below)
 
         ttt, self.ttt_queue, worst = [0.0] * len(links), 0.0, 0.0
         for t in range(T):
@@ -464,11 +470,11 @@ class Simulator:
         total = 0.0
         for q in pre.values():
             total = add(total, q)
-        if value(total) > 0.0:
+        if (total.val if type(total) is Var else total) > 0.0:
             # the queue is one inflow whose composition is its queue shares
-            comp = normalized_shares(
-                tape, {s: q for s, q in pre.items() if value(q) > 0.0}, total
-            )
+            comp = normalized_shares(tape, {
+                s: q for s, q in pre.items()
+                if (q.val if type(q) is Var else q) > 0.0}, total)
             _, (out,) = self._transfer(
                 plan, [tape.div(total, dt)], [comp], [1.0], S, f_in, f_in_s
             )
@@ -484,8 +490,11 @@ class Simulator:
         for s, q in pre.items():
             if type(q) is not Var or q.val != 0.0:
                 continue
-            used = [(j, p) for j, p in enumerate(rows[s]) if value(p) > 0.0]
-            if not used or any(value(S[outs[j]]) <= 1e-12 for j, _ in used):
+            used = [(j, p) for j, p in enumerate(rows[s])
+                    if (p.val if type(p) is Var else p) > 0.0]
+            sup = [S[outs[j]] for j, _ in used]
+            if not used or any((x.val if type(x) is Var else x) <= 1e-12
+                               for x in sup):
                 continue
             out_s = tape.div(q, dt)
             for j, p in used:

@@ -1,17 +1,22 @@
 """Flow transfer at junctions: the Incremental Node Model.
 
-`inm_fixed` is the differentiable variant (Flötteröd & Rohde 2011).  It
-stops after one residual pass, made once no inlink is active, within at most
-I + J + 1 iterations; the name of its old fixed-length form stays because the
-benchmark wraps it.  Every decision is made on forward values, read straight
-from each `Var`: the active sets (piecewise-constant indicators), the
-winning step candidate and, per inlink, whether the step cap or the
-remaining demand wins.  Only the winners are recorded, so gradients flow
-through the step-size and update arithmetic of whichever constraints are
-active, and a float run and a taped run go through the same body.  It only
-reads its turning-fraction rows, so the engine passes the same row object
-for every single-destination inflow of a node that heads for the same
-destination.
+`inm_fixed` is the differentiable variant (Flötteröd & Rohde 2011).  Its
+flows are a piecewise-linear function of demands, supplies, turning
+fractions and priorities.  On the piece where no outlink binds, where every
+outlink keeps supply slack under the full load B^T D, it returns that
+piece in closed form: each inlink's flow is its demand and each outlink's
+inflow B^T D, with no iteration.  Elsewhere it iterates until no inlink is
+active and then makes one residual pass, within at most I + J + 1
+iterations; the name of its old fixed-length form stays because the
+benchmark wraps it.  Every decision is made on forward values, read
+straight from each `Var`: the closed form, the active sets
+(piecewise-constant indicators), the winning step candidate and, per
+inlink, whether the step cap or the remaining demand wins.  Only the
+winners are recorded, so gradients flow through the step-size and update
+arithmetic of whichever constraints are active, and a float run and a
+taped run go through the same body.  It only reads its turning-fraction
+rows, so the engine passes the same row object for every
+single-destination inflow of a node that heads for the same destination.
 
 `inm_reference` is the plain variable-length while-loop formulation used as
 an independent oracle in the tests.
@@ -55,9 +60,17 @@ def _active_sets(qin_v, qout_v, D_v, S_v, B_v):
 def inm_fixed(tape: Tape, D, S, B, alpha):
     """Incremental flow allocation at one node.
 
-    Each iteration first finds, on forward values, which inlinks are blocked
-    (an outlink they feed has no supply slack) and which are active
-    (unblocked with demand left), in one pass over the inlinks.  While any
+    First, on forward values, it sums each outlink's load B^T D over its
+    feeders (turning fraction above `B_EPS`).  If every outlink with a
+    feeder keeps more than `ACTIVE_EPS` of supply under that load, no
+    outlink binds: it returns each inlink's demand object itself as its
+    flow and records only the sums B[l][o] * D[l], in inlink order, for the
+    outlink inflows.  Nothing it returns then reads S or alpha.
+
+    Otherwise, each iteration first finds, on forward values, which
+    inlinks are blocked (an outlink they feed has no supply slack) and
+    which are active (unblocked with demand left), in one pass over the
+    inlinks.  While any
     inlink is active, it picks on values the largest feasible step `theta`,
     the smallest candidate: supply candidates first, then demand candidates,
     the first of equal ones winning.  Each unblocked inlink steps by its cap
@@ -86,9 +99,11 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
     a_v = [x.val if type(x) is Var else x for x in alpha]
     # connections (turning fraction above B_EPS): the outlinks each inlink
     # feeds, and the inlinks feeding each outlink, in index order, with the
-    # value of their term B[l][o] * alpha[l] of phi
+    # value of their term B[l][o] * alpha[l] of phi; and the value of each
+    # outlink's load B^T D if every inlink were served in full
     conn: list[list[int]] = []
     feed: list[list[tuple[int, float]]] = [[] for _ in range(J)]
+    load = [0.0] * J
     for l, row in enumerate(B):
         outs = []
         for o, b in enumerate(row):
@@ -96,7 +111,14 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
             if b > B_EPS:
                 outs.append(o)
                 feed[o].append((l, b * a_v[l]))
+                load[o] += b * D_v[l]
         conn.append(outs)
+    if all(s - x > ACTIVE_EPS for s, x, f in zip(S_v, load, feed) if f):
+        # no outlink binds: every inlink is served in full
+        for o, f in enumerate(feed):
+            for l, _ in f:
+                qout[o] = add(qout[o], mul(B[l][o], D[l]))
+        return list(D), qout
     qin_v, qout_v = [0.0] * I, [0.0] * J  # the values of qin and qout
 
     for _ in range(I + J + 1):

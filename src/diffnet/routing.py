@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 
-from .adcore import FLOAT, Tape, Var, value
+from .adcore import FLOAT, Tape, Var
 from .ltm import V_MIN, LinkDyn, fd_speed
 
 __all__ = [
@@ -217,7 +217,7 @@ def composition(tape: Tape, link: LinkDyn):
     if len(dests) == 1:
         return {dests[0]: 1.0}
     total = link.NU[-1]
-    if value(total) <= 0.0:
+    if (total.val if type(total) is Var else total) <= 0.0:
         return {s: 1.0 / len(dests) for s in dests}
     return normalized_shares(tape, link.NU_s, total)
 
@@ -229,6 +229,7 @@ def fifo_split(tape: Tape, link: LinkDyn, f_out):
     the aggregate; an empty link splits nothing (a plain 0.0 for each
     destination its head reaches).
     """
-    if value(link.NU[-1]) <= 0.0:
+    total = link.NU[-1]
+    if (total.val if type(total) is Var else total) <= 0.0:
         return {s: 0.0 for s in link.dests}
     return {s: tape.mul(f_out, c) for s, c in composition(tape, link).items()}

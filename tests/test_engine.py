@@ -268,6 +268,26 @@ def test_conservation_error_checks_the_state_after_the_last_step(
     assert res.conservation_error >= 5.0
 
 
+@pytest.mark.parametrize("grad", [False, True])
+def test_conservation_error_sees_a_sink_link_that_delivers_more_than_it_received(
+        monkeypatch, grad):
+    # link 3, whose head is the destination, sends 1 veh/s more in the last
+    # step: its `ND` is both its outflow and the absorbed count, so the
+    # balance holds, but 5 vehicles (dt = 5 s) end below zero on the link
+    scn = merge_scenario()
+    T = scn.config.n_steps
+    update = LinkDyn.update_boundaries
+
+    def leaky(link, tape, dt, f_in, f_out, f_in_s):
+        if link.id == "3" and len(link.ND) == T:
+            f_out = tape.add(f_out, 1.0)
+        update(link, tape, dt, f_in, f_out, f_in_s)
+
+    monkeypatch.setattr(LinkDyn, "update_boundaries", leaky)
+    res = run(scn, register_parameters(scn, "q1"), grad=grad)
+    assert res.conservation_error >= 5.0
+
+
 def accumulation(tape, v):
     """The entries of the `madd` accumulation that ends at `v`."""
     chain = []

@@ -317,6 +317,13 @@ def materialize(tape, node):
             [[make(x) for x in row] for row in B], [make(x) for x in alpha])
 
 
+def plain(node):
+    """The node's inputs as plain floats."""
+    D, S, B, alpha = node
+    return ([x for x, _ in D], [x for x, _ in S],
+            [[x for x, _ in row] for row in B], [x for x, _ in alpha])
+
+
 def same_values(a, b):
     """`a` and `b` are the same kinds of value with the same bits."""
     assert len(a) == len(b)
@@ -346,16 +353,34 @@ def close(a, b, rel):
     return all(abs(x - y) <= rel * scale for x, y in zip(a, b))
 
 
+def served_in_full(D, S, B):
+    """Whether every outlink that some inlink feeds keeps more than
+    `ACTIVE_EPS` of supply under the full load B^T D, summed on values in
+    inlink order: where `inm_fixed` serves every inlink its demand."""
+    for o, s in enumerate(S):
+        load, fed = 0.0, False
+        for l, row in enumerate(B):
+            b = value(row[o])
+            if b > B_EPS:
+                load += b * value(D[l])
+                fed = True
+        if fed and not value(s) - load > ACTIVE_EPS:
+            return False
+    return True
+
+
 def test_tape_and_values_equal_the_earlier_form_on_tied_nodes():
     # the earlier form records every candidate and cap with `min2`;
-    # `inm_fixed` records only the winners, on a tape no longer than its,
-    # with the same values bit for bit and the same gradients up to the
-    # order in which adjoints are summed
+    # `inm_fixed` records only the winners, on a tape no longer than its.
+    # Where some outlink binds, the values are the same bit for bit; where
+    # none does, each inlink's flow is its demand itself and each outflow
+    # B^T D, which the earlier form's steps reach up to rounding.  The
+    # gradients are the same up to the order in which adjoints are summed.
     rng = random.Random(2011)
-    ties = shorter = 0
+    ties = shorter = full = 0
     for _ in range(600):
         node = tie_node(rng)
-        tapes, outs = [], []
+        tapes, outs, ins = [], [], []
         for impl in (inm_fixed, inm_fixed_before):
             tape = TieCountingTape()
             args = materialize(tape, node)
@@ -363,25 +388,123 @@ def test_tape_and_values_equal_the_earlier_form_on_tied_nodes():
             qin, qout = impl(tape, *args)
             outs.append(qin + qout)
             tapes.append(tape)
+            ins.append(args)
         new, old = tapes
         assert new.pairs == 0
         assert len(new) <= len(old)
         shorter += len(new) < len(old)
         ties += old.ties
-        same_values(*outs)
+        D, S, B, _ = ins[0]
+        if served_in_full(D, S, B):
+            full += 1
+            assert all(q is d for q, d in zip(outs[0], D))
+            assert close([value(x) for x in outs[0]],
+                         [value(x) for x in outs[1]], 1e-15)
+        else:
+            same_values(*outs)
         for a, b in zip(*outs):
-            if type(a) is Var:
-                ga, gb = new.backward(a)[:n], old.backward(b)[:n]
-                assert close(ga, gb, 1e-12)
-        # the float op table: the same values, nothing recorded
-        D, S, B, alpha = node
-        floats = ([(x, False) for x, _ in D], [(x, False) for x, _ in S],
-                  [[(x, False) for x, _ in row] for row in B],
-                  [(x, False) for x, _ in alpha])
-        got = inm_fixed(FloatTape(), *materialize(None, floats))
-        want = inm_fixed_before(FloatTape(), *materialize(None, floats))
-        same_values(got[0] + got[1], want[0] + want[1])
+            ga = new.backward(a)[:n] if type(a) is Var else [0.0] * n
+            gb = old.backward(b)[:n] if type(b) is Var else [0.0] * n
+            assert close(ga, gb, 1e-12)
+        # the float op table: the taped run's values, nothing recorded
+        got = inm_fixed(FloatTape(), *plain(node))
+        assert [repr(x) for x in got[0] + got[1]] == [
+            repr(value(x)) for x in outs[0]]
     # the draws reach exact two-Var ties in the earlier form, where the
-    # first argument wins, and entries it records that `inm_fixed` does not
+    # first argument wins, entries it records that `inm_fixed` does not,
+    # and nodes on both sides of the closed form
     assert ties > 50
     assert shorter > 0
+    assert 0 < full < 600
+
+
+class OpCountingTape(Tape):
+    """A tape that counts its calls of each arithmetic operation."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = {}
+
+    def _count(self, name):
+        self.calls[name] = self.calls.get(name, 0) + 1
+
+    def add(self, a, b):
+        self._count("add")
+        return super().add(a, b)
+
+    def sub(self, a, b):
+        self._count("sub")
+        return super().sub(a, b)
+
+    def mul(self, a, b):
+        self._count("mul")
+        return super().mul(a, b)
+
+    def div(self, a, b):
+        self._count("div")
+        return super().div(a, b)
+
+
+def boundary_node(rng):
+    """A random node of up to 4 x 4 links as specs (value, is_var); in
+    half of the draws some supplies sit within a few 1e-13 of their full
+    load, on both sides of the `ACTIVE_EPS` slack."""
+    I, J = rng.randint(1, 4), rng.randint(1, 4)
+    D = [rng.choice([0.0, rng.uniform(0.0, 1.0)]) for _ in range(I)]
+    B = []
+    for _ in range(I):
+        row = [rng.choice([0.0, rng.random()]) for _ in range(J)]
+        tot = sum(row)
+        B.append([x / tot for x in row] if tot > 0.0 else [1.0] + [0.0] * (J - 1))
+    S = [rng.uniform(0.0, 2.0) for _ in range(J)]
+    if rng.random() < 0.5:
+        for o in range(J):
+            if rng.random() < 0.7:
+                load = 0.0
+                for l in range(I):
+                    if B[l][o] > B_EPS:
+                        load += B[l][o] * D[l]
+                S[o] = max(0.0, load + rng.randint(-20, 20) * 1e-13)
+    alpha = [rng.uniform(0.1, 3.0) for _ in range(I)]
+
+    def spec(x):
+        return (x, rng.random() < 0.5)
+
+    return ([spec(x) for x in D], [spec(x) for x in S],
+            [[spec(x) for x in row] for row in B], [spec(x) for x in alpha])
+
+
+def test_the_closed_form_is_taken_exactly_where_no_outlink_binds():
+    rng = random.Random(2026)
+    full = near = 0
+    for _ in range(2000):
+        node = boundary_node(rng)
+        Dv, Sv, Bv, av = plain(node)
+        tape = OpCountingTape()
+        D, S, B, alpha = materialize(tape, node)
+        qin, qout = inm_fixed(tape, D, S, B, alpha)
+        vals = [value(x) for x in qin + qout]
+        want = inm_reference(Dv, Sv, Bv, av)
+        assert all(abs(a - b) < 1e-9 for a, b in zip(vals, want[0] + want[1]))
+        # the closed form records one product and one sum per connection,
+        # and nothing else
+        conns = sum(b > B_EPS for row in Bv for b in row)
+        closed = tape.calls == ({"mul": conns, "add": conns} if conns else {})
+        assert closed == served_in_full(D, S, B)
+        near += any(abs(s - sum(row[o] * d for row, d in zip(Bv, Dv))
+                        - ACTIVE_EPS) < 2e-12 for o, s in enumerate(Sv))
+        if closed:
+            full += 1
+            assert all(q is d for q, d in zip(qin, D))
+            # qout reads neither the supplies nor the priorities
+            idx = [x.idx for x in S + alpha if type(x) is Var]
+            for q in qout:
+                if type(q) is Var:
+                    adj = tape.backward(q)
+                    assert all(adj[i] == 0.0 for i in idx)
+        # the float op table gives the taped values bit for bit
+        got = inm_fixed(FloatTape(), Dv, Sv, Bv, av)
+        assert [repr(x) for x in got[0] + got[1]] == [repr(x) for x in vals]
+    # both sides of the closed form, and draws at its boundary
+    assert 0 < full < 2000
+    assert near > 100
