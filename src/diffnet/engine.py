@@ -242,6 +242,13 @@ class Simulator:
         # (destination, link number) of each demanded destination's inlinks:
         # they deliver their whole demand, of that destination's vehicles only
         self._sinks = [(s, i) for s in dests for i in self.net.inlinks[s]]
+        # the links whose tree costs a logit row reads, per destination: the
+        # outlinks toward it of each node that offers a choice there
+        self._reads = {} if scenario.config.mu == 0.0 else {
+            s: [o for plan in self._plans if s in plan.choice
+                for o in plan.outs if s in self.links[o].dests]
+            for s in dests}
+        self._weights = None  # the link weights of the last refresh
 
     # ------------------------------------------------------------------
     # parameter-aware accessors
@@ -307,12 +314,16 @@ class Simulator:
         """New routing rows for the visited nodes, fixed until the next
         refresh.
 
-        A (node, destination) row is rebuilt only when the node's next hop
-        there changed since the row was built, or when mu > 0 and more than
-        one outlink leads there: the logit rows with a choice, the only rows
-        that record tape entries, are rebuilt at every refresh.  The
-        deterministic rows (mu == 0) read no tree cost: the links are weighed
-        and the table built on `FLOAT`, over forward values.
+        A refresh whose link weights all equal the last refresh's (equal
+        floats, or the very same `Var`s) keeps the table's next hops and
+        every row: a rebuild would give them exactly.  Otherwise a (node,
+        destination) row is rebuilt only when the node's next hop there
+        changed since the row was built, or when mu > 0 and more than one
+        outlink leads there: the logit rows with a choice, the only rows
+        that read tree costs and record tape entries, are rebuilt at every
+        such refresh.  The deterministic rows (mu == 0) read no tree cost:
+        the links are weighed and the table built on `FLOAT`, over forward
+        values, with no tree cost at all.
         """
         tape, scn = self.tape, self.scn
         mu = scn.config.mu
@@ -331,8 +342,11 @@ class Simulator:
                          self.toll_value(i, t))
                 for i, lk in enumerate(self.links)
             ]
-        table = build_routing(rtape, scn.nodes, self.links, weights,
-                              self.dests)
+        if weights == self._weights:
+            return
+        self._weights = weights
+        table = build_routing(rtape, self.net.reverse, weights, self.dests,
+                              self._reads)
         next_link = table.next_link
         for plan in self._plans:
             node, outs, rows, hops = plan.node, plan.outs, plan.rows, plan.hops

@@ -43,8 +43,11 @@ def interp(tape: Tape, curve: list, tau):
         if type(tau) is not Var:
             return curve[i]
         # value N[i]; the centred slope makes the index sensitivity at a
-        # curve kink the symmetric (central-difference) limit
-        slope = tape.mul(0.5, tape.sub(curve[i + 1], curve[i - 1]))
+        # curve kink the symmetric (central-difference) limit.  It is taken
+        # on values: its factor tau - i is 0.0, so nothing reads its adjoint
+        a, b = curve[i + 1], curve[i - 1]
+        slope = 0.5 * ((a.val if type(a) is Var else a)
+                       - (b.val if type(b) is Var else b))
         return tape.add(curve[i], tape.mul(tape.sub(tau, float(i)), slope))
     delta = tape.sub(tau, float(i))
     lo = curve[i]
@@ -56,12 +59,12 @@ def interp(tape: Tape, curve: list, tau):
 def moves_with_index(curve: list, tv: float) -> bool:
     """Whether `interp` of `curve` at an index of value `tv` moves with the
     index: `tv` is strictly inside, and the entries it interpolates between
-    (a grid point's neighbours) are not one plain float."""
+    (a grid point's neighbours) differ in value."""
     if not 0.0 < tv < len(curve) - 1:
         return False
     i = int(tv)
     a, b = curve[i - 1] if tv == i else curve[i], curve[i + 1]
-    return type(a) is Var or type(b) is Var or a != b
+    return (a.val if type(a) is Var else a) != (b.val if type(b) is Var else b)
 
 
 def fd_speed(tape: Tape, u, w, kappa, k):

@@ -2,12 +2,14 @@
 
 The shortest-path structure (which outlink is best for which destination) is
 found on forward float values by a label-setting (Dijkstra) search from each
-destination over the reversed links; the cost *values* along the chosen tree
-are then rebuilt as tape expressions so that gradients flow through link
-travel times and tolls.  Deterministic DUO uses hard indicators (zero cost
-gradient), so its callers may build the table on `FLOAT` from forward
-values; logit-DUO softens them with a stabilized softmin over remaining path
-costs.
+destination over the reversed links, the scenario's `ReverseLinks`, built
+once.  Which outlinks lead to a destination is read off the float costs too.
+Deterministic DUO uses hard indicators (zero cost gradient), so its rows
+read no tree cost and its callers may build the table on `FLOAT` from
+forward values.  Logit-DUO softens them with a stabilized softmin over
+remaining path costs: the costs its rows read, and the tree paths beneath
+them, are rebuilt as tape expressions so that gradients flow through link
+travel times and tolls, and no other cost is.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import heapq
 
 from .adcore import FLOAT, Tape, Var
 from .ltm import V_MIN, LinkDyn, fd_speed
+from .scenario import ReverseLinks
 
 __all__ = [
     "travel_time_avg",
@@ -74,12 +77,14 @@ def travel_time_segments(tape: Tape, link: LinkDyn, t: int, M: int, dt: float):
 class RoutingTable:
     """Per-destination shortest-path data, fixed between route refreshes.
 
-    Links are numbered by their position in the list given to
-    `build_routing`.  For each destination s:
+    Links are numbered as in the `ReverseLinks` given to `build_routing`.
+    For each destination s:
       node_cost[s][node]   float cost to s (inf if unreachable)
       link_cost[s][i]      float cost of entering link i then reaching s
                            (inf where the link's head cannot reach s)
-      link_cost_var[s][i]  tape expression for the same (None at inf)
+      link_cost_var[s][i]  tape expression for the same where a logit row
+                           reads it, else None (no list for a destination
+                           whose rows read none)
       next_link[s][node]   number of the chosen outlink (tie: lowest link id)
     """
 
@@ -90,28 +95,23 @@ class RoutingTable:
         self.next_link: dict[str, dict[str, int]] = {}
 
 
-def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: list,
-                  destinations) -> RoutingTable:
+def build_routing(tape: Tape, graph: ReverseLinks, weights: list,
+                  destinations, reads: dict) -> RoutingTable:
     """Routing table from toll-augmented link weights (Var or float).
 
-    `weights[i]` is the weight of `links[i]`; forward values drive the path
-    structure, tape expressions carry the cost gradients.  Weights must not
-    be negative.
+    `weights[i]` is the weight of link number i of `graph`; forward values
+    drive the path structure.  Tree costs are rebuilt as tape expressions
+    only for the links in `reads[s]` (in link order), those whose cost a
+    logit row toward s reads, where their head reaches s, and for the tree
+    paths beneath them; a destination missing from `reads` gets none.
+    Weights must not be negative.
     """
     table = RoutingTable()
     weights_f = [w.val if type(w) is Var else w for w in weights]
-    for w, lk in zip(weights_f, links):
+    for w, lid in zip(weights_f, graph.ids):
         if w < 0.0:
-            raise ValueError(f"link {lk.id}: negative routing weight {w!r}")
-    # nodes by position (file order), each link's head position, and the
-    # inlinks of each node as (link number, tail position), shared by the
-    # searches of every destination
-    names = list(nodes)
-    pos = {n: k for k, n in enumerate(names)}
-    heads = [pos[lk.head] for lk in links]
-    into: list[list[tuple[int, int]]] = [[] for _ in names]
-    for i, lk in enumerate(links):
-        into[heads[i]].append((i, pos[lk.tail]))
+            raise ValueError(f"link {lid}: negative routing weight {w!r}")
+    names, heads, into, ids = graph.names, graph.heads, graph.into, graph.ids
 
     for dest in destinations:
         # Label-setting search from dest: nodes settle in order of cost,
@@ -119,10 +119,10 @@ def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: list,
         # inlinks once, with its final cost.  A relaxed link is a candidate
         # best outlink of its tail: (cost via it, its id, its number), equal
         # costs going to the lowest link id.
-        d = pos[dest]
+        d = graph.pos[dest]
         cost = [INF] * len(names)
         cost[d] = 0.0
-        lcost_f = [INF] * len(links)
+        lcost_f = [INF] * len(heads)
         best: dict[int, tuple] = {}
         heap = [(0.0, d)]
         settled = []
@@ -137,26 +137,36 @@ def build_routing(tape: Tape, nodes: dict, links: list[LinkDyn], weights: list,
                     cost[t] = cand
                     heapq.heappush(heap, (cand, t))
                 if t != d:
-                    key = (cand, links[i].id, i)
+                    key = (cand, ids[i], i)
                     if t not in best or key < best[t]:
                         best[t] = key
-        next_link = {names[t]: b[2] for t, b in best.items() if cost[t] < INF}
+        table.node_cost[dest] = dict(zip(names, cost))
+        table.link_cost[dest] = lcost_f
+        table.next_link[dest] = {names[t]: b[2] for t, b in best.items()
+                                 if cost[t] < INF}
 
-        # rebuild tree costs as tape expressions, nearest node first
+        read = reads.get(dest)
+        if not read:
+            continue
+        # the tree paths beneath the read links, rebuilt as tape expressions
+        # nearest node first, then the read links' costs in link order
+        need = [False] * len(names)
+        for i in read:
+            h = heads[i]
+            while h != d and cost[h] < INF and not need[h]:
+                need[h] = True
+                h = heads[best[h][2]]
         cvar: list = [None] * len(names)
         cvar[d] = 0.0
         for t in settled[1:]:
-            i = best[t][2]
-            cvar[t] = tape.add(weights[i], cvar[heads[i]])
-        lcost_v = [None] * len(links)
-        for i, h in enumerate(heads):
-            if cvar[h] is not None:
-                lcost_v[i] = tape.add(weights[i], cvar[h])
-
-        table.node_cost[dest] = dict(zip(names, cost))
-        table.link_cost[dest] = lcost_f
+            if need[t]:
+                i = best[t][2]
+                cvar[t] = tape.add(weights[i], cvar[heads[i]])
+        lcost_v = [None] * len(heads)
+        for i in read:
+            if cvar[heads[i]] is not None:
+                lcost_v[i] = tape.add(weights[i], cvar[heads[i]])
         table.link_cost_var[dest] = lcost_v
-        table.next_link[dest] = next_link
     return table
 
 
@@ -165,19 +175,22 @@ def turning_probs(tape: Tape, table: RoutingTable, node: str, outs: list[int],
     """Per-destination routing fractions over a node's outlinks.
 
     `outs` are the node's outlink numbers; the fractions come in that order.
-    Deterministic DUO (mu == 0): indicator on the shortest outlink.
+    The outlinks that lead to the destination are those of finite float
+    cost.  Deterministic DUO (mu == 0): indicator on the shortest outlink.
     Logit-DUO: softmin of remaining path costs with scale mu, stabilized by
-    subtracting the per-node minimum cost before exponentiation.
+    subtracting the per-node minimum cost before exponentiation; only this
+    case, with two or more such outlinks, reads the tree costs.
     `None` if no outlink leads to the destination.
     """
-    lcost_v = table.link_cost_var[dest]
-    feasible = [j for j, i in enumerate(outs) if lcost_v[i] is not None]
+    lcost = table.link_cost[dest]
+    feasible = [j for j, i in enumerate(outs) if lcost[i] < INF]
     if not feasible:
         return None
     if mu == 0.0 or len(feasible) == 1:
         chosen = table.next_link[dest][node]
         return [1.0 if i == chosen else 0.0 for i in outs]
-    cmin = min(table.link_cost[dest][outs[j]] for j in feasible)
+    cmin = min(lcost[outs[j]] for j in feasible)
+    lcost_v = table.link_cost_var[dest]
     z = []
     zsum = 0.0
     for j in feasible:

@@ -42,6 +42,7 @@ __all__ = [
     "TollSchedule",
     "SimConfig",
     "Network",
+    "ReverseLinks",
     "Scenario",
     "ScenarioError",
     "ValidationError",
@@ -187,6 +188,36 @@ NODE_KINDS = ("origin", "destination", "intermediate")
 
 
 @dataclass(frozen=True)
+class ReverseLinks:
+    """The links reversed, as the routing searches walk them.
+
+    Nodes are numbered by their position in `names` (file order), which
+    `pos` maps each node id to; links by their position in the list the
+    adjacency was built from.  `heads[i]` is the position of link i's head
+    and `ids[i]` its id; `into[k]` lists the inlinks of node k as (link
+    number, tail position), in link order.
+    """
+
+    names: tuple[str, ...]
+    pos: dict[str, int]
+    heads: list[int]
+    into: list[list[tuple[int, int]]]
+    ids: list[str]
+
+    @classmethod
+    def of(cls, nodes, links) -> ReverseLinks:
+        """The adjacency of node ids `nodes` and of `links`, anything with an
+        `id`, a `tail` and a `head`."""
+        names = tuple(nodes)
+        pos = {n: k for k, n in enumerate(names)}
+        heads = [pos[lk.head] for lk in links]
+        into: list[list[tuple[int, int]]] = [[] for _ in names]
+        for i, lk in enumerate(links):
+            into[heads[i]].append((i, pos[lk.tail]))
+        return cls(names, pos, heads, into, [lk.id for lk in links])
+
+
+@dataclass(frozen=True)
 class Network:
     """Integer-indexed topology of a scenario, built once by `Scenario.network`.
 
@@ -199,6 +230,7 @@ class Network:
     inlinks: dict[str, list[int]]  # node id -> inlink numbers
     reaching: dict[str, set[str]]  # destination -> nodes reaching it (itself too)
     origin_demands: dict[str, list[int]]  # origin id -> demand indices
+    reverse: ReverseLinks  # the links reversed, for routing
 
 
 @dataclass(frozen=True)
@@ -239,7 +271,8 @@ class Scenario:
         origin_demands: dict[str, list[int]] = {}
         for i, dm in enumerate(self.demands):
             origin_demands.setdefault(dm.origin, []).append(i)
-        return Network(outlinks, inlinks, reaching, origin_demands)
+        return Network(outlinks, inlinks, reaching, origin_demands,
+                       ReverseLinks.of(self.nodes, self.links))
 
     @cached_property
     def destinations(self) -> tuple[str, ...]:

@@ -22,7 +22,7 @@ from diffnet.engine import (
     objective_ttt,
     run,
 )
-from diffnet.nodemodel import inm_fixed, inm_reference
+from diffnet.nodemodel import inm_fixed
 from diffnet.optimize import (
     AdamConfig,
     SPSAConfig,
@@ -36,12 +36,14 @@ from diffnet.presets import (
     toll_grid_scenario,
     two_route_scenario,
 )
-from diffnet.routing import build_routing, turning_probs
+from diffnet.routing import turning_probs
 from diffnet.scenario import register_parameters
 
 from conftest import record_acceptance
+from inm_oracle import inm_reference
 from test_engine import random_scenario
-from test_routing import brute_force_cost, make_link, random_graph
+from test_routing import (brute_force_cost, build_table, make_link,
+                          random_graph)
 
 
 # ======================================================================
@@ -267,8 +269,8 @@ def test_criterion_04_shortest_path_oracle(acceptance_report):
         links = [make_link(tape, lid, tail, head)
                  for tail, head, lid in raw_links]
         dest = random.Random(rng.random()).choice(sorted(nodes))
-        table = build_routing(tape, nodes, links,
-                              [weights[lid] for _, _, lid in raw_links], [dest])
+        table = build_table(tape, nodes, links,
+                            [weights[lid] for _, _, lid in raw_links], [dest])
         for src in nodes:
             if src == dest:
                 continue
@@ -292,7 +294,7 @@ def test_criterion_04_shortest_path_oracle(acceptance_report):
 def _two_route(tape, w1, w2):
     nodes = {"a": "intermediate", "b": "intermediate"}
     links = [make_link(tape, "r1", "a", "b"), make_link(tape, "r2", "a", "b")]
-    table = build_routing(tape, nodes, links, [w1, w2], ["b"])
+    table = build_table(tape, nodes, links, [w1, w2], ["b"])
     return table, [0, 1]
 
 

@@ -172,7 +172,7 @@ def refresh_on_the_tape(sim, t):
     weights = [tape.add(sim.link_travel_time(tape, lk, t),
                         sim.toll_value(i, t))
                for i, lk in enumerate(sim.links)]
-    table = build_routing(tape, sim.scn.nodes, sim.links, weights, sim.dests)
+    table = build_routing(tape, sim.net.reverse, weights, sim.dests, {})
     for plan in sim._plans:
         for s in plan.dests:
             hop = table.next_link[s][plan.node]

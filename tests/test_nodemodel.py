@@ -7,7 +7,9 @@ import time
 import pytest
 
 from diffnet.adcore import FloatTape, Tape, Var, value
-from diffnet.nodemodel import ACTIVE_EPS, B_EPS, inm_fixed, inm_reference
+from diffnet.nodemodel import ACTIVE_EPS, B_EPS, inm_fixed
+
+from inm_oracle import inm_reference
 
 
 def run_fixed(D, S, B, alpha):

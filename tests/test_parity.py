@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import diffnet.engine
-from diffnet.adcore import FloatTape, Var, value
+import diffnet.routing
+from diffnet.adcore import FLOAT, FloatTape, Var, value
 from diffnet.engine import Simulator, build_objective, objective_ttt
 from diffnet.presets import merge_scenario, toll_grid_scenario, two_route_scenario
 from diffnet.routing import composition
@@ -151,11 +152,34 @@ def load_grid():
     return mod
 
 
+def replanned_grid():
+    return Scenario.from_dict(load_grid().grid_document(
+        n=4, n_dest=3, demand=0.10, mu=0.0, dt_route=5.0))
+
+
+def count_refreshes(monkeypatch):
+    """Patch the engine to list the step of every routing refresh, those
+    that keep the last table included."""
+    steps = []
+    refresh = Simulator._refresh_routing
+
+    def counted(sim, t):
+        steps.append(t)
+        refresh(sim, t)
+
+    monkeypatch.setattr(Simulator, "_refresh_routing", counted)
+    return steps
+
+
 @pytest.mark.parametrize("grad", [False, True])
 def test_replanned_grid_ttt_and_route_changes_pinned_exactly(grad, monkeypatch):
-    # deterministic routing re-planned every step: the next hops change at
-    # 10 of the 239 later refreshes, and the taped and gradient-free runs
-    # agree to the last bit
+    # deterministic routing re-planned every step: at 226 of the 240
+    # refreshes every link weight is as it was at the last refresh (the
+    # links run at free flow, whose travel time d / u does not move), so
+    # the table is kept and only 14 are built.  The next hops change at 10
+    # of the 13 later ones, as they did at 10 of the 239 later refreshes
+    # when every refresh built a table, and the taped and gradient-free
+    # runs agree to the last bit
     hops = []
 
     def recording(*args):
@@ -165,14 +189,14 @@ def test_replanned_grid_ttt_and_route_changes_pinned_exactly(grad, monkeypatch):
 
     build_routing = diffnet.engine.build_routing
     monkeypatch.setattr(diffnet.engine, "build_routing", recording)
-    scn = Scenario.from_dict(load_grid().grid_document(
-        n=4, n_dest=3, demand=0.10, mu=0.0, dt_route=5.0))
-    ps = register_parameters(scn, "q2")
+    steps = count_refreshes(monkeypatch)
+    ps = register_parameters(scn := replanned_grid(), "q2")
     sim = Simulator(scn, params=ps, grad=grad)
     res = sim.run()
     J = objective_ttt(res)
     assert repr(value(J)) == "149227.0682984"
-    assert len(hops) == 240
+    assert steps == list(range(240))
+    assert len(hops) == 14
     assert sum(a != b for a, b in zip(hops, hops[1:])) == 10
     if grad:
         g = res.tape.grad(J, [sim.param_vars["q2"]])
@@ -229,14 +253,15 @@ def record_refreshes(monkeypatch):
 def test_replanned_grid_rows_are_rebuilt_only_where_next_hops_change(
         monkeypatch):
     # deterministic routing: a (node, destination) row is rebuilt exactly
-    # when that node's next hop toward the destination changed, and both
-    # cases occur
+    # when that node's next hop toward the destination changed since the
+    # last table, and both cases occur; the 226 refreshes whose link weights
+    # are all as they were build no table and rebuild no row
     tables, rebuilt = record_refreshes(monkeypatch)
-    scn = Scenario.from_dict(load_grid().grid_document(
-        n=4, n_dest=3, demand=0.10, mu=0.0, dt_route=5.0))
-    sim = Simulator(scn)
+    steps = count_refreshes(monkeypatch)
+    sim = Simulator(replanned_grid())
     sim.run()
-    assert len(tables) == 240
+    assert len(steps) == 240
+    assert len(tables) == 14
     pairs = [(plan.node, s) for plan in sim._plans for s in plan.dests]
     assert rebuilt[0] == pairs
     n_moved = 0
@@ -247,6 +272,62 @@ def test_replanned_grid_rows_are_rebuilt_only_where_next_hops_change(
         assert rebuilt[k] == moved
         n_moved += len(moved)
     assert 0 < n_moved < (len(tables) - 1) * len(pairs)
+
+
+def fresh_routing(sim, t):
+    """Each visited node's next hops and rows as a table built anew over
+    the link weights of step t gives them, on `FLOAT` over forward values."""
+    weights = [FLOAT.add(sim.link_travel_time(FLOAT, lk.vals or lk, t),
+                         value(sim.toll_value(i, t)))
+               for i, lk in enumerate(sim.links)]
+    table = diffnet.routing.build_routing(FLOAT, sim.net.reverse, weights,
+                                          sim.dests, sim._reads)
+    mu = sim.scn.config.mu
+    return [({s: table.next_link[s][plan.node] for s in plan.dests},
+             {s: diffnet.routing.turning_probs(FLOAT, table, plan.node,
+                                               plan.outs, s, mu)
+              for s in plan.dests})
+            for plan in sim._plans]
+
+
+@pytest.mark.parametrize("scn, tokens, grad, skips", [
+    (replanned_grid(), "q2", True, True),
+    (two_destination_scenario(), "q1,ua", False, True),
+    (toll_grid_scenario(), "toll:*", True, False),
+], ids=["re-planned grid", "float logit", "taped toll grid"])
+def test_a_refresh_that_keeps_its_table_keeps_what_a_rebuild_gives(
+        monkeypatch, scn, tokens, grad, skips):
+    # after every refresh, those that find the link weights as they were
+    # included, each visited node's next hops and rows are those of a
+    # table built anew over that step's weights.  Deterministic and float
+    # runs weigh the links in floats, so some refreshes keep the table; a
+    # taped logit run whose weights are `Var`s gets new ones at every
+    # refresh, and keeps none
+    built = []
+    build_routing = diffnet.engine.build_routing
+
+    def counted(*args):
+        built.append(args)
+        return build_routing(*args)
+
+    refresh = Simulator._refresh_routing
+
+    def checked(sim, t):
+        refresh(sim, t)
+        for plan, (hops, rows) in zip(sim._plans, fresh_routing(sim, t)):
+            assert plan.hops == hops
+            assert {s: [value(x) for x in row]
+                    for s, row in plan.rows.items()} == rows
+
+    monkeypatch.setattr(diffnet.engine, "build_routing", counted)
+    monkeypatch.setattr(Simulator, "_refresh_routing", checked)
+    steps = count_refreshes(monkeypatch)
+    ps = register_parameters(scn, tokens)
+    Simulator(scn, params=ps, grad=grad).run()
+    cfg = scn.config
+    assert steps == list(range(0, cfg.n_steps, cfg.route_steps))
+    assert 0 < len(built) <= len(steps)
+    assert (len(built) < len(steps)) == skips
 
 
 def test_logit_rows_are_rebuilt_only_where_outlinks_offer_a_choice(
@@ -262,29 +343,36 @@ def test_logit_rows_are_rebuilt_only_where_outlinks_offer_a_choice(
     # flows are the demands themselves, and the other 540 are bound by
     # plain-float supplies.  The 1,080 live entries that the chains passed
     # adjoints through, whose contributions cancel, are gone too.  The
-    # absorbed counts, summed after the scan, add 6 of the entries.
+    # absorbed counts, summed after the scan, add 6 of the entries.  The
+    # routing table records only the tree costs that the origin's row reads:
+    # the origin's own cost, which no link enters, is 20 entries fewer.
+    # Every refresh builds a table: the link weights are new `Var`s each time
     tables, rebuilt = record_refreshes(monkeypatch)
+    steps = count_refreshes(monkeypatch)
     res, _ = taped(toll_grid_scenario(), "toll:*")
-    assert len(tables) == 20
+    assert len(steps) == len(tables) == 20
     assert rebuilt[0][0] == ("orig", "dest")
     assert sorted(node for node, _ in rebuilt[0][1:]) == sorted(
         f"m{c}{i}" for c in "fs" for i in range(6))
     assert all(calls == [("orig", "dest")] for calls in rebuilt[1:])
     assert sum(map(len, rebuilt)) == 32
     J = objective_ttt(res)
-    assert len(res.tape) == 9_491
+    assert len(res.tape) == 9_471
     assert sum(1 for a in res.tape.backward(J) if a != 0.0) == 8_321
 
 
 def test_an_origin_without_demand_gets_no_rows(monkeypatch):
     # an origin whose two outlinks lead to both destinations, under logit
     # routing, but with no demand: the node stage never visits it, so no
-    # row of it is built
+    # row of it is built.  With only q1 registered the link weights are
+    # plain floats, and 34 of the 60 refreshes find them as they were
     doc = two_destination_scenario().to_dict()
     doc["nodes"].append({"id": "o2", "kind": "origin"})
     doc["links"] += [_lk("g1", "o2", "m", 600.0), _lk("g2", "o2", "n", 700.0)]
     tables, rebuilt = record_refreshes(monkeypatch)
+    steps = count_refreshes(monkeypatch)
     res, _ = taped(Scenario.from_dict(doc), "q1")
     assert "o2" not in [plan.node for plan in res._sim._plans]
-    assert len(tables) == 60 and all(rebuilt)
+    assert len(steps) == 60
+    assert len(tables) == 26 and all(rebuilt)
     assert all(node != "o2" for calls in rebuilt for node, _ in calls)

@@ -15,7 +15,7 @@ from diffnet.routing import (
     turning_probs,
     travel_time_avg,
 )
-from diffnet.scenario import LinkParams
+from diffnet.scenario import LinkParams, ReverseLinks
 
 
 def make_link(tape, lid, tail, head, dests=("s",), **kw):
@@ -23,6 +23,14 @@ def make_link(tape, lid, tail, head, dests=("s",), **kw):
              kappa=0.2, alpha=1.0)
     p.update(kw)
     return LinkDyn(tape, LinkParams(**p), list(dests))
+
+
+def build_table(tape, nodes, links, weights, dests):
+    """`build_routing` over `links`, with the tree cost of every link read
+    (built wherever the link's head reaches the destination)."""
+    every = list(range(len(links)))
+    return build_routing(tape, ReverseLinks.of(nodes, links), weights, dests,
+                         {s: every for s in dests})
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +122,7 @@ def check_against_references(rng, integer):
     links = [make_link(tape, lid, tail, head) for tail, head, lid in raw_links]
     weights_f = [weights[lid] for _, _, lid in raw_links]
     dests = sorted(nodes)
-    table = build_routing(tape, nodes, links, weights_f, dests)
+    table = build_table(tape, nodes, links, weights_f, dests)
     ties = 0
     for dest in dests:
         cost, next_link = bellman_ford_reference(nodes, links, weights_f, dest)
@@ -150,7 +158,7 @@ def test_negative_routing_weight_raises():
     nodes = {"a": "intermediate", "b": "intermediate"}
     links = [make_link(tape, "e1", "a", "b")]
     with pytest.raises(ValueError, match="negative routing weight"):
-        build_routing(tape, nodes, links, [-1.0], ["b"])
+        build_table(tape, nodes, links, [-1.0], ["b"])
 
 
 def test_tree_cost_expressions_match_float_costs():
@@ -162,18 +170,52 @@ def test_tree_cost_expressions_match_float_costs():
                  for tail, head, lid in raw_links]
         wvars = [tape.input(weights[lid]) for _, _, lid in raw_links]
         dest = sorted(nodes)[0]
-        table = build_routing(tape, nodes, links, wvars, [dest])
+        table = build_table(tape, nodes, links, wvars, [dest])
         for cv, cf in zip(table.link_cost_var[dest], table.link_cost[dest]):
             assert (cv is None) == math.isinf(cf)
             if cv is not None:
                 assert value(cv) == pytest.approx(cf)
 
 
+def test_tree_costs_are_built_only_where_a_row_reads_them():
+    # with a random subset of the links read, the table holds a tape
+    # expression exactly for the read links whose head reaches the
+    # destination, each with the value it has when every link is read, and
+    # every entry it records is one of them or is read by a later entry
+    rng = random.Random(6)
+    for _ in range(50):
+        nodes, raw_links, weights = random_graph(rng)
+        tape = Tape()
+        links = [make_link(tape, lid, tail, head)
+                 for tail, head, lid in raw_links]
+        wvars = [tape.input(weights[lid]) for _, _, lid in raw_links]
+        dest = sorted(nodes)[0]
+        full = build_table(tape, nodes, links, wvars, [dest])
+        read = sorted(rng.sample(range(len(links)),
+                                 rng.randint(0, len(links))))
+        start = len(tape)
+        table = build_routing(tape, ReverseLinks.of(nodes, links), wvars,
+                              [dest], {dest: read})
+        costs = table.link_cost_var.get(dest, [None] * len(links))
+        for i, (cv, cf) in enumerate(zip(costs, table.link_cost[dest])):
+            assert (cv is None) == (i not in read or math.isinf(cf))
+            if cv is not None:
+                assert value(cv) == value(full.link_cost_var[dest][i])
+        kept = {cv.idx for cv in costs if cv is not None}
+        parents = set(tape._p1[start:]) | set(tape._p2[start:])
+        assert all(k in kept or k in parents for k in range(start, len(tape)))
+    # no read link: nothing is recorded, and no cost list is kept
+    start = len(tape)
+    table = build_routing(tape, ReverseLinks.of(nodes, links), wvars,
+                          sorted(nodes), {})
+    assert len(tape) == start and table.link_cost_var == {}
+
+
 def test_deterministic_tie_breaks_to_lowest_link_id():
     tape = Tape()
     nodes = {"a": "intermediate", "b": "intermediate"}
     links = [make_link(tape, "e2", "a", "b"), make_link(tape, "e1", "a", "b")]
-    table = build_routing(tape, nodes, links, [3.0, 3.0], ["b"])
+    table = build_table(tape, nodes, links, [3.0, 3.0], ["b"])
     # e1 has the lower id but the higher link number
     assert links[table.next_link["b"]["a"]].id == "e1"
 
@@ -185,7 +227,7 @@ def test_deterministic_tie_breaks_to_lowest_link_id():
 def two_route_table(tape, w1, w2, mu):
     nodes = {"a": "intermediate", "b": "intermediate"}
     links = [make_link(tape, "r1", "a", "b"), make_link(tape, "r2", "a", "b")]
-    table = build_routing(tape, nodes, links, [w1, w2], ["b"])
+    table = build_table(tape, nodes, links, [w1, w2], ["b"])
     return table, [0, 1]
 
 
@@ -224,7 +266,7 @@ def test_no_outlink_towards_destination_gives_none():
     tape = Tape()
     nodes = {"a": "intermediate", "b": "intermediate", "c": "intermediate"}
     links = [make_link(tape, "ab", "a", "b"), make_link(tape, "cb", "c", "b")]
-    table = build_routing(tape, nodes, links, [1.0, 1.0], ["c"])
+    table = build_table(tape, nodes, links, [1.0, 1.0], ["c"])
     assert turning_probs(tape, table, "a", [0], "c", 0.5) is None
 
 
@@ -236,14 +278,14 @@ def test_row_follows_outlink_numbers_with_zero_at_a_dead_end():
     links = [make_link(tape, "k", "b", "t"), make_link(tape, "r3", "a", "b"),
              make_link(tape, "r1", "a", "c"), make_link(tape, "r2", "a", "b")]
     outs = [3, 2, 1]
-    table = build_routing(tape, nodes, links, [1.0, 5.0, 1.0, 7.0], ["t"])
+    table = build_table(tape, nodes, links, [1.0, 5.0, 1.0, 7.0], ["t"])
     probs = turning_probs(tape, table, "a", outs, "t", 0.5)
     assert value(probs[2]) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
     assert value(probs[0]) == pytest.approx(1.0 / (1.0 + math.exp(1.0)))
     assert probs[1] == 0.0 and isinstance(probs[1], float)
     assert turning_probs(tape, table, "a", outs, "t", 0.0) == [0.0, 0.0, 1.0]
     # at equal costs the lower id r2 wins, although r3 has the lower number
-    table = build_routing(tape, nodes, links, [1.0, 5.0, 1.0, 5.0], ["t"])
+    table = build_table(tape, nodes, links, [1.0, 5.0, 1.0, 5.0], ["t"])
     assert turning_probs(tape, table, "a", outs, "t", 0.0) == [1.0, 0.0, 0.0]
 
 

@@ -269,6 +269,16 @@ def check_network(scn):
     assert net.reaching == reaching
     assert tuple(net.reaching) == scn.destinations
     assert net.origin_demands == demands
+    # the reverse adjacency: each node's inlinks with their tails, and each
+    # link's head, by position
+    rev = net.reverse
+    assert rev.names == tuple(scn.nodes) and rev.ids == ids
+    assert all(rev.names[k] == n for n, k in rev.pos.items())
+    tails = {lk.id: lk.tail for lk in scn.links}
+    assert {rev.names[k]: [(ids[i], rev.names[t]) for i, t in pairs]
+            for k, pairs in enumerate(rev.into)} == {
+        n: [(lid, tails[lid]) for lid in lids] for n, lids in inc.items()}
+    assert [rev.names[h] for h in rev.heads] == [lk.head for lk in scn.links]
     assert scn.network is net  # built once
 
 

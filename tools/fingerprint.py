@@ -146,12 +146,15 @@ def fixtures(dn):
                          parity._lk("g2", "o2", "n", 700.0)]
         return dn.Scenario.from_dict(doc)
 
+    def configured(scn, **config):
+        return dataclasses.replace(
+            scn, config=dataclasses.replace(scn.config, **config))
+
     def segments_merge(**config):
         # merge with segment travel times: routing reads `interp` at a `Var`
         # index on a link whose `u` is registered
-        scn = presets.merge_scenario()
-        return dataclasses.replace(scn, config=dataclasses.replace(
-            scn.config, M=3, tt_method="segments", **config))
+        return configured(presets.merge_scenario(), M=3, tt_method="segments",
+                          **config)
 
     out = []
     for grad in (True, False):
@@ -187,6 +190,15 @@ def fixtures(dn):
     out.append(("toll grid toll-J random tolls taped", lambda: simulate(
         dn, presets.toll_grid_scenario(), "toll:*", values=tolls,
         objective="toll-J", lam=1e-3)))
+    # deterministic routing with tolls: a toll period's edge changes the
+    # link weights even where the link states do not
+    for grad in (True, False):
+        tag = "taped" if grad else "float"
+        out.append((f"toll grid mu=0 random tolls {tag}",
+                    lambda g=grad: simulate(
+                        dn, configured(presets.toll_grid_scenario(), mu=0.0),
+                        "toll:*", values=tolls, grad=g, objective="toll-J",
+                        lam=1e-3)))
 
     rng = random.Random(1234)
     draws = []
