@@ -134,15 +134,17 @@ class _NodePlan:
     `alpha` their merge priorities.  `outs` are the outlink numbers,
     `keeps[j]` says whether outlink j keeps per-destination counts (`NU_s`),
     and `nu_s` whether any of them does.  `dests` are the destinations the
-    outlinks lead to, in scenario order, and `choice` those that more than
-    one outlink leads to.  `rows[s]` is the turning row toward s, by outlink
-    position, built at a refresh for the next hop `hops[s]`.
+    outlinks lead to, in scenario order.  `choice` holds those where a logit
+    row has a choice, the only rows that read tree costs: more than one
+    outlink leads there and mu > 0 (empty under mu = 0).  `rows[s]` is the
+    turning row toward s, by outlink position, built at a refresh for the
+    next hop `hops[s]`.
     """
 
     __slots__ = ("node", "kind", "ins", "inlinks", "alpha", "outs", "keeps",
                  "nu_s", "dests", "choice", "rows", "hops")
 
-    def __init__(self, node, kind, net, links, dests):
+    def __init__(self, node, kind, net, links, dests, mu):
         self.node = node
         self.kind = kind
         self.ins = net.inlinks[node]
@@ -153,7 +155,7 @@ class _NodePlan:
         self.nu_s = any(self.keeps)
         leads = {s: sum(s in links[o].dests for o in self.outs) for s in dests}
         self.dests = [s for s in dests if leads[s]]
-        self.choice = {s for s in dests if leads[s] > 1}
+        self.choice = {s for s in dests if leads[s] > 1 and mu > 0.0}
         self.rows: dict[str, list] = {}
         self.hops: dict[str, int] = {}
 
@@ -235,7 +237,8 @@ class Simulator:
         # the node stage visits, in node order, the origins with a queue and
         # the junctions with outlinks (the others transfer nothing)
         self._plans = [
-            _NodePlan(node, kind, self.net, self.links, dests)
+            _NodePlan(node, kind, self.net, self.links, dests,
+                      scenario.config.mu)
             for node, kind in scenario.nodes.items()
             if (node in self.queue if kind == "origin"
                 else self.net.outlinks[node])]
@@ -243,11 +246,12 @@ class Simulator:
         # they deliver their whole demand, of that destination's vehicles only
         self._sinks = [(s, i) for s in dests for i in self.net.inlinks[s]]
         # the links whose tree costs a logit row reads, per destination: the
-        # outlinks toward it of each node that offers a choice there
-        self._reads = {} if scenario.config.mu == 0.0 else {
-            s: [o for plan in self._plans if s in plan.choice
-                for o in plan.outs if s in self.links[o].dests]
-            for s in dests}
+        # outlinks toward it of each node with a choice there.  Empty when
+        # no row of the run reads a tree cost
+        reads = {s: [o for plan in self._plans if s in plan.choice
+                     for o in plan.outs if s in self.links[o].dests]
+                 for s in dests}
+        self._reads = {s: read for s, read in reads.items() if read}
         self._weights = None  # the link weights of the last refresh
 
     # ------------------------------------------------------------------
@@ -314,45 +318,36 @@ class Simulator:
         """New routing rows for the visited nodes, fixed until the next
         refresh.
 
-        A refresh whose link weights all equal the last refresh's (equal
-        floats, or the very same `Var`s) keeps the table's next hops and
-        every row: a rebuild would give them exactly.  Otherwise a (node,
-        destination) row is rebuilt only when the node's next hop there
-        changed since the row was built, or when mu > 0 and more than one
-        outlink leads there: the logit rows with a choice, the only rows
-        that read tree costs and record tape entries, are rebuilt at every
-        such refresh.  The deterministic rows (mu == 0) read no tree cost:
-        the links are weighed and the table built on `FLOAT`, over forward
-        values, with no tree cost at all.
+        Only a logit row with a choice (`_NodePlan.choice`) reads tree
+        costs, so only a run with such a row (`_reads` not empty) weighs its
+        links and builds its table on its tape.  Any other run, whatever its
+        mu, weighs them on `FLOAT` over forward values and builds the table
+        with no tree cost at all.  A refresh whose link weights all equal
+        the last refresh's (equal floats, or the very same `Var`s) keeps the
+        table's next hops and every row: a rebuild would give them exactly.
+        Otherwise a (node, destination) row is rebuilt when the node's next
+        hop there changed since the row was built, or when the node has a
+        choice there: those rows read the new tree costs.
         """
-        tape, scn = self.tape, self.scn
-        mu = scn.config.mu
-        if mu == 0.0:
-            rtape = FLOAT
-            weights = []
-            for i, lk in enumerate(self.links):
-                toll = self.toll_value(i, t)
-                weights.append(FLOAT.add(
-                    self.link_travel_time(FLOAT, lk.vals or lk, t),
-                    toll.val if type(toll) is Var else toll))
-        else:
-            rtape = tape
-            weights = [
-                tape.add(self.link_travel_time(tape, lk, t),
-                         self.toll_value(i, t))
-                for i, lk in enumerate(self.links)
-            ]
+        reads = self._reads
+        rtape = self.tape if reads else FLOAT
+        weights = []
+        for i, lk in enumerate(self.links):
+            toll = self.toll_value(i, t)
+            if not reads:
+                lk, toll = lk.vals or lk, value(toll)
+            weights.append(rtape.add(self.link_travel_time(rtape, lk, t), toll))
         if weights == self._weights:
             return
         self._weights = weights
         table = build_routing(rtape, self.net.reverse, weights, self.dests,
-                              self._reads)
-        next_link = table.next_link
+                              reads)
+        tape, mu, next_link = self.tape, self.scn.config.mu, table.next_link
         for plan in self._plans:
             node, outs, rows, hops = plan.node, plan.outs, plan.rows, plan.hops
             for s in plan.dests:
                 hop = next_link[s][node]
-                if hop != hops.get(s) or (mu != 0.0 and s in plan.choice):
+                if hop != hops.get(s) or s in plan.choice:
                     hops[s] = hop
                     rows[s] = turning_probs(tape, table, node, outs, s, mu)
 

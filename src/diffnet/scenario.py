@@ -187,6 +187,23 @@ class SimConfig:
 NODE_KINDS = ("origin", "destination", "intermediate")
 
 
+def _segment_count(x) -> int:
+    """The segment count `M` of a scenario document: an integral number."""
+    if type(x) is int or (type(x) is float and x.is_integer()):
+        return int(x)
+    raise ValidationError(f"segment count M={x!r} must be an integer")
+
+
+def _unique(what: str, pairs) -> dict:
+    """A dict of (key, value) pairs, where no key may come twice."""
+    out = {}
+    for key, val in pairs:
+        if key in out:
+            raise ValidationError(f"duplicate {what} {key!r}")
+        out[key] = val
+    return out
+
+
 @dataclass(frozen=True)
 class ReverseLinks:
     """The links reversed, as the routing searches walk them.
@@ -343,10 +360,11 @@ class Scenario:
                 dt_route=float(meta.get("dt_route", meta["dt"])),
                 dt_toll=float(meta.get("dt_toll", meta["T_max"])),
                 mu=float(meta.get("mu", 0.0)),
-                M=int(meta.get("M", 1)),
+                M=_segment_count(meta.get("M", 1)),
                 tt_method=str(meta.get("tt_method", "average")),
             )
-            nodes = {str(n["id"]): str(n["kind"]) for n in doc["nodes"]}
+            nodes = _unique("node id", ((str(n["id"]), str(n["kind"]))
+                                        for n in doc["nodes"]))
             links = tuple(
                 LinkParams(
                     id=str(lk["id"]),
@@ -370,12 +388,9 @@ class Scenario:
                 )
                 for dm in doc.get("demands", [])
             )
-            tolls = TollSchedule(
-                values={
-                    str(tl["link"]): tuple(float(v) for v in tl["values"])
-                    for tl in doc.get("tolls", [])
-                },
-            )
+            tolls = TollSchedule(values=_unique("toll link", (
+                (str(tl["link"]), tuple(float(v) for v in tl["values"]))
+                for tl in doc.get("tolls", []))))
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed scenario document: {exc!r}") from exc
         scn = cls(nodes=nodes, links=links, demands=demands, tolls=tolls, config=cfg)

@@ -339,11 +339,17 @@ def _unknown_link_key(doc):
                      [[0.0, 500.0, 0.3], [250.0, 750.0, 0.3]]),
      "demand orig1->dest: overlapping intervals"),
     (lambda d: _edit(d, ("meta", "M"), 0), "segment count M must be >= 1"),
+    (lambda d: _edit(d, ("meta", "M"), 2.5),
+     "segment count M=2.5 must be an integer"),
+    (lambda d: _edit(d, ("meta", "M"), True),
+     "segment count M=True must be an integer"),
     (lambda d: _edit(d, ("meta", "tt_method"), "exact"),
      "unknown tt_method 'exact'"),
     (lambda d: _edit(d, ("links", 1, "id"), "1"), "duplicate link id '1'"),
     (lambda d: _edit(d, ("nodes", 2, "kind"), "junction"),
      "node merge: unknown kind 'junction'"),
+    (lambda d: d["nodes"].append({"id": "merge", "kind": "destination"}),
+     "duplicate node id 'merge'"),
     (_origin_with_inlink, "origin node orig1 must have no inlinks"),
     (_destination_with_outlink, "destination node dest must have no outlinks"),
     (lambda d: _edit(d, ("demands", 0, "origin"), "merge"),
@@ -352,6 +358,9 @@ def _unknown_link_key(doc):
      "demand orig1->merge: node merge is not a declared destination"),
     (lambda d: _edit(d, ("tolls",), [{"link": "9", "values": [1.0]}]),
      "toll refers to unknown link '9'"),
+    (lambda d: _edit(d, ("tolls",), [{"link": "1", "values": [1.0]},
+                                     {"link": "1", "values": [2.0]}]),
+     "duplicate toll link '1'"),
     (_unknown_link_key, "malformed scenario document: KeyError('qmax')"),
 ])
 def test_invalid_scenario_file_exits_1_with_one_line(tmp_path, capsys, edit,

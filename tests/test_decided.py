@@ -90,6 +90,10 @@ def segments_logit_merge():
     return segments_merge(mu=0.1)
 
 
+def segments_logit_two_route():
+    return segments(two_route_scenario(), mu=0.1)
+
+
 FIXTURES = [
     ("toll grid", toll_grid_scenario, "toll:*", "toll-J"),
     ("two-route qmaxfb", two_route_scenario, "qmaxfb", "ttt"),
@@ -99,6 +103,8 @@ FIXTURES = [
     ("merge u1", merge_scenario, "u1", "ttt"),
     ("segments merge u1,u3", segments_merge, "u1,u3", "ttt"),
     ("segments merge logit u1,u3", segments_logit_merge, "u1,u3", "ttt"),
+    ("segments two-route logit ufa,qmaxfb", segments_logit_two_route,
+     "ufa,qmaxfb", "ttt"),
 ]
 
 
@@ -122,9 +128,13 @@ def test_decided_sites_record_nothing_that_nothing_reads(
         if all(type(x) is not Var for x in results):
             assert start == end, (site, link and link.id)
     assert {"demand", "supply", "inm_fixed"} <= set(seen)
-    if scn.config.mu != 0.0:
-        segs = scn.config.tt_method == "segments"
-        assert seen["newell_N" if segs else "travel_time_avg"] > 0
+    # the links are weighed on the tape exactly where a logit row reads a
+    # tree cost: merge under logit routing has no node with a choice
+    segs = scn.config.tt_method == "segments"
+    assert (seen.get("newell_N" if segs else "travel_time_avg", 0) > 0) == (
+        bool(sim._reads))
+    assert bool(sim._reads) == (name in (
+        "toll grid", "two-destination", "segments two-route logit ufa,qmaxfb"))
 
 
 def test_a_remaining_demand_that_wins_the_step_cap_records_no_cap():

@@ -637,9 +637,11 @@ def test_demand_interval_and_toll_period_follow_the_step_index():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1(b): at an exact two-Var tie in inm_fixed's "
-    "`min2(alpha*theta, D - qin)` the first argument takes the adjoint, "
-    "which is not the constraint active just after the queue clears"))
+    "ROADMAP item 1(b): at an exact tie between the step cap "
+    "`alpha * theta` and the remaining demand `D - qin`, inm_fixed's "
+    "`capped` value decision lets the cap win, so the cap takes the "
+    "adjoint, which is not the constraint active just after the queue "
+    "clears"))
 @pytest.mark.parametrize("rate", [0.6, 0.45])
 def test_bottleneck_capacity_gradient_lies_in_the_one_sided_fd_bracket(rate):
     scn = bottleneck_scenario(rate=rate)

@@ -7,6 +7,7 @@ so that pin is exact.
 """
 
 import copy
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -290,20 +291,30 @@ def fresh_routing(sim, t):
             for plan in sim._plans]
 
 
+def logit_merge():
+    scn = merge_scenario()
+    return dataclasses.replace(
+        scn, config=dataclasses.replace(scn.config, mu=0.1))
+
+
 @pytest.mark.parametrize("scn, tokens, grad, skips", [
     (replanned_grid(), "q2", True, True),
     (two_destination_scenario(), "q1,ua", False, True),
     (toll_grid_scenario(), "toll:*", True, False),
-], ids=["re-planned grid", "float logit", "taped toll grid"])
+    (logit_merge(), "u1,u3", True, True),
+], ids=["re-planned grid", "float logit", "taped toll grid",
+        "taped logit merge"])
 def test_a_refresh_that_keeps_its_table_keeps_what_a_rebuild_gives(
         monkeypatch, scn, tokens, grad, skips):
     # after every refresh, those that find the link weights as they were
     # included, each visited node's next hops and rows are those of a
-    # table built anew over that step's weights.  Deterministic and float
-    # runs weigh the links in floats, so some refreshes keep the table; a
-    # taped logit run whose weights are `Var`s gets new ones at every
-    # refresh, and keeps none
-    built = []
+    # table built anew over that step's weights.  Float runs, and taped
+    # runs where no logit row has a choice (deterministic routing, or
+    # merge, whose nodes each have one outlink), weigh the links in floats
+    # and record no travel time, so some refreshes keep the table; a taped
+    # logit run with a choice weighs them on the tape, gets new `Var`s at
+    # every refresh, and keeps none
+    built, recorded = [], []
     build_routing = diffnet.engine.build_routing
 
     def counted(*args):
@@ -319,15 +330,27 @@ def test_a_refresh_that_keeps_its_table_keeps_what_a_rebuild_gives(
             assert {s: [value(x) for x in row]
                     for s, row in plan.rows.items()} == rows
 
+    link_travel_time = Simulator.link_travel_time
+
+    def weighed(sim, tape, link, t):
+        start = len(sim.tape)
+        out = link_travel_time(sim, tape, link, t)
+        recorded.append(len(sim.tape) - start)
+        return out
+
     monkeypatch.setattr(diffnet.engine, "build_routing", counted)
     monkeypatch.setattr(Simulator, "_refresh_routing", checked)
+    monkeypatch.setattr(Simulator, "link_travel_time", weighed)
     steps = count_refreshes(monkeypatch)
     ps = register_parameters(scn, tokens)
-    Simulator(scn, params=ps, grad=grad).run()
+    sim = Simulator(scn, params=ps, grad=grad)
+    sim.run()
     cfg = scn.config
     assert steps == list(range(0, cfg.n_steps, cfg.route_steps))
     assert 0 < len(built) <= len(steps)
     assert (len(built) < len(steps)) == skips
+    assert recorded
+    assert (sum(recorded) > 0) == (grad and bool(sim._reads))
 
 
 def test_logit_rows_are_rebuilt_only_where_outlinks_offer_a_choice(

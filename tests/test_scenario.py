@@ -105,6 +105,23 @@ def test_route_interval_must_be_multiple_of_dt():
 NAN, INF = float("nan"), float("inf")
 
 
+@pytest.mark.parametrize("M, want", [
+    (3, 3), (2.0, 2), (2.5, None), (True, None), ("3", None), (NAN, None),
+    (INF, None), (None, None)])
+def test_segment_count_must_be_integral(M, want):
+    # an integral float is the integer; anything else is refused rather
+    # than truncated (2.5 -> 2) or coerced (true -> 1)
+    d = base_dict()
+    d["meta"]["M"] = M
+    if want is not None:
+        M_read = Scenario.from_dict(d).config.M
+        assert M_read == want and type(M_read) is int
+        return
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"segment count M={M!r} must be")):
+        Scenario.from_dict(d)
+
+
 @pytest.mark.parametrize("path, bad, field", [
     pytest.param(("meta", "dt"), NAN, "dt=nan", id="dt"),
     pytest.param(("meta", "T_max"), INF, "T_max=inf", id="T_max"),

@@ -150,11 +150,13 @@ def fixtures(dn):
         return dataclasses.replace(
             scn, config=dataclasses.replace(scn.config, **config))
 
+    def segments(scn, **config):
+        return configured(scn, M=3, tt_method="segments", **config)
+
     def segments_merge(**config):
         # merge with segment travel times: routing reads `interp` at a `Var`
         # index on a link whose `u` is registered
-        return configured(presets.merge_scenario(), M=3, tt_method="segments",
-                          **config)
+        return segments(presets.merge_scenario(), **config)
 
     out = []
     for grad in (True, False):
@@ -169,6 +171,12 @@ def fixtures(dn):
                 dn, segments_merge(), "u1,u3", grad=g)),
             (f"segments merge logit u1,u3 {tag}", lambda g=grad: simulate(
                 dn, segments_merge(mu=0.1), "u1,u3", grad=g)),
+            # segment travel times weighed on the tape: the origin's logit
+            # row chooses between the two routes
+            (f"segments two-route logit ufa,qmaxfb {tag}",
+             lambda g=grad: simulate(
+                 dn, segments(presets.two_route_scenario(), mu=0.1),
+                 "ufa,qmaxfb", grad=g)),
             (f"toll grid toll-J zero tolls {tag}", lambda g=grad: simulate(
                 dn, presets.toll_grid_scenario(), "toll:*", grad=g,
                 objective="toll-J", lam=1e-3)),
