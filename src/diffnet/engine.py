@@ -87,7 +87,7 @@ class SimResult:
         # the vehicles below zero on any link.
         tape, dt, sinks, T = sim.tape, self.config.dt, sim._sinks, self.config.n_steps
         sub, madd, max2, links = tape.sub, tape.madd, tape.max2, sim.links
-        curves = [lk.vals or lk for lk in links]
+        curves = sim._values
         hists = [h for per_dest in self.queues.values() for h in per_dest.values()]
 
         def error(t: int, queues) -> float:
@@ -138,11 +138,12 @@ class _NodePlan:
     row has a choice, the only rows that read tree costs: more than one
     outlink leads there and mu > 0 (empty under mu = 0).  `rows[s]` is the
     turning row toward s, by outlink position, built at a refresh for the
-    next hop `hops[s]`.
+    next hop `hops[s]`, and `nz[s]` its (position, fraction) pairs that are
+    not a plain 0.0, in position order.
     """
 
     __slots__ = ("node", "kind", "ins", "inlinks", "alpha", "outs", "keeps",
-                 "nu_s", "dests", "choice", "rows", "hops")
+                 "nu_s", "dests", "choice", "rows", "nz", "hops")
 
     def __init__(self, node, kind, net, links, dests, mu):
         self.node = node
@@ -157,7 +158,15 @@ class _NodePlan:
         self.dests = [s for s in dests if leads[s]]
         self.choice = {s for s in dests if leads[s] > 1 and mu > 0.0}
         self.rows: dict[str, list] = {}
+        self.nz: dict[str, list[tuple[int, object]]] = {}
         self.hops: dict[str, int] = {}
+
+    def set_row(self, s: str, hop: int, row: list) -> None:
+        """Make `row`, built for the next hop `hop`, the row toward s."""
+        self.hops[s] = hop
+        self.rows[s] = row
+        self.nz[s] = [(j, p) for j, p in enumerate(row)
+                      if type(p) is Var or p != 0.0]
 
 
 class Simulator:
@@ -172,15 +181,16 @@ class Simulator:
         self.param_vars: dict[str, object] = {}
         self._link_over: dict[str, dict[str, object]] = {}
         self._demand_over: dict[int, object] = {}
-        # toll of link number i in period p: the schedule (cut to the
-        # horizon's periods, padded with 0.0), then registered tolls on top
+        # toll of link number i in period p, `_tolls[p][i]`: the schedule
+        # (cut to the horizon's periods, padded with 0.0), then registered
+        # tolls on top
         n_periods = scenario.config.n_toll_periods
         number = {lp.id: i for i, lp in enumerate(scenario.links)}
-        self._tolls = [[0.0] * n_periods for _ in scenario.links]
+        self._tolls = [[0.0] * len(scenario.links) for _ in range(n_periods)]
         tolled = set()
         for lid, vals in scenario.tolls.values.items():
-            vals = vals[:n_periods]
-            self._tolls[number[lid]][: len(vals)] = vals
+            for row, v in zip(self._tolls, vals):
+                row[number[lid]] = v
             tolled.add(number[lid])
         if params is not None:
             vals = [float(v) for v in (params.base_values if values is None
@@ -198,9 +208,10 @@ class Simulator:
                     self._demand_over[p.target[0]] = var
                 else:
                     lid, period = p.target
-                    self._tolls[number[lid]][period] = var
+                    self._tolls[period][number[lid]] = var
                     tolled.add(number[lid])
         self._tolled = sorted(tolled, key=lambda i: scenario.links[i].id)
+        self._toll_values = [[value(x) for x in row] for row in self._tolls]
 
         dests = scenario.destinations
         self.net = scenario.network
@@ -253,6 +264,9 @@ class Simulator:
                  for s in dests}
         self._reads = {s: read for s, read in reads.items() if read}
         self._weights = None  # the link weights of the last refresh
+        # each link's forward values: its `LinkValues`, or the link itself
+        # on a float run
+        self._values = [lk.vals or lk for lk in self.links]
 
     # ------------------------------------------------------------------
     # parameter-aware accessors
@@ -297,12 +311,12 @@ class Simulator:
 
     def toll_value(self, link: int, t: int):
         """Toll of link number `link` during step t."""
-        return self._tolls[link][t // self._toll_steps]
+        return self._tolls[t // self._toll_steps][link]
 
     def all_toll_values(self):
         """Every toll scalar (Var where registered), for regularization terms:
         tolled links by id, then period."""
-        return [v for i in self._tolled for v in self._tolls[i]]
+        return [row[i] for i in self._tolled for row in self._tolls]
 
     # ------------------------------------------------------------------
 
@@ -322,34 +336,40 @@ class Simulator:
         costs, so only a run with such a row (`_reads` not empty) weighs its
         links and builds its table on its tape.  Any other run, whatever its
         mu, weighs them on `FLOAT` over forward values and builds the table
-        with no tree cost at all.  A refresh whose link weights all equal
-        the last refresh's (equal floats, or the very same `Var`s) keeps the
-        table's next hops and every row: a rebuild would give them exactly.
+        with no tree cost at all.  The tolls of the step's period are read
+        as one row.  A refresh whose link weights all equal the last
+        refresh's (equal floats, or the very same `Var`s) keeps the table's
+        next hops and every row: a rebuild would give them exactly.
         Otherwise a (node, destination) row is rebuilt when the node's next
         hop there changed since the row was built, or when the node has a
-        choice there: those rows read the new tree costs.
+        choice there: those rows read the new tree costs.  A negative weight
+        raises `EngineError`.
         """
         reads = self._reads
-        rtape = self.tape if reads else FLOAT
-        weights = []
-        for i, lk in enumerate(self.links):
-            toll = self.toll_value(i, t)
-            if not reads:
-                lk, toll = lk.vals or lk, value(toll)
-            weights.append(rtape.add(self.link_travel_time(rtape, lk, t), toll))
+        period = t // self._toll_steps
+        if reads:
+            rtape, links, tolls = self.tape, self.links, self._tolls[period]
+        else:
+            rtape, links, tolls = FLOAT, self._values, self._toll_values[period]
+        weigh, add = self.link_travel_time, rtape.add
+        weights = [add(weigh(rtape, lk, t), toll)
+                   for lk, toll in zip(links, tolls)]
         if weights == self._weights:
             return
         self._weights = weights
-        table = build_routing(rtape, self.net.reverse, weights, self.dests,
-                              reads)
+        try:
+            table = build_routing(rtape, self.net.reverse, weights,
+                                  self.dests, reads)
+        except ValueError as exc:  # a negative weight
+            raise EngineError(f"routing at step {t}: {exc}") from None
         tape, mu, next_link = self.tape, self.scn.config.mu, table.next_link
         for plan in self._plans:
-            node, outs, rows, hops = plan.node, plan.outs, plan.rows, plan.hops
+            node, outs, hops = plan.node, plan.outs, plan.hops
             for s in plan.dests:
                 hop = next_link[s][node]
                 if hop != hops.get(s) or s in plan.choice:
-                    hops[s] = hop
-                    rows[s] = turning_probs(tape, table, node, outs, s, mu)
+                    plan.set_row(s, hop, turning_probs(tape, table, node,
+                                                       outs, s, mu))
 
     # ------------------------------------------------------------------
 
@@ -411,8 +431,9 @@ class Simulator:
         built at the routing refresh.  An inflow with a single plain-float
         share 1.0 (one destination) uses that destination's row itself: for
         it the sum `add(0.0, mul(1.0, p))` is `p`.  Any other inflow's row
-        sums c[s] * p over its destinations, outlink by outlink.  A plain
-        0.0 fraction adds nothing to any flow, so every sum here skips it.
+        sums c[s] * p over its destinations, in their order, for each
+        outlink.  A plain 0.0 fraction adds nothing to any flow, so every
+        sum here reads only the rows' other fractions, `plan.nz`.
         Allocates flow with the INM and adds the aggregate inflows to the
         outlinks.  With `split`, it also records each inflow's
         per-destination outflows and adds them, routed, to the outlinks that
@@ -421,7 +442,7 @@ class Simulator:
         """
         tape = self.tape
         add, mul = tape.add, tape.mul
-        outs, rows = plan.outs, plan.rows
+        outs, rows, nz = plan.outs, plan.rows, plan.nz
         B = []
         for c in comps:
             if len(c) == 1:
@@ -430,11 +451,9 @@ class Simulator:
                     B.append(rows[s])
                     continue
             row = [0.0] * len(outs)
-            for j in range(len(outs)):
-                for s, cs in c.items():
-                    p = rows[s][j]
-                    if type(p) is Var or p != 0.0:
-                        row[j] = add(row[j], mul(cs, p))
+            for s, cs in c.items():
+                for j, p in nz[s]:
+                    row[j] = add(row[j], mul(cs, p))
             B.append(row)
 
         qin, qout = inm_fixed(tape, D, [S[o] for o in outs], B, alpha)
@@ -450,8 +469,8 @@ class Simulator:
             for s, cs in c.items():
                 fs = out[s] = mul(q, cs)
                 if nu_s:
-                    for j, p in enumerate(rows[s]):
-                        if keeps[j] and (type(p) is Var or p != 0.0):
+                    for j, p in nz[s]:
+                        if keeps[j]:
                             o = outs[j]
                             f_in_s[o][s] = add(f_in_s[o].get(s, 0.0),
                                                mul(fs, p))
@@ -495,11 +514,11 @@ class Simulator:
 
     def _flush_zero_queues(self, plan, pre, S, f_in, f_in_s, dt):
         tape = self.tape
-        outs, keeps, rows = plan.outs, plan.keeps, plan.rows
+        outs, keeps, nz = plan.outs, plan.keeps, plan.nz
         for s, q in pre.items():
             if type(q) is not Var or q.val != 0.0:
                 continue
-            used = [(j, p) for j, p in enumerate(rows[s])
+            used = [(j, p) for j, p in nz[s]
                     if (p.val if type(p) is Var else p) > 0.0]
             sup = [S[outs[j]] for j, _ in used]
             if not used or any((x.val if type(x) is Var else x) <= 1e-12

@@ -14,7 +14,8 @@ import math
 
 from .adcore import FLOAT, FloatTape, Tape, Var, value
 
-__all__ = ["LinkDyn", "LinkValues", "interp", "fd_speed", "V_MIN", "K_TINY"]
+__all__ = ["LinkDyn", "LinkValues", "interp", "fd_speed", "free_occupancy",
+           "V_MIN", "K_TINY"]
 
 # congested-branch speed floor (m/s): caps travel time at jam density
 V_MIN = 0.01
@@ -80,6 +81,32 @@ def fd_speed(tape: Tape, u, w, kappa, k):
     return tape.min2(u, tape.max2(cong, V_MIN))
 
 
+def free_occupancy(d: float, u: float, w: float, kappa: float) -> float:
+    """The largest float occupancy n at which `fd_speed` on `FLOAT` at the
+    density n / d returns the free-flow speed `u` itself; `inf` where every
+    occupancy is free (u <= V_MIN).
+
+    Every IEEE operation of `fd_speed` is monotone in n, so the occupancies
+    at which `u` wins are exactly those up to this bound.  It is found with
+    `fd_speed` itself, by float steps from the critical occupancy
+    d * w * kappa / (u + w), which lies within a few steps of it.
+    """
+    if u <= V_MIN:
+        return math.inf
+
+    def free(n: float) -> bool:
+        return fd_speed(FLOAT, u, w, kappa, n / d) is u
+
+    n = d * w * kappa / (u + w)
+    if free(n):
+        while free(up := math.nextafter(n, math.inf)):
+            n = up
+    else:
+        while not free(n):
+            n = math.nextafter(n, -math.inf)
+    return n
+
+
 class LinkDyn:
     """Runtime state of one link: parameters plus boundary cumulative curves.
 
@@ -92,7 +119,8 @@ class LinkDyn:
     upstream count of each of them, only when there are two or more; with
     one, `NU` is that destination's curve and its share is a plain 1.0.
     `vals` holds the link's forward values on a taped run, a `LinkValues`;
-    it is `None` on a float run, whose link holds nothing else.
+    it is `None` on a float run, whose link holds nothing else.  `free_n`
+    is the link's `free_occupancy` over its forward values.
     """
 
     __slots__ = (
@@ -110,6 +138,7 @@ class LinkDyn:
         "ND",
         "NU_s",
         "vals",
+        "free_n",
     )
 
     def __init__(self, tape, params, dests, u=None, qmax=None, kappa=None,
@@ -137,7 +166,12 @@ class LinkDyn:
         self.NU = [0.0]
         self.ND = [0.0]
         self.NU_s = {s: 0.0 for s in dests} if len(dests) > 1 else {}
-        self.vals = None if isinstance(tape, FloatTape) else LinkValues(self)
+        if isinstance(tape, FloatTape):
+            self.vals = None
+            self.free_n = free_occupancy(self.d, self.u, self.w, self.kappa)
+        else:
+            self.vals = LinkValues(self)
+            self.free_n = self.vals.free_n
 
     # ------------------------------------------------------------------
     def newell_N(self, tape, t, x, dt: float):
@@ -246,10 +280,11 @@ class LinkValues:
     its boundary curves as plain float lists, which `update_boundaries`
     extends with the link's.  The `LinkDyn` methods that read only these
     attributes run on it under `FLOAT`.  Like a float run's link, it holds
-    nothing but forward values, so its `vals` is `None`.
+    nothing but forward values, so its `vals` is `None`; `free_n` is its
+    `free_occupancy`.
     """
 
-    __slots__ = ("d", "u", "w", "kappa", "NU", "ND")
+    __slots__ = ("d", "u", "w", "kappa", "NU", "ND", "free_n")
 
     vals = None
 
@@ -261,3 +296,4 @@ class LinkValues:
                                       for x in (link.u, link.w, link.kappa))
         self.NU = [value(x) for x in link.NU]
         self.ND = [value(x) for x in link.ND]
+        self.free_n = free_occupancy(self.d, self.u, self.w, self.kappa)

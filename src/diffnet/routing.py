@@ -42,19 +42,21 @@ def _avg_speed(tape: Tape, link, t: int):
 def travel_time_avg(tape: Tape, link, t: int):
     """Instantaneous travel time from the link-average density.
 
-    Decided on values: the speed is first found on `FLOAT` over
-    `link.vals`, or over the link itself where `vals` is `None` (a float
-    run's link, or a `LinkValues`), and there it is the answer.  If the
-    floor `V_MIN` wins, d / V_MIN is returned; if the free-flow `u` wins,
-    d / u; only a congested speed is recorded whole.
+    Decided on values, over `link.vals`, or over the link itself where
+    `vals` is `None` (a float run's link, or a `LinkValues`).  An occupancy
+    `NU[t] - ND[t]` within the link's `free_n` is free flow, d / u, with no
+    speed to find.  Else the speed is first found on `FLOAT`, and there it
+    is the answer.  If the floor `V_MIN` wins, d / V_MIN is returned; only
+    a congested speed is recorded whole.
     """
     vals = link.vals
-    v = _avg_speed(FLOAT, link if vals is None else vals, t)
+    src = link if vals is None else vals
+    if src.NU[t] - src.ND[t] <= src.free_n:
+        return tape.div(link.d, link.u)
+    v = _avg_speed(FLOAT, src, t)
     # min2 and max2 return one of their operands, so `is` names the winner
     if vals is None or v is V_MIN:
         return FLOAT.div(link.d, v)
-    if v is vals.u:
-        return tape.div(link.d, link.u)
     return tape.div(link.d, _avg_speed(tape, link, t))
 
 

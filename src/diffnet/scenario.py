@@ -194,6 +194,14 @@ def _segment_count(x) -> int:
     raise ValidationError(f"segment count M={x!r} must be an integer")
 
 
+def _number(x, field: str) -> float:
+    """A number field of a scenario document as a float: an `int` or a
+    `float`, never a boolean (`true` would load as 1.0) or a string."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    raise ValidationError(f"{field}={x!r} must be a number")
+
+
 def _unique(what: str, pairs) -> dict:
     """A dict of (key, value) pairs, where no key may come twice."""
     out = {}
@@ -355,11 +363,11 @@ class Scenario:
         try:
             meta = doc["meta"]
             cfg = SimConfig(
-                dt=float(meta["dt"]),
-                T_max=float(meta["T_max"]),
-                dt_route=float(meta.get("dt_route", meta["dt"])),
-                dt_toll=float(meta.get("dt_toll", meta["T_max"])),
-                mu=float(meta.get("mu", 0.0)),
+                dt=_number(meta["dt"], "dt"),
+                T_max=_number(meta["T_max"], "T_max"),
+                dt_route=_number(meta.get("dt_route", meta["dt"]), "dt_route"),
+                dt_toll=_number(meta.get("dt_toll", meta["T_max"]), "dt_toll"),
+                mu=_number(meta.get("mu", 0.0), "mu"),
                 M=_segment_count(meta.get("M", 1)),
                 tt_method=str(meta.get("tt_method", "average")),
             )
@@ -370,11 +378,12 @@ class Scenario:
                     id=str(lk["id"]),
                     tail=str(lk["from"]),
                     head=str(lk["to"]),
-                    d=float(lk["d"]),
-                    u=float(lk["u"]),
-                    qmax=float(lk["qmax"]),
-                    kappa=float(lk["kappa"]),
-                    alpha=float(lk.get("alpha", 1.0)),
+                    d=_number(lk["d"], f"link {lk['id']}: d"),
+                    u=_number(lk["u"], f"link {lk['id']}: u"),
+                    qmax=_number(lk["qmax"], f"link {lk['id']}: qmax"),
+                    kappa=_number(lk["kappa"], f"link {lk['id']}: kappa"),
+                    alpha=_number(lk.get("alpha", 1.0),
+                                  f"link {lk['id']}: alpha"),
                 )
                 for lk in doc["links"]
             )
@@ -383,13 +392,19 @@ class Scenario:
                     origin=str(dm["origin"]),
                     destination=str(dm["destination"]),
                     profile=tuple(
-                        (float(t0), float(t1), float(q)) for t0, t1, q in dm["profile"]
+                        (_number(t0, f"{od}: interval edge"),
+                         _number(t1, f"{od}: interval edge"),
+                         _number(q, f"{od}: rate"))
+                        for od in [f"demand {dm['origin']}->{dm['destination']}"]
+                        for t0, t1, q in dm["profile"]
                     ),
                 )
                 for dm in doc.get("demands", [])
             )
             tolls = TollSchedule(values=_unique("toll link", (
-                (str(tl["link"]), tuple(float(v) for v in tl["values"]))
+                (str(tl["link"]),
+                 tuple(_number(v, f"toll on link {tl['link']}: value")
+                       for v in tl["values"]))
                 for tl in doc.get("tolls", []))))
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed scenario document: {exc!r}") from exc

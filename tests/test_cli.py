@@ -362,6 +362,14 @@ def _unknown_link_key(doc):
                                      {"link": "1", "values": [2.0]}]),
      "duplicate toll link '1'"),
     (_unknown_link_key, "malformed scenario document: KeyError('qmax')"),
+    # booleans and strings are refused, not read as 1.0 or parsed
+    (lambda d: _edit(d, ("links", 0, "alpha"), True),
+     "link 1: alpha=True must be a number"),
+    (lambda d: _edit(d, ("meta", "mu"), True), "mu=True must be a number"),
+    (lambda d: _edit(d, ("links", 0, "d"), "1000"),
+     "link 1: d='1000' must be a number"),
+    (lambda d: _edit(d, ("tolls",), [{"link": "1", "values": [0.0, True]}]),
+     "toll on link 1: value=True must be a number"),
 ])
 def test_invalid_scenario_file_exits_1_with_one_line(tmp_path, capsys, edit,
                                                      message):

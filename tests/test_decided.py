@@ -187,9 +187,8 @@ def refresh_on_the_tape(sim, t):
         for s in plan.dests:
             hop = table.next_link[s][plan.node]
             if hop != plan.hops.get(s):
-                plan.hops[s] = hop
-                plan.rows[s] = turning_probs(tape, table, plan.node,
-                                             plan.outs, s, 0.0)
+                plan.set_row(s, hop, turning_probs(tape, table, plan.node,
+                                                   plan.outs, s, 0.0))
 
 
 @pytest.mark.parametrize("scn, tokens", [

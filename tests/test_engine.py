@@ -167,8 +167,22 @@ def test_negative_routing_weight_is_an_error():
     scn = toll_grid_scenario()
     ps = register_parameters(scn, "toll:*")
     values = [-1000.0] + [0.0] * (len(ps) - 1)
-    with pytest.raises(ValueError, match="negative routing weight"):
+    with pytest.raises(EngineError, match="negative routing weight"):
         run(scn, ps, values=values, grad=False)
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("period, step", [(0, 0), (1, 10)])
+def test_negative_routing_weight_names_the_link_and_the_step(grad, period,
+                                                             step):
+    # toll periods are 10 steps long; the first refresh of period 1 is at
+    # step 10, and its weight is the free-flow 50 s plus the toll
+    scn = toll_grid_scenario()
+    ps = register_parameters(scn, f"toll:f0a:{period}")
+    with pytest.raises(EngineError) as err:
+        run(scn, ps, values=[-1e6], grad=grad)
+    assert str(err.value) == (f"routing at step {step}: link f0a: negative "
+                              "routing weight -999950.0")
 
 
 # ----------------------------------------------------------------------

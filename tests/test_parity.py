@@ -329,6 +329,12 @@ def test_a_refresh_that_keeps_its_table_keeps_what_a_rebuild_gives(
             assert plan.hops == hops
             assert {s: [value(x) for x in row]
                     for s, row in plan.rows.items()} == rows
+            # the node stage reads each row's fractions that are not a
+            # plain 0.0, the very entries in position order
+            assert plan.nz == {
+                s: [(j, p) for j, p in enumerate(row)
+                    if type(p) is Var or p != 0.0]
+                for s, row in plan.rows.items()}
 
     link_travel_time = Simulator.link_travel_time
 

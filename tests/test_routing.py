@@ -6,16 +6,22 @@ import random
 
 import pytest
 
-from diffnet.adcore import Tape, value
-from diffnet.ltm import LinkDyn
+from diffnet.adcore import FLOAT, Tape, Var, value
+from diffnet.engine import Simulator
+from diffnet.ltm import V_MIN, LinkDyn, fd_speed
+from diffnet.presets import merge_scenario, toll_grid_scenario
 from diffnet.routing import (
+    _avg_speed,
     build_routing,
     composition,
     fifo_split,
     turning_probs,
     travel_time_avg,
 )
-from diffnet.scenario import LinkParams, ReverseLinks
+from diffnet.scenario import LinkParams, ReverseLinks, register_parameters
+
+from test_engine import random_scenario
+from test_scenario import grid_scenario
 
 
 def make_link(tape, lid, tail, head, dests=("s",), **kw):
@@ -376,3 +382,68 @@ def test_travel_time_avg_free_flow_on_empty_link():
     tape = Tape()
     lk = make_link(tape, "L", "a", "b")
     assert value(travel_time_avg(tape, lk, 0)) == pytest.approx(50.0)
+
+
+# ----------------------------------------------------------------------
+# the free-flow occupancy bound
+
+
+def free_flow_fixtures():
+    out = [("merge", merge_scenario()), ("toll grid", toll_grid_scenario()),
+           ("grid n=4", grid_scenario(4, 2)), ("grid n=6", grid_scenario(6, 3))]
+    # the 50 random scenarios of the conservation test
+    rng = random.Random(1234)
+    while len(out) < 54:
+        scn = random_scenario(rng)
+        if scn is not None:
+            out.append((f"random {len(out) - 4}", scn))
+    return out
+
+
+def straddling(n, rng):
+    """Occupancies on both sides of the bound n: the bound and its float
+    neighbours, then draws within 1e-12 relative and within 1% of it."""
+    out = [n, math.nextafter(n, math.inf), math.nextafter(n, -math.inf)]
+    out += [n * (1.0 + rng.uniform(-1e-12, 1e-12)) for _ in range(20)]
+    return out + [n * (1.0 + rng.uniform(-0.01, 0.01)) for _ in range(20)]
+
+
+FREE_FLOW_FIXTURES = free_flow_fixtures()
+
+
+@pytest.mark.parametrize("name, scn", FREE_FLOW_FIXTURES,
+                         ids=[f[0] for f in FREE_FLOW_FIXTURES])
+def test_free_flow_bound_is_the_last_occupancy_where_u_wins(name, scn):
+    # the bound is exact: fd_speed returns u itself there and not one float
+    # step above, and travel_time_avg, which tests occupancies against it
+    # before it finds a speed, is d / speed bit for bit on both sides of it
+    rng = random.Random(name)
+    links = Simulator(scn, grad=False).links
+    for lk in links:
+        n, u = lk.free_n, lk.u
+        assert fd_speed(FLOAT, u, lk.w, lk.kappa, n / lk.d) is u, lk.id
+        above = math.nextafter(n, math.inf) / lk.d
+        assert fd_speed(FLOAT, u, lk.w, lk.kappa, above) is not u, lk.id
+        for occ in straddling(n, rng):
+            nd = rng.choice([0.0, rng.uniform(0.0, 50.0)])
+            lk.NU, lk.ND = [nd + occ], [nd]
+            want = FLOAT.div(lk.d, _avg_speed(FLOAT, lk, 0))
+            assert travel_time_avg(FLOAT, lk, 0) == want, (lk.id, occ)
+    # a taped run with every free-flow speed registered finds the same bound
+    # over its links' forward values, and decides on it alike
+    tokens = ",".join(f"u{lk.id}" for lk in scn.links)
+    sim = Simulator(scn, params=register_parameters(scn, tokens))
+    for lk, flk in zip(sim.links, links):
+        assert type(lk.u) is Var and lk.vals.free_n == flk.free_n, lk.id
+        for occ in straddling(flk.free_n, rng)[:3]:
+            lk.NU, lk.ND = [occ], [0.0]
+            lk.vals.NU, lk.vals.ND = [occ], [0.0]
+            want = FLOAT.div(lk.d, _avg_speed(FLOAT, lk.vals, 0))
+            assert value(travel_time_avg(sim.tape, lk, 0)) == want, lk.id
+
+
+def test_free_flow_bound_is_inf_at_a_speed_the_floor_never_binds():
+    lk = make_link(FLOAT, "L", "a", "b", u=V_MIN / 2, d=1.0)
+    assert lk.free_n == math.inf
+    lk.NU = [1e6]
+    assert travel_time_avg(FLOAT, lk, 0) == 1.0 / (V_MIN / 2)

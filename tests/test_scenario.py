@@ -153,6 +153,59 @@ def test_non_finite_number_rejected_naming_its_field(path, bad, field):
         Scenario.from_dict(d)
 
 
+@pytest.mark.parametrize("path, bad, field", [
+    pytest.param(("meta", "dt"), True, "dt=True", id="dt"),
+    pytest.param(("meta", "T_max"), "100", "T_max='100'", id="T_max"),
+    pytest.param(("meta", "dt_route"), False, "dt_route=False",
+                 id="dt_route"),
+    pytest.param(("meta", "dt_toll"), "1e2", "dt_toll='1e2'", id="dt_toll"),
+    pytest.param(("meta", "mu"), True, "mu=True", id="mu"),
+    pytest.param(("links", 0, "d"), "1000", "link 1: d='1000'", id="link-d"),
+    pytest.param(("links", 0, "u"), True, "link 1: u=True", id="link-u"),
+    pytest.param(("links", 0, "qmax"), "0.8", "link 1: qmax='0.8'",
+                 id="link-qmax"),
+    pytest.param(("links", 0, "kappa"), None, "link 1: kappa=None",
+                 id="link-kappa"),
+    pytest.param(("links", 0, "alpha"), True, "link 1: alpha=True",
+                 id="link-alpha"),
+    pytest.param(("demands", 0, "profile", 0, 2), True,
+                 "demand a->b: rate=True", id="demand-rate"),
+    pytest.param(("demands", 0, "profile", 0, 0), "0",
+                 "demand a->b: interval edge='0'", id="demand-start"),
+    pytest.param(("demands", 0, "profile", 0, 1), [50.0],
+                 "demand a->b: interval edge=[50.0]", id="demand-end"),
+    pytest.param(("tolls", 0, "values", 0), False,
+                 "toll on link 1: value=False", id="toll"),
+])
+def test_boolean_or_string_number_rejected_naming_its_field(path, bad, field):
+    # a YAML `true` would load as 1.0 and a quoted "1000" as 1000.0; each
+    # is refused with the field it sits in
+    d = base_dict()
+    d["tolls"] = [{"link": "1", "values": [0.0]}]
+    Scenario.from_dict(d)  # valid before the edit
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"{field} must be a number")):
+        Scenario.from_dict(d)
+
+
+def test_integer_numbers_load_as_floats():
+    d = base_dict()
+    d["meta"].update(dt=5, T_max=100, mu=0)
+    d["links"][0].update(d=1000, u=20, kappa=1)
+    d["demands"][0]["profile"] = [[0, 50, 1]]
+    d["tolls"] = [{"link": "1", "values": [3]}]
+    scn = Scenario.from_dict(d)
+    got = [scn.config.dt, scn.config.T_max, scn.config.mu, scn.links[0].d,
+           scn.links[0].u, scn.links[0].kappa, *scn.demands[0].profile[0],
+           *scn.tolls.values["1"]]
+    assert got == [5.0, 100.0, 0.0, 1000.0, 20.0, 1.0, 0.0, 50.0, 1.0, 3.0]
+    assert all(type(x) is float for x in got)
+
+
 def test_parameter_registration_tokens():
     scn = merge_scenario()
     ps = register_parameters(scn, "q1,q2,u1,kappa3,alpha2")
