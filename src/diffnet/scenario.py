@@ -18,11 +18,14 @@ Scenario files are YAML documents with top-level sections `meta`, `nodes`,
     links:
       - {id: '1', from: orig1, to: merge, d: 1000, u: 20, qmax: 0.8,
          kappa: 0.2, alpha: 1.0}
+      - {id: '2', from: merge, to: dest, d: 1000, u: 20, qmax: 0.8,
+         kappa: 0.2}
     demands:
       - {origin: orig1, destination: dest, profile: [[0, 1000, 0.45]]}
     tolls:
-      - {link: '3', values: [0.0, 120.0, 0.0, 0.0]}
+      - {link: '2', values: [0.0, 120.0, 0.0, 0.0]}
 
+A key that nothing declares is refused, naming the key and its entry.
 Units: metres, seconds, veh/s, veh/m.  Tolls are equivalent seconds of
 travel time added to the link's routing cost.
 """
@@ -31,8 +34,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import yaml
 
@@ -62,8 +66,8 @@ class ValidationError(ScenarioError):
 @dataclass(frozen=True)
 class LinkParams:
     id: str
-    tail: str  # upstream node
-    head: str  # downstream node
+    tail: str = field(metadata={"key": "from"})  # upstream node
+    head: str = field(metadata={"key": "to"})  # downstream node
     d: float  # length (m)
     u: float  # free-flow speed (m/s)
     qmax: float  # capacity (veh/s)
@@ -105,28 +109,19 @@ class DemandProfile:
         return total
 
     def validate(self, cfg: "SimConfig"):
-        prev_end = None
+        od, prev_end = f"demand {self.origin}->{self.destination}", None
         for t0, t1, q in self.profile:
             if not 0 <= q < math.inf:
-                raise ValidationError(
-                    f"demand {self.origin}->{self.destination}: rate {q} must "
-                    "be finite and >= 0"
-                )
+                raise ValidationError(f"{od}: rate {q} must be finite and >= 0")
             for edge in (t0, t1):
                 steps = edge / cfg.dt
                 if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
-                    raise ValidationError(
-                        f"demand {self.origin}->{self.destination}: interval "
-                        f"edge {edge} not a finite multiple of dt={cfg.dt}"
-                    )
+                    raise ValidationError(f"{od}: interval edge {edge} not a "
+                                          f"finite multiple of dt={cfg.dt}")
             if t1 <= t0:
-                raise ValidationError(
-                    f"demand {self.origin}->{self.destination}: empty interval"
-                )
+                raise ValidationError(f"{od}: empty interval")
             if prev_end is not None and t0 < prev_end:
-                raise ValidationError(
-                    f"demand {self.origin}->{self.destination}: overlapping intervals"
-                )
+                raise ValidationError(f"{od}: overlapping intervals")
             prev_end = t1
 
 
@@ -140,16 +135,15 @@ class TollSchedule:
         for lid, vals in self.values.items():
             if not all(0 <= v < math.inf for v in vals):
                 raise ValidationError(
-                    f"toll on link {lid}: values must be finite and >= 0"
-                )
+                    f"toll on link {lid}: values must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class SimConfig:
     dt: float
     T_max: float
-    dt_route: float
-    dt_toll: float
+    dt_route: float = field(metadata={"fallback": "dt"})  # default: meta.dt
+    dt_toll: float = field(metadata={"fallback": "T_max"})  # default: T_max
     mu: float = 0.0  # logit scale; 0 disables logit (deterministic DUO)
     M: int = 1
     tt_method: str = "average"  # 'average' | 'segments'
@@ -174,8 +168,7 @@ class SimConfig:
             v = getattr(self, name)
             if not 0 < v < math.inf or abs(v / self.dt - round(v / self.dt)) > 1e-9:
                 raise ValidationError(
-                    f"{name}={v} must be a finite positive multiple of dt"
-                )
+                    f"{name}={v} must be a finite positive multiple of dt")
         if not 0 <= self.mu < math.inf:
             raise ValidationError(f"mu={self.mu} must be finite and >= 0")
         if self.M < 1:
@@ -184,22 +177,87 @@ class SimConfig:
             raise ValidationError(f"unknown tt_method {self.tt_method!r}")
 
 
-NODE_KINDS = ("origin", "destination", "intermediate")
+# ----------------------------------------------------------------------
+# The fields of `SimConfig` (`meta`), `LinkParams` and `DemandProfile` are the
+# document schema, each read by its type: a reader takes the value, the prefix
+# naming its entry in messages (`at`, "link 1: ") and the key.
+
+def _number(x, at: str, key: str) -> float:
+    """A float from an `int` or a `float`, never a boolean (`true` would
+    load as 1.0) or a string.  An integer beyond the float range reads as
+    +-inf, which the field's own finite rule refuses."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+    raise ValidationError(f"{at}{key}={x!r} must be a number")
 
 
-def _segment_count(x) -> int:
-    """The segment count `M` of a scenario document: an integral number."""
+def _segment_count(x, at: str, key: str) -> int:
     if type(x) is int or (type(x) is float and x.is_integer()):
         return int(x)
-    raise ValidationError(f"segment count M={x!r} must be an integer")
+    raise ValidationError(f"segment count {key}={x!r} must be an integer")
 
 
-def _number(x, field: str) -> float:
-    """A number field of a scenario document as a float: an `int` or a
-    `float`, never a boolean (`true` would load as 1.0) or a string."""
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return float(x)
-    raise ValidationError(f"{field}={x!r} must be a number")
+def _text(x, at: str, key: str) -> str:
+    """A name: a string, or an integer as written (`id: 1` is '1')."""
+    if type(x) in (str, int):
+        return str(x)
+    raise ValidationError(f"{at}{key}={x!r} must be a string or an integer")
+
+
+def _profile(x, at: str, key: str) -> tuple[tuple[float, float, float], ...]:
+    return tuple((_number(t0, at, "interval edge"),
+                  _number(t1, at, "interval edge"), _number(q, at, "rate"))
+                 for t0, t1, q in x)
+
+
+_READERS = {float: _number, int: _segment_count, str: _text,
+            tuple[tuple[float, float, float], ...]: _profile}
+
+
+@cache
+def _schema(cls) -> dict:
+    """Each field of the dataclass `cls` by document key, in declaration
+    order: (attribute, reader, default, key whose value is the default)."""
+    types = typing.get_type_hints(cls)
+    return {f.metadata.get("key", f.name): (
+        f.name, _READERS[types[f.name]], f.default, f.metadata.get("fallback"))
+        for f in dataclasses.fields(cls)}
+
+
+def _known(entry: dict, keys, where: str) -> str:
+    """Refuse a key of `entry` that `keys` lacks; the prefix naming `entry`."""
+    for key in entry.keys():
+        if key not in keys:
+            raise ScenarioError(f"{where}: unknown key {key!r}")
+    return f"{where}: "
+
+
+def _read(cls, entry: dict, where: str):
+    """The dataclass `cls` read from its document mapping `entry`, which
+    `where` names ("link 1"); a missing required key raises `KeyError`."""
+    schema = _schema(cls)
+    # `meta`'s fields are named bare ("dt=nan"), as `SimConfig.validate` does
+    at = _known(entry, schema, where).removeprefix("meta: ")
+    values = {}
+    for key, (name, read, default, fallback) in schema.items():
+        x = entry.get(key, entry[fallback] if fallback else default)
+        if x is dataclasses.MISSING:
+            raise KeyError(key)
+        values[name] = read(x, at, key)
+    return cls(**values)
+
+
+def _plain(x):
+    return [_plain(v) for v in x] if isinstance(x, tuple) else x
+
+
+def _write(obj) -> dict:
+    """The document entry of a dataclass that `_read` reads."""
+    return {key: _plain(getattr(obj, name))
+            for key, (name, *_) in _schema(type(obj)).items()}
 
 
 def _unique(what: str, pairs) -> dict:
@@ -312,23 +370,19 @@ class Scenario:
     # ------------------------------------------------------------------
     def validate(self):
         self.config.validate()
-        ids = set()
+        ids = _unique("link id", ((lk.id, lk) for lk in self.links))
         for lk in self.links:
-            if lk.id in ids:
-                raise ValidationError(f"duplicate link id {lk.id!r}")
-            ids.add(lk.id)
             lk.validate()
             for node in (lk.tail, lk.head):
                 if node not in self.nodes:
                     raise ValidationError(f"link {lk.id}: unknown node {node!r}")
-            # CFL
             if self.config.dt > lk.d / lk.u + 1e-12:
                 raise ValidationError(
                     f"CFL violated on link {lk.id}: dt={self.config.dt} > "
                     f"d/u={lk.d / lk.u:.6g}"
                 )
         for nid, kind in self.nodes.items():
-            if kind not in NODE_KINDS:
+            if kind not in ("origin", "destination", "intermediate"):
                 raise ValidationError(f"node {nid}: unknown kind {kind!r}")
             if kind == "origin" and self.network.inlinks[nid]:
                 raise ValidationError(f"origin node {nid} must have no inlinks")
@@ -361,52 +415,26 @@ class Scenario:
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
         try:
-            meta = doc["meta"]
-            cfg = SimConfig(
-                dt=_number(meta["dt"], "dt"),
-                T_max=_number(meta["T_max"], "T_max"),
-                dt_route=_number(meta.get("dt_route", meta["dt"]), "dt_route"),
-                dt_toll=_number(meta.get("dt_toll", meta["T_max"]), "dt_toll"),
-                mu=_number(meta.get("mu", 0.0), "mu"),
-                M=_segment_count(meta.get("M", 1)),
-                tt_method=str(meta.get("tt_method", "average")),
-            )
-            nodes = _unique("node id", ((str(n["id"]), str(n["kind"]))
-                                        for n in doc["nodes"]))
-            links = tuple(
-                LinkParams(
-                    id=str(lk["id"]),
-                    tail=str(lk["from"]),
-                    head=str(lk["to"]),
-                    d=_number(lk["d"], f"link {lk['id']}: d"),
-                    u=_number(lk["u"], f"link {lk['id']}: u"),
-                    qmax=_number(lk["qmax"], f"link {lk['id']}: qmax"),
-                    kappa=_number(lk["kappa"], f"link {lk['id']}: kappa"),
-                    alpha=_number(lk.get("alpha", 1.0),
-                                  f"link {lk['id']}: alpha"),
-                )
-                for lk in doc["links"]
-            )
+            _known(doc, ("meta", "nodes", "links", "demands", "tolls"), "top level")
+            cfg = _read(SimConfig, doc["meta"], "meta")
+            nodes = _unique("node id", (
+                (_text(n["id"], "node ", "id"), _text(n["kind"], at, "kind"))
+                for n in doc["nodes"]
+                for at in [_known(n, ("id", "kind"), f"node {n.get('id')}")]))
+            links = tuple(_read(LinkParams, lk, f"link {lk.get('id')}")
+                          for lk in doc["links"])
             demands = tuple(
-                DemandProfile(
-                    origin=str(dm["origin"]),
-                    destination=str(dm["destination"]),
-                    profile=tuple(
-                        (_number(t0, f"{od}: interval edge"),
-                         _number(t1, f"{od}: interval edge"),
-                         _number(q, f"{od}: rate"))
-                        for od in [f"demand {dm['origin']}->{dm['destination']}"]
-                        for t0, t1, q in dm["profile"]
-                    ),
-                )
-                for dm in doc.get("demands", [])
-            )
+                _read(DemandProfile, dm,
+                      f"demand {dm.get('origin')}->{dm.get('destination')}")
+                for dm in doc.get("demands", []))
             tolls = TollSchedule(values=_unique("toll link", (
-                (str(tl["link"]),
-                 tuple(_number(v, f"toll on link {tl['link']}: value")
-                       for v in tl["values"]))
-                for tl in doc.get("tolls", []))))
-        except (KeyError, TypeError, ValueError) as exc:
+                (_text(tl["link"], "toll ", "link"),
+                 tuple(_number(v, at, "value") for v in tl["values"]))
+                for tl in doc.get("tolls", [])
+                for at in [_known(tl, ("link", "values"),
+                                  f"toll on link {tl.get('link')}")])))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # a missing key, or an entry that is not a mapping or a list
             raise ScenarioError(f"malformed scenario document: {exc!r}") from exc
         scn = cls(nodes=nodes, links=links, demands=demands, tolls=tolls, config=cfg)
         scn.validate()
@@ -417,7 +445,7 @@ class Scenario:
         with open(path) as fh:
             try:
                 doc = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
+            except (yaml.YAMLError, ValueError) as exc:
                 # the parser's message spans lines; the CLI prints one
                 reason = " ".join(str(exc).split())
                 raise ScenarioError(f"cannot parse {path}: {reason}") from exc
@@ -426,43 +454,13 @@ class Scenario:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        cfg = self.config
         return {
-            "meta": {
-                "dt": cfg.dt,
-                "T_max": cfg.T_max,
-                "dt_route": cfg.dt_route,
-                "dt_toll": cfg.dt_toll,
-                "mu": cfg.mu,
-                "M": cfg.M,
-                "tt_method": cfg.tt_method,
-            },
+            "meta": _write(self.config),
             "nodes": [{"id": n, "kind": k} for n, k in self.nodes.items()],
-            "links": [
-                {
-                    "id": lk.id,
-                    "from": lk.tail,
-                    "to": lk.head,
-                    "d": lk.d,
-                    "u": lk.u,
-                    "qmax": lk.qmax,
-                    "kappa": lk.kappa,
-                    "alpha": lk.alpha,
-                }
-                for lk in self.links
-            ],
-            "demands": [
-                {
-                    "origin": dm.origin,
-                    "destination": dm.destination,
-                    "profile": [list(seg) for seg in dm.profile],
-                }
-                for dm in self.demands
-            ],
-            "tolls": [
-                {"link": lid, "values": list(vals)}
-                for lid, vals in self.tolls.values.items()
-            ],
+            "links": [_write(lk) for lk in self.links],
+            "demands": [_write(dm) for dm in self.demands],
+            "tolls": [{"link": lid, "values": list(vals)}
+                      for lid, vals in self.tolls.values.items()],
         }
 
     def save(self, path):

@@ -370,6 +370,26 @@ def _unknown_link_key(doc):
      "link 1: d='1000' must be a number"),
     (lambda d: _edit(d, ("tolls",), [{"link": "1", "values": [0.0, True]}]),
      "toll on link 1: value=True must be a number"),
+    # an integer beyond the float range reads as inf, which d's rule refuses
+    (lambda d: _edit(d, ("links", 0, "d"), int("9" * 401)),
+     "link 1: d must be finite and > 0"),
+    # a key that nothing declares is refused, not read as its default
+    (lambda d: d.update(demand=d.pop("demands")),
+     "top level: unknown key 'demand'"),
+    (lambda d: _edit(d, ("meta", "dt_rout"), 5.0),
+     "meta: unknown key 'dt_rout'"),
+    (lambda d: _edit(d, ("links", 0, "qmax_"), 0.8),
+     "link 1: unknown key 'qmax_'"),
+    (lambda d: _edit(d, ("links", 0, "alfa"), 2.0),
+     "link 1: unknown key 'alfa'"),
+    (lambda d: _edit(d, ("nodes", 0, "type"), "origin"),
+     "node orig1: unknown key 'type'"),
+    (lambda d: _edit(d, ("demands", 0, "rate"), 0.3),
+     "demand orig1->dest: unknown key 'rate'"),
+    (lambda d: _edit(d, ("tolls",), [{"link": "1", "value": [1.0]}]),
+     "toll on link 1: unknown key 'value'"),
+    (lambda d: _edit(d, ("nodes", 0, "id"), None),
+     "node id=None must be a string or an integer"),
 ])
 def test_invalid_scenario_file_exits_1_with_one_line(tmp_path, capsys, edit,
                                                      message):
@@ -386,6 +406,9 @@ def test_invalid_scenario_file_exits_1_with_one_line(tmp_path, capsys, edit,
 @pytest.mark.parametrize("text, message", [
     ("meta: [dt: 5\n", "cannot parse"),
     ("- just\n- a list\n", "top level must be a mapping"),
+    # past Python's limit on the digits of an integer's string conversion
+    pytest.param("meta: {dt: " + "9" * 5000 + "}\n", "cannot parse",
+                 id="5000-digit integer"),
 ])
 def test_unreadable_scenario_file_exits_1_with_one_line(tmp_path, capsys,
                                                         text, message):

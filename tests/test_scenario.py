@@ -1,15 +1,27 @@
 """Scenario model: validation, serialization, parameter registration."""
 
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diffnet.cli import main
 from diffnet.engine import Simulator, run
-from diffnet.presets import merge_scenario, toll_grid_scenario
+from diffnet.presets import (
+    bottleneck_scenario,
+    merge_scenario,
+    toll_grid_scenario,
+    two_route_scenario,
+)
 from diffnet.scenario import (
     Scenario,
     ScenarioError,
@@ -48,11 +60,21 @@ def base_dict():
 
 
 def test_round_trip_through_file(tmp_path):
-    scn = merge_scenario()
+    # the writer writes every field the reader reads, on every fixture
+    rng = random.Random(1234)
+    randoms = []
+    while len(randoms) < 50:
+        scn = random_scenario(rng)
+        if scn is not None:
+            randoms.append(scn)
+    scenarios = [merge_scenario(), two_route_scenario(), toll_grid_scenario(),
+                 bottleneck_scenario(), grid_scenario(4, 2), *randoms]
     p = tmp_path / "m.scn"
-    scn.save(p)
-    back = Scenario.load(p)
-    assert back.to_dict() == scn.to_dict()
+    for scn in scenarios:
+        scn.save(p)
+        back = Scenario.load(p)
+        assert back == scn
+        assert back.to_dict() == scn.to_dict()
 
 
 def test_from_dict_to_dict_round_trip():
@@ -140,6 +162,13 @@ def test_segment_count_must_be_integral(M, want):
     pytest.param(("demands", 0, "profile", 0, 1), INF, "edge inf",
                  id="demand-end"),
     pytest.param(("tolls", 0, "values", 0), NAN, "toll on link 1", id="toll"),
+    # integers beyond the float range read as +-inf
+    pytest.param(("links", 0, "d"), int("9" * 401), "link 1: d ",
+                 id="link-d-401-digits"),
+    pytest.param(("meta", "T_max"), int("9" * 401), "T_max=inf",
+                 id="T_max-401-digits"),
+    pytest.param(("tolls", 0, "values", 0), -int("9" * 401),
+                 "toll on link 1", id="toll-401-digits"),
 ])
 def test_non_finite_number_rejected_naming_its_field(path, bad, field):
     d = base_dict()
@@ -190,6 +219,47 @@ def test_boolean_or_string_number_rejected_naming_its_field(path, bad, field):
     with pytest.raises(ValidationError,
                        match=re.escape(f"{field} must be a number")):
         Scenario.from_dict(d)
+
+
+@pytest.mark.parametrize("path, field", [
+    pytest.param(("nodes", 0, "id"), "node id", id="node-id"),
+    pytest.param(("nodes", 0, "kind"), "node a: kind", id="node-kind"),
+    pytest.param(("links", 0, "id"), "id", id="link-id"),
+    pytest.param(("links", 0, "from"), "link 1: from", id="link-from"),
+    pytest.param(("links", 0, "to"), "link 1: to", id="link-to"),
+    pytest.param(("demands", 0, "origin"), "origin", id="demand-origin"),
+    pytest.param(("demands", 0, "destination"), "destination",
+                 id="demand-destination"),
+    pytest.param(("tolls", 0, "link"), "toll link", id="toll-link"),
+    pytest.param(("meta", "tt_method"), "tt_method", id="tt_method"),
+])
+@pytest.mark.parametrize("bad", [None, True, 1.5, ["a"], {"a": 1}],
+                         ids=["null", "bool", "float", "list", "mapping"])
+def test_text_field_must_be_a_string_or_an_integer(path, field, bad):
+    # `id: null` would load as the node 'None', `id: 1.5` as '1.5'
+    d = base_dict()
+    d["tolls"] = [{"link": "1", "values": [0.0]}]
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"{field}={bad!r} must be a string "
+                                       "or an integer")):
+        Scenario.from_dict(d)
+
+
+def test_integer_names_load_as_text():
+    d = base_dict()
+    d["nodes"] = [{"id": 7, "kind": "origin"}, {"id": "b", "kind": "destination"}]
+    d["links"][0].update(id=1, **{"from": 7})
+    d["demands"][0]["origin"] = 7
+    d["tolls"] = [{"link": 1, "values": [0.0]}]
+    scn = Scenario.from_dict(d)
+    assert list(scn.nodes) == ["7", "b"]
+    assert (scn.links[0].id, scn.links[0].tail) == ("1", "7")
+    assert scn.demands[0].origin == "7"
+    assert list(scn.tolls.values) == ["1"]
 
 
 def test_integer_numbers_load_as_floats():
@@ -409,3 +479,84 @@ def test_network_matches_brute_force_on_grid_and_results_keep_file_order():
     assert ids != sorted(ids)  # file order is not id order here
     assert list(res.links) == ids
     assert list(res.ttt_link) == ids
+
+
+# ----------------------------------------------------------------------
+# fuzzing the loader
+
+
+def fuzz_base():
+    d = base_dict()
+    d["tolls"] = [{"link": "1", "values": [0.0]}]
+    return d
+
+
+def document_paths(node, path=()):
+    """(path, whether its last step is a mapping key) of every value below
+    `node`, a document of mappings and lists."""
+    steps = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for step, child in steps:
+        yield path + (step,), isinstance(node, dict)
+        yield from document_paths(child, path + (step,))
+
+
+def section(path):
+    """The keys on `path`: ('links',) for any link's key."""
+    return tuple(step for step in path if isinstance(step, str))
+
+
+PATHS = [path for path, _ in document_paths(fuzz_base())]
+KEY_PATHS = [path for path, keyed in document_paths(fuzz_base()) if keyed]
+# the keys the schema declares in each section, and those the base may lack
+DECLARED = {("meta",): {"M", "tt_method"}}
+for path in KEY_PATHS:
+    DECLARED.setdefault(section(path[:-1]), set()).add(path[-1])
+OPTIONAL = {"dt_route", "dt_toll", "mu", "alpha", "demands", "tolls"}
+MISSPELL = {"append": lambda k: k + "_", "drop last": lambda k: k[:-1],
+            "insert": lambda k: k[:1] + "x" + k[1:]}
+BAD_VALUES = [True, "1000", NAN, INF, -1, None, [1.0], int("9" * 401)]
+MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(KEY_PATHS)),
+    st.tuples(st.just("misspell"), st.sampled_from(KEY_PATHS),
+              st.sampled_from(sorted(MISSPELL))),
+    st.tuples(st.just("replace"), st.sampled_from(PATHS),
+              st.sampled_from(BAD_VALUES)),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(MUTATIONS)
+def test_mutated_documents_exit_0_or_1_with_one_line(mutation):
+    kind, path, *how = mutation
+    doc = fuzz_base()
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    key = path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "misspell":
+        new = MISSPELL[how[0]](key)
+        assert new not in DECLARED[section(path[:-1])]
+        parent[new] = parent.pop(key)
+    else:
+        parent[key] = how[0]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "s.yml"
+        p.write_text(yaml.safe_dump(doc))
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(p), "--out", str(Path(tmp) / "o")])
+    err = err.getvalue()
+    assert code in (0, 1), err
+    if code == 1:
+        assert err.startswith("scenario error: ") and err.count("\n") == 1, err
+    if kind == "misspell":
+        assert code == 1 and f"unknown key {new!r}" in err, err
+    elif kind == "drop":
+        if key in OPTIONAL:
+            assert code == 0, err
+        else:
+            assert code == 1 and f"KeyError({key!r})" in err, err
