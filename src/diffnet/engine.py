@@ -537,6 +537,16 @@ class Simulator:
 
     def _junction_step(self, plan, D, S, f_in, f_out, f_in_s):
         ins = plan.ins
+        if len(ins) == 1:  # a series or diverge node: no lists to gather
+            i = ins[0]
+            d = D[i]
+            if (d.val if type(d) is Var else d) <= 0.0:
+                return  # no demand
+            qin, _ = self._transfer(
+                plan, [d], [composition(self.tape, plan.inlinks[0])],
+                plan.alpha, S, f_in, f_in_s, plan.nu_s)
+            f_out[i] = qin[0]
+            return
         D_in = [D[i] for i in ins]
         for d in D_in:
             if not (d.val if type(d) is Var else d) <= 0.0:

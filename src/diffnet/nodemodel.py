@@ -8,7 +8,11 @@ piece in closed form: each inlink's flow is its demand and each outlink's
 inflow B^T D, with no iteration.  Elsewhere it iterates until no inlink is
 active and then makes one residual pass, within at most I + J + 1
 iterations; the name of its old fixed-length form stays because the
-benchmark wraps it.  Every decision is made on forward values, read
+benchmark wraps it.  A node with one inflow has nothing to merge: there the
+iteration takes one step at most and then the residual pass, the FIFO
+diverge that the generic node model reduces to (Tampère et al. 2011), and
+a short form takes that solution without the loop, recording what the loop
+records.  Every decision is made on forward values, read
 straight from each `Var`: the closed form, the active sets
 (piecewise-constant indicators), the winning step candidate and, per
 inlink, whether the step cap or the remaining demand wins.  Only the
@@ -56,6 +60,17 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
     inlink is active, one residual pass adds each unblocked inlink's
     remaining demand and the loop stops; I + J + 1 iterations are a cap.
 
+    A node with one inflow takes a short form instead, which makes the
+    decisions above on the same values and records the same entries in the
+    same order, with the same arithmetic: served in full (the closed form);
+    blocked, when a fed outlink has at most `ACTIVE_EPS` of supply (flows
+    0.0); or one step, capped or not, then the residual pass unless a fed
+    outlink binds after it.  An uncapped step is the demand itself, so some
+    fed outlink binds after it.  Only when a capped step leaves the inlink
+    unblocked with more than `ACTIVE_EPS` of demand, which round-off beyond
+    `ACTIVE_EPS` does at rates in the thousands, does the node go to the
+    loop, decided before anything is recorded.
+
     Args:
         D: per-inlink demand rates (Var or float).
         S: per-outlink supply rates.
@@ -69,6 +84,73 @@ def inm_fixed(tape: Tape, D, S, B, alpha):
     I, J = len(D), len(S)
     add, sub, mul, div = tape.add, tape.sub, tape.mul, tape.div
     qin, qout = [0.0] * I, [0.0] * J
+    if I == 1:
+        # the one-inflow form: the closed form's and the loop's decisions,
+        # on the same values, and their entries.  Where the loop reads
+        # `sub(x, 0.0)`, which is x, or `add(0.0, phi)`, which is phi > 0,
+        # x and phi are read as they are
+        d, a, row = D[0], alpha[0], B[0]
+        dv = d.val if type(d) is Var else d
+        av = a.val if type(a) is Var else a
+        # the fed outlinks, with their turning fraction and supply on values
+        fed = []
+        full = True
+        for o, b in enumerate(row):
+            b = b.val if type(b) is Var else b
+            if b > B_EPS:
+                s = S[o]
+                s = s.val if type(s) is Var else s
+                fed.append((o, b, s))
+                if not s - b * dv > ACTIVE_EPS:
+                    full = False
+        if full:  # no outlink binds
+            for o, _, _ in fed:
+                qout[o] = add(0.0, mul(row[o], d))
+            return [d], qout
+        for _, _, s in fed:
+            if s <= ACTIVE_EPS:
+                return qin, qout  # blocked
+        capped = residual = again = False
+        if dv > ACTIVE_EPS:
+            theta = win = None
+            for o, b, s in fed:
+                phi = b * av
+                if phi > 0.0:
+                    c = s / phi
+                    if win is None or not theta <= c:
+                        theta, win = c, o
+            c = dv / av
+            if win is None or not theta <= c:
+                theta, win = c, J
+            # an uncapped step is the demand itself, under whose load some
+            # fed outlink binds (not served in full): no residual pass
+            capped = av * theta <= dv
+            if capped:
+                step = av * theta
+                for _, b, s in fed:
+                    if s - b * step <= ACTIVE_EPS:
+                        break  # blocked after the step
+                else:
+                    residual = True
+                    # active again: the loop takes the second step
+                    again = dv - step > ACTIVE_EPS
+        if not again:
+            if capped:
+                theta = (div(S[win], mul(row[win], a)) if win < J
+                         else div(d, a))
+                step = mul(a, theta)
+            else:
+                step = d
+            q = add(0.0, step)
+            for o, _, _ in fed:
+                qout[o] = add(0.0, mul(row[o], step))
+            if residual:
+                step = sub(d, q)
+                q = add(q, step)
+                for o, _, _ in fed:
+                    qout[o] = add(qout[o], mul(row[o], step))
+            return [q], qout
+
     D_v = [x.val if type(x) is Var else x for x in D]
     S_v = [x.val if type(x) is Var else x for x in S]
     a_v = [x.val if type(x) is Var else x for x in alpha]

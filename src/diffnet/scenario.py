@@ -10,6 +10,7 @@ Scenario files are YAML documents with top-level sections `meta`, `nodes`,
       dt_toll: 500.0     # toll period width (s, multiple of dt)
       mu: 0.0            # logit scale (1/s); 0 = deterministic DUO
       M: 1               # segment count for the segment travel-time method
+                         # (1 to M_MAX = 1000)
       tt_method: average # 'average' or 'segments'
     nodes:
       - {id: orig1, kind: origin}
@@ -53,6 +54,11 @@ __all__ = [
     "ParameterSet",
     "register_parameters",
 ]
+
+
+# the largest segment count: the segment travel time evaluates M + 1 Newell
+# counts per link at every routing refresh
+M_MAX = 1000
 
 
 class ScenarioError(Exception):
@@ -173,6 +179,8 @@ class SimConfig:
             raise ValidationError(f"mu={self.mu} must be finite and >= 0")
         if self.M < 1:
             raise ValidationError("segment count M must be >= 1")
+        if self.M > M_MAX:
+            raise ValidationError(f"segment count M must be <= {M_MAX}")
         if self.tt_method not in ("average", "segments"):
             raise ValidationError(f"unknown tt_method {self.tt_method!r}")
 
@@ -258,6 +266,22 @@ def _write(obj) -> dict:
     """The document entry of a dataclass that `_read` reads."""
     return {key: _plain(getattr(obj, name))
             for key, (name, *_) in _schema(type(obj)).items()}
+
+
+def _mapping(x, where: str) -> dict:
+    """`x`, which must be a mapping; `where` names it."""
+    if not isinstance(x, dict):
+        raise ScenarioError(f"{where}: expected a mapping, got {x!r}")
+    return x
+
+
+def _entries(section: str, xs):
+    """The entries of the document list `xs`, each a mapping, named by
+    `section` and position ("links entry 0")."""
+    if not isinstance(xs, (list, tuple)):
+        raise ScenarioError(f"{section}: expected a list, got {xs!r}")
+    for k, x in enumerate(xs):
+        yield _mapping(x, f"{section} entry {k}")
 
 
 def _unique(what: str, pairs) -> dict:
@@ -416,25 +440,25 @@ class Scenario:
     def from_dict(cls, doc: dict) -> "Scenario":
         try:
             _known(doc, ("meta", "nodes", "links", "demands", "tolls"), "top level")
-            cfg = _read(SimConfig, doc["meta"], "meta")
+            cfg = _read(SimConfig, _mapping(doc["meta"], "meta"), "meta")
             nodes = _unique("node id", (
                 (_text(n["id"], "node ", "id"), _text(n["kind"], at, "kind"))
-                for n in doc["nodes"]
+                for n in _entries("nodes", doc["nodes"])
                 for at in [_known(n, ("id", "kind"), f"node {n.get('id')}")]))
             links = tuple(_read(LinkParams, lk, f"link {lk.get('id')}")
-                          for lk in doc["links"])
+                          for lk in _entries("links", doc["links"]))
             demands = tuple(
                 _read(DemandProfile, dm,
                       f"demand {dm.get('origin')}->{dm.get('destination')}")
-                for dm in doc.get("demands", []))
+                for dm in _entries("demands", doc.get("demands", [])))
             tolls = TollSchedule(values=_unique("toll link", (
                 (_text(tl["link"], "toll ", "link"),
                  tuple(_number(v, at, "value") for v in tl["values"]))
-                for tl in doc.get("tolls", [])
+                for tl in _entries("tolls", doc.get("tolls", []))
                 for at in [_known(tl, ("link", "values"),
                                   f"toll on link {tl.get('link')}")])))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            # a missing key, or an entry that is not a mapping or a list
+            # a missing key, or a section or value of the wrong shape
             raise ScenarioError(f"malformed scenario document: {exc!r}") from exc
         scn = cls(nodes=nodes, links=links, demands=demands, tolls=tolls, config=cfg)
         scn.validate()

@@ -390,6 +390,18 @@ def _unknown_link_key(doc):
      "toll on link 1: unknown key 'value'"),
     (lambda d: _edit(d, ("nodes", 0, "id"), None),
      "node id=None must be a string or an integer"),
+    # an entry that is not a mapping is named by its section and position
+    (lambda d: _edit(d, ("links",), ["1000"]),
+     "links entry 0: expected a mapping, got '1000'"),
+    (lambda d: _edit(d, ("meta",), "1000"),
+     "meta: expected a mapping, got '1000'"),
+    (lambda d: _edit(d, ("nodes", 1), "orig2"),
+     "nodes entry 1: expected a mapping, got 'orig2'"),
+    (lambda d: _edit(d, ("demands", 0), [0.0, 500.0, 0.3]),
+     "demands entry 0: expected a mapping, got [0.0, 500.0, 0.3]"),
+    (lambda d: _edit(d, ("tolls",), [None]),
+     "tolls entry 0: expected a mapping, got None"),
+    (lambda d: _edit(d, ("links",), 5), "links: expected a list, got 5"),
 ])
 def test_invalid_scenario_file_exits_1_with_one_line(tmp_path, capsys, edit,
                                                      message):

@@ -1,8 +1,10 @@
 """Junction flow allocation: hand cases, reference-oracle equivalence,
 conservation, and gradient behavior."""
 
+import math
 import random
 import time
+from array import array
 
 import pytest
 
@@ -510,3 +512,232 @@ def test_the_closed_form_is_taken_exactly_where_no_outlink_binds():
     # both sides of the closed form, and draws at its boundary
     assert 0 < full < 2000
     assert near > 100
+
+
+# ----------------------------------------------------------------------
+# the one-inflow form
+
+
+def inm_loop(tape, D, S, B, alpha, log):
+    """`inm_fixed` without its one-inflow form: the closed form, else the
+    general loop, for every node.  The oracle for the one-inflow form.
+
+    Appends to `log` what it takes: "full" for the closed form, "blocked"
+    when no inlink is unblocked before any step, ("step", capped, supply)
+    for each active step (whether some inlink steps by its cap, and whether
+    a supply candidate won) and "residual" for a residual pass that steps
+    some unblocked inlink.
+    """
+    I, J = len(D), len(S)
+    add, sub, mul, div = tape.add, tape.sub, tape.mul, tape.div
+    qin, qout = [0.0] * I, [0.0] * J
+    D_v = [value(x) for x in D]
+    S_v = [value(x) for x in S]
+    a_v = [value(x) for x in alpha]
+    conn, feed, load = [], [[] for _ in range(J)], [0.0] * J
+    for l, row in enumerate(B):
+        outs = []
+        for o, b in enumerate(row):
+            b = value(b)
+            if b > B_EPS:
+                outs.append(o)
+                feed[o].append((l, b * a_v[l]))
+                load[o] += b * D_v[l]
+        conn.append(outs)
+    if all(s - x > ACTIVE_EPS for s, x, f in zip(S_v, load, feed) if f):
+        log.append("full")
+        for o, f in enumerate(feed):
+            for l, _ in f:
+                qout[o] = add(qout[o], mul(B[l][o], D[l]))
+        return list(D), qout
+    qin_v, qout_v = [0.0] * I, [0.0] * J
+    for it in range(I + J + 1):
+        slack = [s - q for s, q in zip(S_v, qout_v)]
+        unblocked = [not any(slack[o] <= ACTIVE_EPS for o in conn[l])
+                     for l in range(I)]
+        act_in = [u and d - q > ACTIVE_EPS
+                  for u, d, q in zip(unblocked, D_v, qin_v)]
+        converged = not any(act_in)
+        capped = [False] * I
+        if not converged:
+            theta = win = None
+            for o in range(J):
+                if slack[o] > ACTIVE_EPS:
+                    phi = 0.0
+                    for l, ba in feed[o]:
+                        if act_in[l]:
+                            phi += ba
+                    if phi > 0.0:
+                        c = slack[o] / phi
+                        if win is None or not theta <= c:
+                            theta, win = c, o
+            for l in range(I):
+                if act_in[l]:
+                    c = (D_v[l] - qin_v[l]) / a_v[l]
+                    if win is None or not theta <= c:
+                        theta, win = c, J + l
+            capped = [u and a * theta <= d - q for u, a, d, q
+                      in zip(unblocked, a_v, D_v, qin_v)]
+            log.append(("step", any(capped), win < J))
+            if any(capped):
+                if win < J:
+                    phi = 0.0
+                    for l, _ in feed[win]:
+                        if act_in[l]:
+                            phi = add(phi, mul(B[l][win], alpha[l]))
+                    theta = div(sub(S[win], qout[win]), phi)
+                else:
+                    l = win - J
+                    theta = div(sub(D[l], qin[l]), alpha[l])
+        elif any(unblocked):
+            log.append("residual")
+        elif it == 0:
+            log.append("blocked")
+        for l in range(I):
+            if not unblocked[l]:
+                continue
+            step = mul(alpha[l], theta) if capped[l] else sub(D[l], qin[l])
+            q = qin[l] = add(qin[l], step)
+            qin_v[l] = value(q)
+            for o in conn[l]:
+                q = qout[o] = add(qout[o], mul(B[l][o], step))
+                qout_v[o] = value(q)
+        if converged:
+            break
+    return qin, qout
+
+
+def one_inflow_node(rng):
+    """A node with one inflow and 1-4 outlinks as specs (value, is_var).
+
+    Turning fractions are mostly powers of two, so that supply candidates
+    tie each other and the demand candidate exactly.  There are three kinds
+    of draw:
+      * a fifth draw rates up to 1e6, where the round-off of one step can
+        exceed `ACTIVE_EPS` and leave the inlink active for a second step;
+      * a quarter put every supply as far above its load as still binds,
+        with a priority that is not a power of two: a step a rounding
+        short of the demand leaves the inlink unblocked, and the residual
+        pass follows;
+      * the rest put each supply at 0 or `ACTIVE_EPS`, at 0, ±1e-13 or
+        `ACTIVE_EPS` (±1e-13) from its load, or at an ample value; some
+        demands are at most `ACTIVE_EPS`, or a few times it, where a slack
+        can be `ACTIVE_EPS` exactly, and some draws are scaled by 1e4 or
+        1e6.
+    """
+    J = rng.randint(1, 4)
+    rows = [[1.0], [0.5, 0.5], [0.5, 0.25, 0.25], [0.25] * 4]
+    row = rng.choice([r for r in rows if len(r) <= J])[:]
+    row += [0.0] * (J - len(row))
+    if rng.random() < 0.3:
+        row = [rng.choice([0.0, rng.random()]) for _ in range(J)]
+        tot = sum(row)
+        row = [x / tot for x in row] if tot > 0.0 else [1.0] + [0.0] * (J - 1)
+    rng.shuffle(row)
+    a = rng.choice([1.0, 2.0, 0.5, 0.3, 0.7, rng.uniform(0.1, 3.0)])
+    kind = rng.random()
+    if kind < 0.2:
+        D, a = 1e6 * rng.random(), rng.uniform(0.1, 3.0)
+        S = [1e6 * rng.random() for _ in row]
+    elif kind < 0.45:
+        D, a = rng.random(), rng.uniform(0.1, 3.0)
+        S = []
+        for b in row:
+            s = b * D + ACTIVE_EPS
+            while s - b * D > ACTIVE_EPS:
+                s = math.nextafter(s, 0.0)
+            S.append(s)
+    else:
+        scale = rng.choice([1.0, 1.0, 1e4, 1e6])
+        if rng.random() < 0.2:
+            D = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0, 3.0]) * ACTIVE_EPS
+        else:
+            D = scale * rng.choice([0.2, 0.25, 0.5, 0.6, rng.random()])
+        S = []
+        for b in row:
+            u = rng.random()
+            if u < 0.05:
+                S.append(rng.choice([0.0, ACTIVE_EPS]))
+            elif u < 0.7:
+                off = rng.choice([0.0, 1e-13, -1e-13, ACTIVE_EPS,
+                                  ACTIVE_EPS - 1e-13, ACTIVE_EPS + 1e-13])
+                S.append(max(0.0, b * D + off))
+            else:
+                S.append(scale * rng.choice([0.1, 0.2, 0.25, 0.3,
+                                             rng.uniform(0.0, 2.0)]))
+
+    def spec(x):
+        return (x, rng.random() < 0.5)
+
+    return ([spec(D)], [spec(x) for x in S], [[spec(x) for x in row]],
+            [spec(a)])
+
+
+def tape_bits(tape):
+    return (array("q", tape._p1).tobytes(), array("q", tape._p2).tobytes(),
+            array("d", tape._d1).tobytes(), array("d", tape._d2).tobytes())
+
+
+def is_demand(flows, D):
+    """For each flow, whether it is the demand object itself."""
+    return [q is D[0] for q in flows]
+
+
+def one_inflow_branches(log):
+    """The branches of a one-inflow node that the loop's `log` shows."""
+    steps = [e for e in log if type(e) is tuple]
+    seen = {e for e in log if type(e) is str}
+    if "residual" in seen and not steps:
+        seen = {"no step"}
+    if steps:
+        _, capped, supply = steps[0]
+        seen.add(("capped supply" if supply else "capped demand")
+                 if capped else "uncapped")
+    if len(steps) > 1:
+        seen.add("hand-off")
+    return seen
+
+
+def test_the_one_inflow_form_equals_the_loop_bit_for_bit():
+    # values, tape entries and adjoints of a one-inflow node equal the
+    # general loop's, bit for bit, on taped and float runs, over every
+    # branch of the one-inflow form
+    rng = random.Random(1123)
+    counts = dict.fromkeys(["full", "blocked", "no step", "capped supply",
+                            "capped demand", "uncapped", "residual",
+                            "hand-off"], 0)
+    ties = 0
+    for _ in range(4000):
+        node = one_inflow_node(rng)
+        tapes, outs, demand, log = [], [], [], []
+        for impl in (inm_fixed, lambda *args: inm_loop(*args, log)):
+            tape = Tape()
+            args = materialize(tape, node)
+            qin, qout = impl(tape, *args)
+            tapes.append(tape)
+            outs.append(qin + qout)
+            demand.append(is_demand(qin + qout, args[0]))
+        new, old = tapes
+        same_values(*outs)
+        assert demand[0] == demand[1]
+        assert [x.idx for x in outs[0] if type(x) is Var] == [
+            x.idx for x in outs[1] if type(x) is Var]
+        assert tape_bits(new) == tape_bits(old)
+        for x, y in zip(*outs):
+            if type(x) is Var:
+                assert new.backward(x).tobytes() == old.backward(y).tobytes()
+        args = plain(node)
+        got = inm_fixed(FloatTape(), *args)
+        want = inm_loop(FloatTape(), *args, [])
+        assert [repr(x) for x in got[0] + got[1]] == [
+            repr(x) for x in want[0] + want[1]]
+        assert is_demand(got[0] + got[1], args[0]) == is_demand(
+            want[0] + want[1], args[0])
+        for branch in one_inflow_branches(log):
+            counts[branch] += 1
+        if type(log[0]) is tuple:  # exact ties between the step's candidates
+            (D,), S, (row,), (a,) = args
+            cands = [s / (b * a) for s, b in zip(S, row) if b > B_EPS]
+            ties += len(set(cands + [D / a])) <= len(cands)
+    assert min(counts.values()) >= 20, counts
+    assert ties >= 200, ties

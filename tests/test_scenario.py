@@ -1,5 +1,6 @@
 """Scenario model: validation, serialization, parameter registration."""
 
+import argparse
 import contextlib
 import dataclasses
 import importlib.util
@@ -22,7 +23,9 @@ from diffnet.presets import (
     toll_grid_scenario,
     two_route_scenario,
 )
+from diffnet.cli import load_scenario
 from diffnet.scenario import (
+    M_MAX,
     Scenario,
     ScenarioError,
     ValidationError,
@@ -142,6 +145,29 @@ def test_segment_count_must_be_integral(M, want):
     with pytest.raises(ValidationError,
                        match=re.escape(f"segment count M={M!r} must be")):
         Scenario.from_dict(d)
+
+
+@pytest.mark.parametrize("M", [M_MAX + 1, 1e300, int("9" * 401)],
+                         ids=["M_MAX+1", "1e300", "401 digits"])
+def test_segment_count_above_its_cap_is_refused_before_any_run(M, tmp_path):
+    # `travel_time_segments` evaluates M + 1 counts per link: an M past
+    # M_MAX is refused by the document reader, by `SimConfig.validate` and
+    # by the CLI's `--segments`, each before a scan could allocate them
+    cap = f"segment count M must be <= {M_MAX}"
+    d = base_dict()
+    d["meta"]["M"] = M
+    with pytest.raises(ValidationError, match=f"^{re.escape(cap)}$"):
+        Scenario.from_dict(d)
+    scn = Scenario.from_dict(base_dict())
+    with pytest.raises(ValidationError, match=f"^{re.escape(cap)}$"):
+        dataclasses.replace(scn.config, M=M).validate()
+    path = tmp_path / "ok.scn"
+    scn.save(path)
+    args = argparse.Namespace(segments=M)
+    with pytest.raises(ValidationError, match=f"^{re.escape(cap)}$"):
+        load_scenario(str(path), args)
+    d["meta"]["M"] = M_MAX
+    assert Scenario.from_dict(d).config.M == M_MAX
 
 
 @pytest.mark.parametrize("path, bad, field", [

@@ -153,6 +153,13 @@ def fixtures(dn):
     def segments(scn, **config):
         return configured(scn, M=3, tt_method="segments", **config)
 
+    def saturated_toll_grid():
+        # origin demand above the 7.2 veh/s capacity of the 12 entry links:
+        # the origin's logit diverge binds, with its rows on the tape
+        doc = presets.toll_grid_scenario().to_dict()
+        doc["demands"][0]["profile"] = [[0.0, 300.0, 9.0]]
+        return dn.Scenario.from_dict(doc)
+
     def segments_merge(**config):
         # merge with segment travel times: routing reads `interp` at a `Var`
         # index on a link whose `u` is registered
@@ -180,6 +187,11 @@ def fixtures(dn):
             (f"toll grid toll-J zero tolls {tag}", lambda g=grad: simulate(
                 dn, presets.toll_grid_scenario(), "toll:*", grad=g,
                 objective="toll-J", lam=1e-3)),
+            # one-inflow nodes bind: each corridor's middle node, one with
+            # a registered priority, and the origin
+            (f"toll grid 9 veh/s toll:*,alphaf0a {tag}",
+             lambda g=grad: simulate(dn, saturated_toll_grid(),
+                                     "toll:*,alphaf0a", grad=g)),
             (f"two-destination {tag}", lambda g=grad: simulate(
                 dn, parity.two_destination_scenario(), "q1,q2,qmaxb1,ua,ub2",
                 grad=g)),
