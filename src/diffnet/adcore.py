@@ -36,11 +36,13 @@ A fourth rule is kept by the callers:
     registered parameters or not.  The link clamps and the Newell counts
     of segment travel times (`ltm`), free-flow travel times and
     deterministic routing (`routing`, `engine`) are decided this way, and
-    so is the INM (`nodemodel`): it picks its step and each inlink's cap
-    or remaining demand on values, records only the winners and calls no
-    `min2`.  Where no outlink binds, it decides on values to take its
-    solution in closed form: each inlink's demand, returned as it is, and
-    the outlink sums of B * D, with no step recorded.
+    so is the INM (`nodemodel`), which calls no `min2`.  A node with one
+    inflow takes the FIFO diverge's winner on values: its demand, returned
+    as it is, or one supply quotient S / B.  With more inflows, where no
+    outlink binds, it takes its solution in closed form: each inlink's
+    demand, returned as it is, and the outlink sums of B * D; elsewhere it
+    picks its step and each inlink's cap or remaining demand on values and
+    records only the winners.
 
 Kink conventions:
   * min2/max2 at an exact tie route the full partial to the FIRST argument,

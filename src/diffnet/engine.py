@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .adcore import FLOAT, FloatTape, Tape, Var, value
 from .ltm import LinkDyn, interp
-from .nodemodel import inm_fixed
+from .nodemodel import ACTIVE_EPS, inm_fixed
 from .routing import (
     build_routing,
     composition,
@@ -521,7 +521,7 @@ class Simulator:
             used = [(j, p) for j, p in nz[s]
                     if (p.val if type(p) is Var else p) > 0.0]
             sup = [S[outs[j]] for j, _ in used]
-            if not used or any((x.val if type(x) is Var else x) <= 1e-12
+            if not used or any((x.val if type(x) is Var else x) <= ACTIVE_EPS
                                for x in sup):
                 continue
             out_s = tape.div(q, dt)

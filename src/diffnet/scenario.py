@@ -120,6 +120,9 @@ class DemandProfile:
             if not 0 <= q < math.inf:
                 raise ValidationError(f"{od}: rate {q} must be finite and >= 0")
             for edge in (t0, t1):
+                if edge < 0:
+                    raise ValidationError(
+                        f"{od}: interval edge {edge} must be >= 0")
                 steps = edge / cfg.dt
                 if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
                     raise ValidationError(f"{od}: interval edge {edge} not a "
@@ -216,9 +219,11 @@ def _text(x, at: str, key: str) -> str:
 
 
 def _profile(x, at: str, key: str) -> tuple[tuple[float, float, float], ...]:
+    """Intervals [t_start, t_end, rate]."""
     return tuple((_number(t0, at, "interval edge"),
                   _number(t1, at, "interval edge"), _number(q, at, "rate"))
-                 for t0, t1, q in x)
+                 for t0, t1, q in (_list(iv, f"{at}interval", 3)
+                                   for iv in _list(x, f"{at}{key}")))
 
 
 _READERS = {float: _number, int: _segment_count, str: _text,
@@ -275,12 +280,19 @@ def _mapping(x, where: str) -> dict:
     return x
 
 
+def _list(x, where: str, n: int | None = None):
+    """`x`, which must be a list (of `n` items, if given); `where` names
+    it."""
+    if not isinstance(x, (list, tuple)) or n is not None and len(x) != n:
+        shape = "a list" if n is None else f"a list of {n} items"
+        raise ScenarioError(f"{where}: expected {shape}, got {x!r}")
+    return x
+
+
 def _entries(section: str, xs):
     """The entries of the document list `xs`, each a mapping, named by
     `section` and position ("links entry 0")."""
-    if not isinstance(xs, (list, tuple)):
-        raise ScenarioError(f"{section}: expected a list, got {xs!r}")
-    for k, x in enumerate(xs):
+    for k, x in enumerate(_list(xs, section)):
         yield _mapping(x, f"{section} entry {k}")
 
 
@@ -453,7 +465,8 @@ class Scenario:
                 for dm in _entries("demands", doc.get("demands", [])))
             tolls = TollSchedule(values=_unique("toll link", (
                 (_text(tl["link"], "toll ", "link"),
-                 tuple(_number(v, at, "value") for v in tl["values"]))
+                 tuple(_number(v, at, "value")
+                       for v in _list(tl["values"], f"{at}values")))
                 for tl in _entries("tolls", doc.get("tolls", []))
                 for at in [_known(tl, ("link", "values"),
                                   f"toll on link {tl.get('link')}")])))

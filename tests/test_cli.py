@@ -402,6 +402,18 @@ def _unknown_link_key(doc):
     (lambda d: _edit(d, ("tolls",), [None]),
      "tolls entry 0: expected a mapping, got None"),
     (lambda d: _edit(d, ("links",), 5), "links: expected a list, got 5"),
+    # an interval may not start before the run does
+    (lambda d: _edit(d, ("demands", 0, "profile"), [[-100, 500, 0.3]]),
+     "demand orig1->dest: interval edge -100.0 must be >= 0"),
+    # a profile or toll values of the wrong shape are named by their entry
+    (lambda d: _edit(d, ("demands", 0, "profile"), ["1000"]),
+     "demand orig1->dest: interval: expected a list of 3 items, got '1000'"),
+    (lambda d: _edit(d, ("demands", 0, "profile"), 5),
+     "demand orig1->dest: profile: expected a list, got 5"),
+    (lambda d: _edit(d, ("demands", 0, "profile"), [[0, 100]]),
+     "demand orig1->dest: interval: expected a list of 3 items, got [0, 100]"),
+    (lambda d: _edit(d, ("tolls",), [{"link": "1", "values": "12"}]),
+     "toll on link 1: values: expected a list, got '12'"),
 ])
 def test_invalid_scenario_file_exits_1_with_one_line(tmp_path, capsys, edit,
                                                      message):

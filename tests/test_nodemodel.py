@@ -1,10 +1,8 @@
 """Junction flow allocation: hand cases, reference-oracle equivalence,
 conservation, and gradient behavior."""
 
-import math
 import random
 import time
-from array import array
 
 import pytest
 
@@ -349,11 +347,11 @@ class TieCountingTape(Tape):
         return super().min2(a, b)
 
 
-def close(a, b, rel):
-    """`a` and `b` agree within `rel` of their largest entry: a gradient
-    that cancels to zero keeps a rounding residue that depends on the order
-    in which adjoints are summed."""
-    scale = max(map(abs, [*a, *b]), default=0.0)
+def close(a, b, rel, floor=0.0):
+    """`a` and `b` agree within `rel` of their largest entry, or of `floor`
+    if that is larger: a gradient that cancels to zero keeps a rounding
+    residue that depends on the order in which adjoints are summed."""
+    scale = max([floor, *map(abs, a), *map(abs, b)])
     return all(abs(x - y) <= rel * scale for x, y in zip(a, b))
 
 
@@ -376,10 +374,14 @@ def served_in_full(D, S, B):
 def test_tape_and_values_equal_the_earlier_form_on_tied_nodes():
     # the earlier form records every candidate and cap with `min2`;
     # `inm_fixed` records only the winners, on a tape no longer than its.
-    # Where some outlink binds, the values are the same bit for bit; where
-    # none does, each inlink's flow is its demand itself and each outflow
-    # B^T D, which the earlier form's steps reach up to rounding.  The
-    # gradients are the same up to the order in which adjoints are summed.
+    # Where some outlink of a node with two or more inflows binds, the
+    # values are the same bit for bit; where none does, each inlink's flow
+    # is its demand itself and each outflow B^T D, which the earlier form's
+    # steps reach up to rounding.  A node with one inflow is the FIFO
+    # diverge, S / B or the demand itself, which the earlier form's step
+    # alpha * (S / (B * alpha)) or alpha * (D / alpha) reaches up to
+    # rounding.  The gradients are the same up to rounding and the order in
+    # which adjoints are summed.
     rng = random.Random(2011)
     ties = shorter = full = 0
     for _ in range(600):
@@ -402,6 +404,7 @@ def test_tape_and_values_equal_the_earlier_form_on_tied_nodes():
         if served_in_full(D, S, B):
             full += 1
             assert all(q is d for q, d in zip(outs[0], D))
+        if len(D) == 1 or served_in_full(D, S, B):
             assert close([value(x) for x in outs[0]],
                          [value(x) for x in outs[1]], 1e-15)
         else:
@@ -409,7 +412,9 @@ def test_tape_and_values_equal_the_earlier_form_on_tied_nodes():
         for a, b in zip(*outs):
             ga = new.backward(a)[:n] if type(a) is Var else [0.0] * n
             gb = old.backward(b)[:n] if type(b) is Var else [0.0] * n
-            assert close(ga, gb, 1e-12)
+            # at one inflow the earlier form's priority adjoint is the
+            # residue of alpha * (x / alpha), on inputs of order 1
+            assert close(ga, gb, 1e-12, 1.0 if len(D) == 1 else 0.0)
         # the float op table: the taped run's values, nothing recorded
         got = inm_fixed(FloatTape(), *plain(node))
         assert [repr(x) for x in got[0] + got[1]] == [
@@ -490,11 +495,19 @@ def test_the_closed_form_is_taken_exactly_where_no_outlink_binds():
         vals = [value(x) for x in qin + qout]
         want = inm_reference(Dv, Sv, Bv, av)
         assert all(abs(a - b) < 1e-9 for a, b in zip(vals, want[0] + want[1]))
-        # the closed form records one product and one sum per connection,
-        # and nothing else
         conns = sum(b > B_EPS for row in Bv for b in row)
-        closed = tape.calls == ({"mul": conns, "add": conns} if conns else {})
-        assert closed == served_in_full(D, S, B)
+        closed = served_in_full(D, S, B)
+        if len(D) == 1:
+            # the FIFO diverge records at most the winning supply's quotient
+            # and one product per connection, and takes no closed form
+            assert set(tape.calls) <= {"div", "mul"}
+            assert tape.calls.get("div", 0) <= 1
+            assert tape.calls.get("mul", 0) in (0, conns)
+        else:
+            # the closed form records one product and one sum per
+            # connection, and nothing else
+            assert closed == (tape.calls == (
+                {"mul": conns, "add": conns} if conns else {}))
         near += any(abs(s - sum(row[o] * d for row, d in zip(Bv, Dv))
                         - ACTIVE_EPS) < 2e-12 for o, s in enumerate(Sv))
         if closed:
@@ -518,112 +531,15 @@ def test_the_closed_form_is_taken_exactly_where_no_outlink_binds():
 # the one-inflow form
 
 
-def inm_loop(tape, D, S, B, alpha, log):
-    """`inm_fixed` without its one-inflow form: the closed form, else the
-    general loop, for every node.  The oracle for the one-inflow form.
-
-    Appends to `log` what it takes: "full" for the closed form, "blocked"
-    when no inlink is unblocked before any step, ("step", capped, supply)
-    for each active step (whether some inlink steps by its cap, and whether
-    a supply candidate won) and "residual" for a residual pass that steps
-    some unblocked inlink.
-    """
-    I, J = len(D), len(S)
-    add, sub, mul, div = tape.add, tape.sub, tape.mul, tape.div
-    qin, qout = [0.0] * I, [0.0] * J
-    D_v = [value(x) for x in D]
-    S_v = [value(x) for x in S]
-    a_v = [value(x) for x in alpha]
-    conn, feed, load = [], [[] for _ in range(J)], [0.0] * J
-    for l, row in enumerate(B):
-        outs = []
-        for o, b in enumerate(row):
-            b = value(b)
-            if b > B_EPS:
-                outs.append(o)
-                feed[o].append((l, b * a_v[l]))
-                load[o] += b * D_v[l]
-        conn.append(outs)
-    if all(s - x > ACTIVE_EPS for s, x, f in zip(S_v, load, feed) if f):
-        log.append("full")
-        for o, f in enumerate(feed):
-            for l, _ in f:
-                qout[o] = add(qout[o], mul(B[l][o], D[l]))
-        return list(D), qout
-    qin_v, qout_v = [0.0] * I, [0.0] * J
-    for it in range(I + J + 1):
-        slack = [s - q for s, q in zip(S_v, qout_v)]
-        unblocked = [not any(slack[o] <= ACTIVE_EPS for o in conn[l])
-                     for l in range(I)]
-        act_in = [u and d - q > ACTIVE_EPS
-                  for u, d, q in zip(unblocked, D_v, qin_v)]
-        converged = not any(act_in)
-        capped = [False] * I
-        if not converged:
-            theta = win = None
-            for o in range(J):
-                if slack[o] > ACTIVE_EPS:
-                    phi = 0.0
-                    for l, ba in feed[o]:
-                        if act_in[l]:
-                            phi += ba
-                    if phi > 0.0:
-                        c = slack[o] / phi
-                        if win is None or not theta <= c:
-                            theta, win = c, o
-            for l in range(I):
-                if act_in[l]:
-                    c = (D_v[l] - qin_v[l]) / a_v[l]
-                    if win is None or not theta <= c:
-                        theta, win = c, J + l
-            capped = [u and a * theta <= d - q for u, a, d, q
-                      in zip(unblocked, a_v, D_v, qin_v)]
-            log.append(("step", any(capped), win < J))
-            if any(capped):
-                if win < J:
-                    phi = 0.0
-                    for l, _ in feed[win]:
-                        if act_in[l]:
-                            phi = add(phi, mul(B[l][win], alpha[l]))
-                    theta = div(sub(S[win], qout[win]), phi)
-                else:
-                    l = win - J
-                    theta = div(sub(D[l], qin[l]), alpha[l])
-        elif any(unblocked):
-            log.append("residual")
-        elif it == 0:
-            log.append("blocked")
-        for l in range(I):
-            if not unblocked[l]:
-                continue
-            step = mul(alpha[l], theta) if capped[l] else sub(D[l], qin[l])
-            q = qin[l] = add(qin[l], step)
-            qin_v[l] = value(q)
-            for o in conn[l]:
-                q = qout[o] = add(qout[o], mul(B[l][o], step))
-                qout_v[o] = value(q)
-        if converged:
-            break
-    return qin, qout
-
-
-def one_inflow_node(rng):
+def fifo_node(rng):
     """A node with one inflow and 1-4 outlinks as specs (value, is_var).
 
     Turning fractions are mostly powers of two, so that supply candidates
-    tie each other and the demand candidate exactly.  There are three kinds
-    of draw:
-      * a fifth draw rates up to 1e6, where the round-off of one step can
-        exceed `ACTIVE_EPS` and leave the inlink active for a second step;
-      * a quarter put every supply as far above its load as still binds,
-        with a priority that is not a power of two: a step a rounding
-        short of the demand leaves the inlink unblocked, and the residual
-        pass follows;
-      * the rest put each supply at 0 or `ACTIVE_EPS`, at 0, ±1e-13 or
-        `ACTIVE_EPS` (±1e-13) from its load, or at an ample value; some
-        demands are at most `ACTIVE_EPS`, or a few times it, where a slack
-        can be `ACTIVE_EPS` exactly, and some draws are scaled by 1e4 or
-        1e6.
+    S / B tie each other and the demand exactly.  A fifth of the draws rate
+    up to 1e6 at random; the rest put each supply at 0 or `ACTIVE_EPS`, at
+    0, +-1e-13 or `ACTIVE_EPS` (+-1e-13) from its load, or at an ample
+    value, with some demands at most a few `ACTIVE_EPS` and some draws
+    scaled by 1e4 or 1e6.  The priority is drawn as for any node.
     """
     J = rng.randint(1, 4)
     rows = [[1.0], [0.5, 0.5], [0.5, 0.25, 0.25], [0.25] * 4]
@@ -634,19 +550,10 @@ def one_inflow_node(rng):
         tot = sum(row)
         row = [x / tot for x in row] if tot > 0.0 else [1.0] + [0.0] * (J - 1)
     rng.shuffle(row)
-    a = rng.choice([1.0, 2.0, 0.5, 0.3, 0.7, rng.uniform(0.1, 3.0)])
-    kind = rng.random()
-    if kind < 0.2:
-        D, a = 1e6 * rng.random(), rng.uniform(0.1, 3.0)
+    a = rng.choice([1.0, 2.0, 0.5, 0.3, rng.uniform(0.1, 3.0)])
+    if rng.random() < 0.2:
+        D = 1e6 * rng.random()
         S = [1e6 * rng.random() for _ in row]
-    elif kind < 0.45:
-        D, a = rng.random(), rng.uniform(0.1, 3.0)
-        S = []
-        for b in row:
-            s = b * D + ACTIVE_EPS
-            while s - b * D > ACTIVE_EPS:
-                s = math.nextafter(s, 0.0)
-            S.append(s)
     else:
         scale = rng.choice([1.0, 1.0, 1e4, 1e6])
         if rng.random() < 0.2:
@@ -659,7 +566,7 @@ def one_inflow_node(rng):
             if u < 0.05:
                 S.append(rng.choice([0.0, ACTIVE_EPS]))
             elif u < 0.7:
-                off = rng.choice([0.0, 1e-13, -1e-13, ACTIVE_EPS,
+                off = rng.choice([0.0, 0.0, 1e-13, -1e-13, ACTIVE_EPS,
                                   ACTIVE_EPS - 1e-13, ACTIVE_EPS + 1e-13])
                 S.append(max(0.0, b * D + off))
             else:
@@ -673,71 +580,80 @@ def one_inflow_node(rng):
             [spec(a)])
 
 
-def tape_bits(tape):
-    return (array("q", tape._p1).tobytes(), array("q", tape._p2).tobytes(),
-            array("d", tape._d1).tobytes(), array("d", tape._d2).tobytes())
+def fifo_reference(D, S, row, a):
+    """`inm_reference` at one inflow, followed by the residual pass of
+    `inm_fixed`'s loop: an unblocked inlink's remaining demand, at most
+    `ACTIVE_EPS`, is passed on as well."""
+    (q,), qout = inm_reference([D], S, [row], [a])
+    fed = [o for o, b in enumerate(row) if b > B_EPS]
+    if all(S[o] - qout[o] > ACTIVE_EPS for o in fed):
+        rest = D - q
+        q += rest
+        for o in fed:
+            qout[o] += row[o] * rest
+    return [q], qout
 
 
-def is_demand(flows, D):
-    """For each flow, whether it is the demand object itself."""
-    return [q is D[0] for q in flows]
+def bits(x):
+    """The bits of a flow's value, by `repr`, with a zero read unsigned:
+    `Tape.mul` returns +0.0 for a plain zero operand, where the float
+    product of a -0.0 demand and a turning fraction is -0.0."""
+    x = value(x)
+    return repr(x if x else 0.0)
 
 
-def one_inflow_branches(log):
-    """The branches of a one-inflow node that the loop's `log` shows."""
-    steps = [e for e in log if type(e) is tuple]
-    seen = {e for e in log if type(e) is str}
-    if "residual" in seen and not steps:
-        seen = {"no step"}
-    if steps:
-        _, capped, supply = steps[0]
-        seen.add(("capped supply" if supply else "capped demand")
-                 if capped else "uncapped")
-    if len(steps) > 1:
-        seen.add("hand-off")
-    return seen
-
-
-def test_the_one_inflow_form_equals_the_loop_bit_for_bit():
-    # values, tape entries and adjoints of a one-inflow node equal the
-    # general loop's, bit for bit, on taped and float runs, over every
-    # branch of the one-inflow form
-    rng = random.Random(1123)
-    counts = dict.fromkeys(["full", "blocked", "no step", "capped supply",
-                            "capped demand", "uncapped", "residual",
-                            "hand-off"], 0)
-    ties = 0
+def test_the_one_inflow_node_is_the_fifo_diverge():
+    # a node with one inflow takes min(D, min_o S[o] / B[o]) over its fed
+    # outlinks, decided on values: the demand itself, or one quotient
+    # S[win] / B[win], where a supply wins a tie with the demand and the
+    # first of equal supplies wins; no flow at all if a fed outlink has at
+    # most `ACTIVE_EPS` of supply.  It never reads the priority.
+    rng = random.Random(1995)
+    counts = dict.fromkeys(["blocked", "demand", "supply", "demand tie",
+                            "supply tie", "tiny demand", "rates >= 1e4"], 0)
     for _ in range(4000):
-        node = one_inflow_node(rng)
-        tapes, outs, demand, log = [], [], [], []
-        for impl in (inm_fixed, lambda *args: inm_loop(*args, log)):
-            tape = Tape()
-            args = materialize(tape, node)
-            qin, qout = impl(tape, *args)
-            tapes.append(tape)
-            outs.append(qin + qout)
-            demand.append(is_demand(qin + qout, args[0]))
-        new, old = tapes
-        same_values(*outs)
-        assert demand[0] == demand[1]
-        assert [x.idx for x in outs[0] if type(x) is Var] == [
-            x.idx for x in outs[1] if type(x) is Var]
-        assert tape_bits(new) == tape_bits(old)
-        for x, y in zip(*outs):
-            if type(x) is Var:
-                assert new.backward(x).tobytes() == old.backward(y).tobytes()
-        args = plain(node)
-        got = inm_fixed(FloatTape(), *args)
-        want = inm_loop(FloatTape(), *args, [])
-        assert [repr(x) for x in got[0] + got[1]] == [
-            repr(x) for x in want[0] + want[1]]
-        assert is_demand(got[0] + got[1], args[0]) == is_demand(
-            want[0] + want[1], args[0])
-        for branch in one_inflow_branches(log):
-            counts[branch] += 1
-        if type(log[0]) is tuple:  # exact ties between the step's candidates
-            (D,), S, (row,), (a,) = args
-            cands = [s / (b * a) for s, b in zip(S, row) if b > B_EPS]
-            ties += len(set(cands + [D / a])) <= len(cands)
-    assert min(counts.values()) >= 20, counts
-    assert ties >= 200, ties
+        node = fifo_node(rng)
+        (Dv,), Sv, (row_v,), (av,) = plain(node)
+        tape = Tape()
+        (d,), S, (row,), (a,) = materialize(tape, node)
+        n = len(tape)
+        (q,), qout = inm_fixed(tape, [d], S, [row], [a])
+        flows = [value(x) for x in [q] + qout]
+
+        fed = [o for o, b in enumerate(row_v) if b > B_EPS]
+        cands = [Sv[o] / row_v[o] for o in fed]
+        if any(Sv[o] <= ACTIVE_EPS for o in fed):
+            counts["blocked"] += 1
+            assert [q] + qout == [0.0] * (1 + len(Sv))
+        elif cands and min(cands) <= Dv:
+            win = fed[cands.index(min(cands))]  # the first of equal ones
+            counts["supply"] += 1
+            counts["demand tie"] += min(cands) == Dv
+            counts["supply tie"] += cands.count(min(cands)) > 1
+            assert q is not d
+            assert repr(value(q)) == repr(Sv[win] / row_v[win])
+            if type(S[win]) is Var:
+                assert tape.backward(q)[S[win].idx] == 1.0 / row_v[win]
+        else:
+            counts["demand"] += 1
+            counts["tiny demand"] += Dv <= ACTIVE_EPS
+            assert q is d
+        for o, x in enumerate(qout):
+            assert bits(x) == bits(row_v[o] * value(q) if o in fed else 0.0)
+        counts["rates >= 1e4"] += max(Dv, *Sv) >= 1e4
+
+        # the plain INM, to within rounding of the node's largest input
+        want = fifo_reference(Dv, Sv, row_v, av)
+        scale = max(map(abs, [Dv, *Sv]))
+        assert all(abs(x - y) <= 1e-15 * scale
+                   for x, y in zip(flows, want[0] + want[1]))
+        # the priority is no entry's parent and gets no adjoint
+        if type(a) is Var:
+            assert a.idx not in tape._p1[n:] and a.idx not in tape._p2[n:]
+            for x in [q] + qout:
+                if type(x) is Var:
+                    assert tape.backward(x)[a.idx] == 0.0
+        # the float op table gives the taped values bit for bit
+        got = inm_fixed(FloatTape(), [Dv], Sv, [row_v], [av])
+        assert list(map(bits, got[0] + got[1])) == list(map(bits, flows))
+    assert min(counts.values()) >= 100, counts
