@@ -15,9 +15,11 @@ operand is checked against the tape it is used on, on every path.
 finite-difference and SPSA paths): each operation is the all-float branch of
 the `Tape` operation, with no type dispatch, and nothing can be recorded.
 
-Three rules skip entries that would move neither a value nor an adjoint:
-  * exact zero: with a plain float 0.0 operand (for `sub`, the right one),
-    `add` and `sub` return the other operand and `mul` returns 0.0;
+Three rules skip entries that would move neither a value nor an adjoint,
+and return what the float operation returns, signed zeros included:
+  * exact zero: with a plain float zero operand (for `sub`, the right one),
+    `add` and `sub` return the other operand unless -0.0 + 0.0 gives 0.0,
+    and `mul` returns the plain float product;
   * exact one: `mul` with a plain float 1.0 operand, and `div` of a `Var` by
     a plain float 1.0, return the other operand;
   * pass-through: when exactly one operand of `min2`/`max2` is a `Var`, the
@@ -82,6 +84,11 @@ class Var:
         return f"Var({self.val:.6g}@{self.idx})"
 
 
+def _sums_to(x: float, zero: float) -> bool:
+    """Whether x + zero is x bit for bit: all but -0.0 + 0.0 are."""
+    return bool(x) or math.copysign(1, x) > 0 or math.copysign(1, zero) < 0
+
+
 def value(x) -> float:
     """Forward value of a Var or plain number."""
     return x.val if type(x) is Var else float(x)
@@ -136,13 +143,13 @@ class Tape:
                 if b.tape is not self:
                     raise TapeError(_FOREIGN)
                 return self._rec(a.val + b.val, a.idx, 1.0, b.idx, 1.0)
-            if b == 0.0 and isinstance(b, float):
+            if b == 0.0 and isinstance(b, float) and _sums_to(a.val, b):
                 return a
             return self._rec(a.val + b, a.idx, 1.0, -1, 1.0)
         if type(b) is Var:
             if b.tape is not self:
                 raise TapeError(_FOREIGN)
-            if a == 0.0 and isinstance(a, float):
+            if a == 0.0 and isinstance(a, float) and _sums_to(b.val, a):
                 return b
             return self._rec(a + b.val, -1, 1.0, b.idx, 1.0)
         return a + b
@@ -155,7 +162,7 @@ class Tape:
                 if b.tape is not self:
                     raise TapeError(_FOREIGN)
                 return self._rec(a.val - b.val, a.idx, 1.0, b.idx, -1.0)
-            if b == 0.0 and isinstance(b, float):
+            if b == 0.0 and isinstance(b, float) and _sums_to(a.val, -b):
                 return a
             return self._rec(a.val - b, a.idx, 1.0, -1, -1.0)
         if type(b) is Var:
@@ -176,19 +183,19 @@ class Tape:
                 return self._rec(av * bv, a.idx, bv, b.idx, av)
             if isinstance(b, float):
                 if b == 0.0:
-                    return 0.0
+                    return av * b
                 if b == 1.0:
                     return a
             return self._rec(av * b, a.idx, b, -1, av)
         if type(b) is Var:
             if b.tape is not self:
                 raise TapeError(_FOREIGN)
+            bv = b.val
             if isinstance(a, float):
                 if a == 0.0:
-                    return 0.0
+                    return a * bv
                 if a == 1.0:
                     return b
-            bv = b.val
             return self._rec(a * bv, -1, bv, b.idx, a)
         return a * b
 
@@ -203,12 +210,12 @@ class Tape:
         if x.tape is not self:
             raise TapeError(_FOREIGN)
         if a == 0.0:
-            return self.add(y, 0.0)
+            return self.add(y, a * x.val)
         if type(y) is Var:
             if y.tape is not self:
                 raise TapeError(_FOREIGN)
             return self._rec(y.val + a * x.val, y.idx, 1.0, x.idx, a)
-        if y == 0.0 and isinstance(y, float):
+        if y == 0.0 and isinstance(y, float) and _sums_to(a * x.val, y):
             return self.mul(a, x)
         return self._rec(y + a * x.val, -1, 1.0, x.idx, a)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .adcore import FLOAT, FloatTape, Tape, Var, value
 from .ltm import LinkDyn, interp
-from .nodemodel import ACTIVE_EPS, inm_fixed
+from .nodemodel import inm_fixed
 from .routing import (
     build_routing,
     composition,
@@ -424,8 +424,9 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    def _transfer(self, plan, D, comps, alpha, S, f_in, f_in_s, split=True):
-        """Node model at one node with outlinks.
+    def _transfer(self, plan, D, comps, S, f_in, f_in_s, split=True):
+        """Node model at one node with outlinks, for a junction's inlinks
+        or for one origin inflow (see `_origin_step`).
 
         Builds one turning-fraction row per inflow from the node's rows,
         built at the routing refresh.  An inflow with a single plain-float
@@ -434,11 +435,13 @@ class Simulator:
         sums c[s] * p over its destinations, in their order, for each
         outlink.  A plain 0.0 fraction adds nothing to any flow, so every
         sum here reads only the rows' other fractions, `plan.nz`.
-        Allocates flow with the INM and adds the aggregate inflows to the
-        outlinks.  With `split`, it also records each inflow's
-        per-destination outflows and adds them, routed, to the outlinks that
-        keep per-destination counts.  Returns the per-inflow totals and,
-        with `split`, the per-inflow per-destination outflows (else `None`).
+        Allocates flow with the INM, at the inlinks' priorities
+        `plan.alpha` (an origin has none, and one inflow reads none), and
+        adds the aggregate inflows to the outlinks.  With `split`, it also
+        records each inflow's per-destination outflows and adds them,
+        routed, to the outlinks that keep per-destination counts.  Returns
+        the per-inflow totals and, with `split`, the per-inflow
+        per-destination outflows (else `None`).
         """
         tape = self.tape
         add, mul = tape.add, tape.mul
@@ -456,7 +459,7 @@ class Simulator:
                     row[j] = add(row[j], mul(cs, p))
             B.append(row)
 
-        qin, qout = inm_fixed(tape, D, [S[o] for o in outs], B, alpha)
+        qin, qout = inm_fixed(tape, D, [S[o] for o in outs], B, plan.alpha)
         for o, q in zip(outs, qout):
             f_in[o] = add(f_in[o], q)
         if not split:
@@ -478,62 +481,48 @@ class Simulator:
         return qin, per_dest
 
     def _origin_step(self, plan, t, dt, S, f_in, f_in_s):
-        tape = self.tape
-        add, madd = tape.add, tape.madd
-        node = plan.node
+        tape, node = self.tape, plan.node
 
         # arrivals join the per-destination vertical queue
         pre = dict(self.queue[node])
         for i in self.net.origin_demands[node]:
             s = self.scn.demands[i].destination
-            pre[s] = madd(pre[s], dt, self.demand_rate(i, t))
+            pre[s] = tape.madd(pre[s], dt, self.demand_rate(i, t))
 
-        # An exactly-empty queue may still carry sensitivities (it was
-        # positive under an infinitesimal parameter change).  Whenever the
-        # outlinks it would use have supply slack, that perturbed queue
-        # drains within the step, so serve it now: the sensitivity leaves
-        # with the flow instead of lingering on the node forever.
-        self._flush_zero_queues(plan, pre, S, f_in, f_in_s, dt)
-
+        # Every queue leaves through the node model.  An exactly-empty queue
+        # may still carry sensitivities (it was positive under an
+        # infinitesimal parameter change): it is an inflow of its own,
+        # served first.  Where no outlink it feeds is spent, the
+        # sensitivity leaves with the flow instead of lingering on the node,
+        # and none of it reaches the total below; where one is, the queue
+        # keeps its very Var.
+        for s, q in list(pre.items()):
+            if type(q) is Var and q.val == 0.0:
+                self._serve(plan, tape.div(q, dt), {s: 1.0}, pre, dt, S,
+                            f_in, f_in_s)
+        # the positive queues then leave as one inflow whose composition is
+        # their queue shares
         total = 0.0
         for q in pre.values():
-            total = add(total, q)
+            total = tape.add(total, q)
         if (total.val if type(total) is Var else total) > 0.0:
-            # the queue is one inflow whose composition is its queue shares
             comp = normalized_shares(tape, {
                 s: q for s, q in pre.items()
                 if (q.val if type(q) is Var else q) > 0.0}, total)
-            _, (out,) = self._transfer(
-                plan, [tape.div(total, dt)], [comp], [1.0], S, f_in, f_in_s
-            )
-            for s, out_s in out.items():
-                pre[s] = madd(pre[s], -dt, out_s)
-                inj = self.inj[node][s]
-                inj.append(madd(inj[-1], dt, out_s))
+            self._serve(plan, tape.div(total, dt), comp, pre, dt, S, f_in,
+                        f_in_s)
         self.queue[node] = pre
 
-    def _flush_zero_queues(self, plan, pre, S, f_in, f_in_s, dt):
-        tape = self.tape
-        outs, keeps, nz = plan.outs, plan.keeps, plan.nz
-        for s, q in pre.items():
-            if type(q) is not Var or q.val != 0.0:
-                continue
-            used = [(j, p) for j, p in nz[s]
-                    if (p.val if type(p) is Var else p) > 0.0]
-            sup = [S[outs[j]] for j, _ in used]
-            if not used or any((x.val if type(x) is Var else x) <= ACTIVE_EPS
-                               for x in sup):
-                continue
-            out_s = tape.div(q, dt)
-            for j, p in used:
-                o = outs[j]
-                flow = tape.mul(out_s, p)
-                f_in[o] = tape.add(f_in[o], flow)
-                if keeps[j]:
-                    f_in_s[o][s] = tape.add(f_in_s[o].get(s, 0.0), flow)
+    def _serve(self, plan, d, comp, pre, dt, S, f_in, f_in_s):
+        """One origin inflow, of demand rate `d` and shares `comp`, through
+        the node model; each destination's outflow leaves its queue in `pre`
+        and joins its injection curve."""
+        madd = self.tape.madd
+        _, (out,) = self._transfer(plan, [d], [comp], S, f_in, f_in_s)
+        for s, out_s in out.items():
+            pre[s] = madd(pre[s], -dt, out_s)
             inj = self.inj[plan.node][s]
-            inj.append(tape.madd(inj[-1], dt, out_s))
-            pre[s] = tape.sub(q, q)
+            inj.append(madd(inj[-1], dt, out_s))
 
     def _junction_step(self, plan, D, S, f_in, f_out, f_in_s):
         ins = plan.ins
@@ -543,8 +532,8 @@ class Simulator:
             if (d.val if type(d) is Var else d) <= 0.0:
                 return  # no demand
             qin, _ = self._transfer(
-                plan, [d], [composition(self.tape, plan.inlinks[0])],
-                plan.alpha, S, f_in, f_in_s, plan.nu_s)
+                plan, [d], [composition(self.tape, plan.inlinks[0])], S,
+                f_in, f_in_s, plan.nu_s)
             f_out[i] = qin[0]
             return
         D_in = [D[i] for i in ins]
@@ -557,8 +546,8 @@ class Simulator:
         comps = [composition(self.tape, lk) for lk in plan.inlinks]
         # the per-destination outflows of a junction are only read where an
         # outlink keeps per-destination counts
-        qin, _ = self._transfer(plan, D_in, comps, plan.alpha, S, f_in,
-                                f_in_s, plan.nu_s)
+        qin, _ = self._transfer(plan, D_in, comps, S, f_in, f_in_s,
+                                plan.nu_s)
         for i, q in zip(ins, qin):
             f_out[i] = q
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffnet.adcore import GUARD_EPS, FloatTape, Tape, TapeError, Var, value
+from diffnet.adcore import (FLOAT, GUARD_EPS, FloatTape, Tape, TapeError, Var,
+                            value)
 from diffnet.engine import Simulator, objective_ttt
 from diffnet.presets import merge_scenario
 from diffnet.scenario import register_parameters
@@ -391,6 +392,27 @@ def test_float_tape_exp_and_madd_match_tape_on_floats():
         assert outcome(ftape.madd, y, a, x) == outcome(tape.madd, y, a, x), \
             (y, a, x)
     assert len(tape) == 0
+
+
+MIXED_OPERANDS = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300, -1e300]
+
+
+def test_skip_rules_return_the_float_result_signed_zeros_included():
+    # one Var operand and one plain operand, in both orders: the taped value
+    # is the `FLOAT` result by repr, so a zero keeps the sign the float
+    # operation gives it (mul(Var(1.0), -0.0) is -0.0, add(0.0, Var(-0.0))
+    # is 0.0)
+    tape = Tape()
+    for a, b in itertools.product(MIXED_OPERANDS, repeat=2):
+        for name in ("add", "sub", "mul"):
+            want = repr(getattr(FLOAT, name)(a, b))
+            for args in ((tape.input(a), b), (a, tape.input(b))):
+                got = value(getattr(tape, name)(*args))
+                assert repr(got) == want, (name, a, b)
+        for c in MIXED_OPERANDS:
+            want = repr(FLOAT.madd(a, c, b))
+            for y, x in ((tape.input(a), b), (a, tape.input(b))):
+                assert repr(value(tape.madd(y, c, x))) == want, (a, c, b)
 
 
 def test_float_tape_takes_no_input():

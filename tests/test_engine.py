@@ -18,6 +18,7 @@ from diffnet.engine import (
     run,
 )
 from diffnet.ltm import LinkDyn
+from diffnet.nodemodel import ACTIVE_EPS, B_EPS
 from diffnet.presets import (
     bottleneck_scenario,
     merge_scenario,
@@ -346,6 +347,66 @@ def test_origin_state_lists_only_demanded_od_pairs():
             assert list(per_dest) == [s for s in scn.destinations
                                       if s in wanted[o]]
             assert all(len(c) == length for c in per_dest.values())
+
+
+def empty_queue_step(scn, origin, supply, row=None):
+    """One origin step, after every demand has ended, of `origin` whose
+    queue is a fresh exactly-empty `Var` q, with outlink supplies `supply`
+    (link id -> veh/s, 1.0 for the others) and, if given, the turning row
+    `row` toward the destination.
+
+    Returns q, the queue after the step, the outlink inflows by link id and
+    the injection curve.
+    """
+    ps = register_parameters(scn, f"u{scn.links[0].id}")  # a taped run
+    sim = Simulator(scn, params=ps)
+    sim._refresh_routing(0)
+    plan = next(p for p in sim._plans if p.node == origin)
+    (s,) = plan.dests
+    if row is not None:
+        plan.set_row(s, plan.hops[s], row)
+    q = sim.queue[origin][s] = sim.tape.input(0.0)
+    L = len(sim.links)
+    S = [supply.get(lk.id, 1.0) for lk in sim.links]
+    f_in, f_in_s = [0.0] * L, [{} for _ in range(L)]
+    t = scn.config.n_steps - 1
+    sim._origin_step(plan, t, scn.config.dt, S, f_in, f_in_s)
+    flows = {sim.links[o].id: f_in[o] for o in plan.outs}
+    return q, sim.queue[origin][s], flows, sim.inj[origin][s]
+
+
+def test_an_exactly_empty_queue_leaves_with_its_sensitivity():
+    # the queue is an inflow of its own: its outlink gains q/dt, and the
+    # queue it leaves behind no longer reads q
+    scn = merge_scenario()
+    dt = scn.config.dt
+    q, after, flows, inj = empty_queue_step(scn, "orig1", {})
+    tape = q.tape
+    assert after is not q and value(after) == 0.0
+    assert tape.grad(after, [q]) == [0.0]
+    assert type(flows["1"]) is Var and value(flows["1"]) == 0.0
+    assert tape.grad(flows["1"], [q]) == [1.0 / dt]
+    assert tape.grad(inj[-1], [q]) == [1.0]
+
+
+def test_an_exactly_empty_queue_is_blocked_by_a_spent_outlink():
+    # an outlink it feeds with at most ACTIVE_EPS of supply blocks it: the
+    # queue keeps its very Var, nothing is sent, and nothing is injected
+    q, after, flows, inj = empty_queue_step(merge_scenario(), "orig1",
+                                            {"1": ACTIVE_EPS})
+    assert after is q
+    assert flows == {"1": 0.0} and type(flows["1"]) is float
+    assert all(type(x) is float and x == 0.0 for x in inj)
+
+
+def test_an_empty_queue_does_not_feed_a_fraction_of_at_most_b_eps():
+    # a turning fraction of B_EPS is no connection: the queue is served
+    # over the other outlink, although the tiny one has no supply
+    q, after, flows, _ = empty_queue_step(
+        two_route_scenario(), "orig", {"sa": 0.0}, row=[1.0 - B_EPS, B_EPS])
+    assert after is not q and q.tape.grad(after, [q]) == [0.0]
+    assert type(flows["fa"]) is Var
+    assert flows["sa"] == 0.0 and type(flows["sa"]) is float
 
 
 # ----------------------------------------------------------------------

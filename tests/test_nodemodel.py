@@ -595,11 +595,9 @@ def fifo_reference(D, S, row, a):
 
 
 def bits(x):
-    """The bits of a flow's value, by `repr`, with a zero read unsigned:
-    `Tape.mul` returns +0.0 for a plain zero operand, where the float
-    product of a -0.0 demand and a turning fraction is -0.0."""
-    x = value(x)
-    return repr(x if x else 0.0)
+    """The bits of a flow's value, by `repr`: a zero keeps its sign, as the
+    product of a -0.0 demand and a turning fraction does."""
+    return repr(value(x))
 
 
 def test_the_one_inflow_node_is_the_fifo_diverge():

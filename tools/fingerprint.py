@@ -137,13 +137,24 @@ def fixtures(dn):
     def grid_scn(**kw):
         return dn.Scenario.from_dict(grid.grid_document(**kw))
 
-    def idle_origin_scn():
+    def idle_origin_doc():
         # the two-destination fixture plus an origin without demand whose
         # two outlinks lead to both destinations
         doc = parity.two_destination_scenario().to_dict()
         doc["nodes"].append({"id": "o2", "kind": "origin"})
         doc["links"] += [parity._lk("g1", "o2", "m", 600.0),
                          parity._lk("g2", "o2", "n", 700.0)]
+        return doc
+
+    def second_origin_scn():
+        # the idle origin with demand to both destinations, which ends
+        # before the horizon: its queues, once exactly empty, leave over a
+        # logit row to two outlinks that keep per-destination counts
+        doc = idle_origin_doc()
+        doc["meta"]["mu"] = 0.1
+        doc["demands"] += [{"origin": "o2", "destination": s,
+                            "profile": [[0.0, 400.0, rate]]}
+                           for s, rate in (("d1", 0.2), ("d2", 0.15))]
         return dn.Scenario.from_dict(doc)
 
     def configured(scn, **config):
@@ -196,7 +207,12 @@ def fixtures(dn):
                 dn, parity.two_destination_scenario(), "q1,q2,qmaxb1,ua,ub2",
                 grad=g)),
             (f"two-destination idle origin {tag}", lambda g=grad: simulate(
-                dn, idle_origin_scn(), "q1,q2,qmaxb1,ua,ub2", grad=g)),
+                dn, dn.Scenario.from_dict(idle_origin_doc()),
+                "q1,q2,qmaxb1,ua,ub2", grad=g)),
+            (f"two-destination second origin logit {tag}",
+             lambda g=grad: simulate(
+                 dn, second_origin_scn(), "q1,q2,q3,q4,qmaxb1,ua,ub2",
+                 grad=g)),
             (f"grid n=4 2 dests {tag}", lambda g=grad: simulate(
                 dn, grid_scn(n=4, n_dest=2), "q1,un0_0-n0_1", grad=g)),
             (f"grid n=6 3 dests replan q2 {tag}", lambda g=grad: simulate(
