@@ -1,11 +1,14 @@
 """Scalar reverse-mode automatic differentiation on an append-only tape.
 
-The tape records one entry per elementary operation, each holding at most two
-parent indices and the local partial derivatives evaluated at record time.
-Entries live in four parallel lists (first parent, second parent, and their
-partials); the forward value lives only on the `Var` handle, so the tape
-keeps no value of its own.  A single backward sweep yields adjoints for every
-entry; a forward sweep (`jvp`) yields directional derivatives.
+The tape records one entry per elementary operation or affine statement,
+with its parent indices and the local partial derivatives evaluated at
+record time.  An entry with at most two parents lives in four parallel
+lists (first parent, second parent, and their partials); an affine
+statement `Σ c_k·x_k` with more parents keeps them, and its plain float
+coefficients, in two side lists.  The forward value lives only on the `Var`
+handle, so the tape keeps no value of its own.  A single backward sweep
+yields adjoints for every entry; a forward sweep (`jvp`) yields directional
+derivatives.
 
 Operations accept a mix of `Var` handles and plain floats.  When no argument
 is a `Var` the result is a plain float and nothing is recorded.  Every `Var`
@@ -24,9 +27,23 @@ and return what the float operation returns, signed zeros included:
     a plain float 1.0, return the other operand;
   * pass-through: when exactly one operand of `min2`/`max2` is a `Var`, the
     winner is returned as it is, the `Var` itself or the plain float.
-An int 0 or 1 is not a plain float and still records.  `madd(y, a, x)`
-records the affine update y + a*x (plain float `a`) as one entry with
-partials (1, a) instead of two, with the value `add(y, mul(a, x))` gives.
+An int 0 or 1 is not a plain float and still records.
+
+Affine statements are folded at record time (preaccumulation: Griewank &
+Walther 2008, *Evaluating Derivatives*, ch. 10).  `madd(y, a, x)` records
+y + a*x (plain float `a`) as one entry with partials (1, a), with the value
+`add(y, mul(a, x))` gives; `rate(a, b, h)` records (a - b) / h as one entry
+with partials 1/h and -(1/h), with the value `div(sub(a, b), h)` gives;
+`sum(xs)` records the sum of its `add` chain as one entry with partials
+1.0; and `lin(val, xs, cs)` records any affine statement whose value `val`
+the caller computed in the float order of the chain it replaces.  Each
+partial is an exact product of the chain's partials (±1 and a plain float
+coefficient), so the adjoints of a folded entry are those of its chain bit
+for bit; so are its tangents where each term's product is exact (one-hot
+tangents on its operands, say), and elsewhere they agree to rounding.  A
+statement with no `Var` operand is its plain float value, and one whose
+only `Var` operand has coefficient 1.0 and the statement's value bit for
+bit is that `Var`.
 
 A fourth rule is kept by the callers:
   * decided on values: where a `min2`/`max2` decides which expression
@@ -53,6 +70,8 @@ Kink conventions:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 
@@ -64,6 +83,10 @@ __all__ = ["Var", "Tape", "FloatTape", "FLOAT", "TapeError", "GUARD_EPS"]
 GUARD_EPS = 1e-9
 
 _FOREIGN = "variable belongs to a different tape"
+
+# first-parent marker of an entry with more than two parents: its second
+# parent slot holds the index of its terms in the side lists
+_NARY = -2
 
 
 class TapeError(Exception):
@@ -98,10 +121,12 @@ class Tape:
     """Append-only record of elementary operations.
 
     Entries are stored in four parallel lists: parent indices `_p1`, `_p2`
-    (-1 for none) and local partials `_d1`, `_d2`.  Topological order is
-    guaranteed by construction: a parent is always recorded before its
-    child.  A tape has a single writer; once the forward pass is complete it
-    may be swept any number of times.
+    (-1 for none) and local partials `_d1`, `_d2`.  An entry with more than
+    two parents has `_p1` `_NARY` and `_p2` the index k of its parents
+    `_np[k]` and partials `_nd[k]`.  Topological order is guaranteed by
+    construction: a parent is always recorded before its child.  A tape has
+    a single writer; once the forward pass is complete it may be swept any
+    number of times.
 
     Each operation tests its operands with `type(x) is Var` once and reads
     `.val` and `.idx` directly; this dispatch is the cost of every recorded
@@ -113,6 +138,8 @@ class Tape:
         self._p2: list[int] = []
         self._d1: list[float] = []
         self._d2: list[float] = []
+        self._np: list[list[int]] = []
+        self._nd: list[list[float]] = []
 
     def __len__(self) -> int:
         return len(self._p1)
@@ -219,6 +246,61 @@ class Tape:
             return self.mul(a, x)
         return self._rec(y + a * x.val, -1, 1.0, x.idx, a)
 
+    def lin(self, val: float, xs, cs):
+        """The affine statement of value `val` that reads each `Var` of
+        `xs` with the plain float partial of `cs` at its position, as one
+        entry; a plain float of `xs` is a constant and is not read.
+
+        `val` is the caller's, computed in the float order of the chain the
+        entry replaces.  With no `Var` it is returned as it is; a single
+        `Var` read with partial 1.0 whose value is `val` bit for bit is
+        returned itself.
+        """
+        ps, ds, var = [], [], None
+        for x, c in zip(xs, cs):
+            if type(x) is Var:
+                if x.tape is not self:
+                    raise TapeError(_FOREIGN)
+                ps.append(x.idx)
+                ds.append(c)
+                var = x
+        n = len(ps)
+        if n > 2:
+            self._np.append(ps)
+            self._nd.append(ds)
+            return self._rec(val, _NARY, 0.0, len(self._np) - 1, 0.0)
+        if n == 2:
+            return self._rec(val, ps[0], ds[0], ps[1], ds[1])
+        if n == 0:
+            return val
+        v = var.val
+        if ds[0] == 1.0 and val == v and (val or math.copysign(1, val)
+                                          == math.copysign(1, v)):
+            return var
+        return self._rec(val, ps[0], ds[0], -1, 0.0)
+
+    def sum(self, xs):
+        """The sum of the chain `add(...add(xs[0], xs[1])..., xs[-1])` over
+        a nonempty `xs`, in its float order, as one entry with partials
+        1.0."""
+        val = functools.reduce(operator.add,
+                               [x.val if type(x) is Var else x for x in xs])
+        return self.lin(val, xs, itertools.repeat(1.0))
+
+    def rate(self, a, b, h: float):
+        """(a - b) / h for a plain float h, as one entry with partials 1/h
+        and -(1/h): the value `div(sub(a, b), h)` gives."""
+        if type(a) is Var:
+            if type(b) is Var:
+                if a.tape is not self or b.tape is not self:
+                    raise TapeError(_FOREIGN)
+                r = 1.0 / h
+                return self._rec((a.val - b.val) / h, a.idx, r, b.idx, -r)
+        elif type(b) is not Var:
+            return (a - b) / h
+        r = 1.0 / h
+        return self.lin((value(a) - value(b)) / h, (a, b), (r, -r))
+
     def div(self, a, b):
         if type(a) is Var:
             if a.tape is not self:
@@ -307,6 +389,7 @@ class Tape:
         adj = [0.0] * n
         adj[output.idx] = 1.0
         p1, p2, d1, d2 = self._p1, self._p2, self._d1, self._d2
+        nps, nds = self._np, self._nd
         for i in range(output.idx, -1, -1):
             a = adj[i]
             if a == 0.0:
@@ -314,6 +397,11 @@ class Tape:
             j = p1[i]
             if j >= 0:
                 adj[j] += a * d1[i]
+            elif j == _NARY:
+                k = p2[i]
+                for j, d in zip(nps[k], nds[k]):
+                    adj[j] += a * d
+                continue
             j = p2[i]
             if j >= 0:
                 adj[j] += a * d2[i]
@@ -343,6 +431,7 @@ class Tape:
             if idx < n:
                 tan[idx] = t
         p1, p2, d1, d2 = self._p1, self._p2, self._d1, self._d2
+        nps, nds = self._np, self._nd
         for i in range(n):
             j, k = p1[i], p2[i]
             if j < 0 and k < 0:
@@ -350,6 +439,11 @@ class Tape:
             v = tan[i]
             if j >= 0:
                 v += d1[i] * tan[j]
+            elif j == _NARY:
+                for j, d in zip(nps[k], nds[k]):
+                    v += d * tan[j]
+                tan[i] = v
+                continue
             if k >= 0:
                 v += d2[i] * tan[k]
             tan[i] = v
@@ -376,6 +470,15 @@ class FloatTape(Tape):
 
     def madd(self, y, a: float, x):
         return y + a * x
+
+    def lin(self, val: float, xs, cs):
+        return val
+
+    def sum(self, xs):
+        return functools.reduce(operator.add, xs)
+
+    def rate(self, a, b, h: float):
+        return (a - b) / h
 
     def divg(self, a, b):
         return a / (b if b >= GUARD_EPS else GUARD_EPS)

@@ -13,13 +13,14 @@ scan, which carries only state, so one backward sweep gives their adjoints.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from .adcore import FLOAT, FloatTape, Tape, Var, value
 from .ltm import LinkDyn, interp
-from .nodemodel import inm_fixed
+from .nodemodel import B_EPS, inm_fixed
 from .routing import (
     build_routing,
     composition,
@@ -79,15 +80,18 @@ class SimResult:
         self.forward_time = sim.forward_time
         self._sim = sim
 
-        # one pass over the state of each step: the travel time terms, link
-        # by link then queue by queue, and, in floats, the conservation
+        # each link's travel time, one entry over its curves; then one pass
+        # over the state of each step: the queue travel time, queue by queue
+        # (one entry over every step), and, in floats, the conservation
         # error (max abs veh) of that state and of the state after the last
         # step.  Each destination absorbed its inlinks' `ND`, so a sink link
         # that delivers more than it received balances; the error also takes
         # the vehicles below zero on any link.
         tape, dt, sinks, T = sim.tape, self.config.dt, sim._sinks, self.config.n_steps
-        sub, madd, max2, links = tape.sub, tape.madd, tape.max2, sim.links
-        curves = sim._values
+        links, curves = sim.links, sim._values
+        self.ttt_link = {  # link id -> veh*s
+            lk.id: time_on_link(tape, lk.NU[:T], lk.ND[:T], c.NU, c.ND, dt)
+            for lk, c in zip(links, curves)}
         hists = [h for per_dest in self.queues.values() for h in per_dest.values()]
 
         def error(t: int, queues) -> float:
@@ -103,16 +107,19 @@ class SimResult:
             return max(abs(sim._injected(t * dt) - (onlink + queued + absorbed)),
                        below)
 
-        ttt, self.ttt_queue, worst = [0.0] * len(links), 0.0, 0.0
+        queued, read, worst = 0.0, [], 0.0
         for t in range(T):
-            for i, lk in enumerate(links):
-                ttt[i] = madd(ttt[i], dt, max2(sub(lk.NU[t], lk.ND[t]), 0.0))
-            for h in hists:
-                self.ttt_queue = madd(self.ttt_queue, dt, h[t])
-            worst = max(worst, error(t, [h[t] for h in hists]))
+            state = [h[t] for h in hists]
+            for q in state:
+                if type(q) is Var:
+                    queued += dt * q.val
+                    read.append(q)
+                else:
+                    queued += dt * q
+            worst = max(worst, error(t, state))
+        self.ttt_queue = tape.lin(queued, read, itertools.repeat(dt))
         ends = [q for per_dest in sim.queue.values() for q in per_dest.values()]
         self.conservation_error = max(worst, error(T, ends))
-        self.ttt_link = dict(zip(self.links, ttt))  # link id -> veh*s
         self.absorbed = {s: 0.0 for s in sim.dests}  # dest -> veh (Var/float)
         for s, i in sinks:
             split = fifo_split(tape, links[i], links[i].ND[-1])
@@ -139,11 +146,14 @@ class _NodePlan:
     outlink leads there and mu > 0 (empty under mu = 0).  `rows[s]` is the
     turning row toward s, by outlink position, built at a refresh for the
     next hop `hops[s]`, and `nz[s]` its (position, fraction) pairs that are
-    not a plain 0.0, in position order.
+    not a plain 0.0, in position order.  `routes[s]` are the (outlink
+    number, fraction) pairs of that row over which the vehicles toward s
+    are counted per destination: those of outlinks that keep `NU_s`, at
+    fractions above `B_EPS` on values, the node model's connections.
     """
 
     __slots__ = ("node", "kind", "ins", "inlinks", "alpha", "outs", "keeps",
-                 "nu_s", "dests", "choice", "rows", "nz", "hops")
+                 "nu_s", "dests", "choice", "rows", "nz", "routes", "hops")
 
     def __init__(self, node, kind, net, links, dests, mu):
         self.node = node
@@ -159,6 +169,7 @@ class _NodePlan:
         self.choice = {s for s in dests if leads[s] > 1 and mu > 0.0}
         self.rows: dict[str, list] = {}
         self.nz: dict[str, list[tuple[int, object]]] = {}
+        self.routes: dict[str, list[tuple[int, object]]] = {}
         self.hops: dict[str, int] = {}
 
     def set_row(self, s: str, hop: int, row: list) -> None:
@@ -167,6 +178,9 @@ class _NodePlan:
         self.rows[s] = row
         self.nz[s] = [(j, p) for j, p in enumerate(row)
                       if type(p) is Var or p != 0.0]
+        self.routes[s] = [(self.outs[j], p) for j, p in self.nz[s]
+                          if self.keeps[j]
+                          and (p.val if type(p) is Var else p) > B_EPS]
 
 
 class Simulator:
@@ -439,9 +453,13 @@ class Simulator:
         `plan.alpha` (an origin has none, and one inflow reads none), and
         adds the aggregate inflows to the outlinks.  With `split`, it also
         records each inflow's per-destination outflows and adds them,
-        routed, to the outlinks that keep per-destination counts.  Returns
-        the per-inflow totals and, with `split`, the per-inflow
-        per-destination outflows (else `None`).
+        routed over `plan.routes`, to the outlinks that keep per-destination
+        counts.  The node model feeds an outlink where the inflow's row is
+        above `B_EPS`, so the per-destination inflows an outlink gets from
+        a one-destination inflow sum to its inflow; from a mixed inflow
+        they differ from it by at most what fractions of at most `B_EPS`
+        carry.  Returns the per-inflow totals and, with `split`, the
+        per-inflow per-destination outflows (else `None`).
         """
         tape = self.tape
         add, mul = tape.add, tape.mul
@@ -466,17 +484,13 @@ class Simulator:
             return qin, None
 
         per_dest = []
-        keeps, nu_s = plan.keeps, plan.nu_s
+        routes = plan.routes
         for q, c in zip(qin, comps):
             out = {}
             for s, cs in c.items():
                 fs = out[s] = mul(q, cs)
-                if nu_s:
-                    for j, p in nz[s]:
-                        if keeps[j]:
-                            o = outs[j]
-                            f_in_s[o][s] = add(f_in_s[o].get(s, 0.0),
-                                               mul(fs, p))
+                for o, p in routes[s]:
+                    f_in_s[o][s] = add(f_in_s[o].get(s, 0.0), mul(fs, p))
             per_dest.append(out)
         return qin, per_dest
 
@@ -689,23 +703,41 @@ def vehicle_exit_time(tape: Tape, link: LinkDyn, t_enter, dt: float):
     return t_exit
 
 
+def time_on_link(tape: Tape, NU: list, ND: list, nu: list, nd: list,
+                 dt: float):
+    """Vehicle-seconds on a link over the steps of its curves `NU`, `ND`
+    (`nu`, `nd` their forward values, at least as long): the chain
+    `madd(ttt, dt, max2(sub(NU[t], ND[t]), 0.0))` from ttt = 0.0, in its
+    float order, as one entry.  It reads `NU[t]` at dt and `ND[t]` at -dt
+    wherever the difference wins, ties included."""
+    val, xs, cs = 0.0, [], []
+    for a, b, av, bv in zip(NU, ND, nu, nd):
+        n = av - bv
+        if n >= 0.0:
+            if type(a) is Var:
+                xs.append(a)
+                cs.append(dt)
+            if type(b) is Var:
+                xs.append(b)
+                cs.append(-dt)
+        else:
+            n = 0.0
+        val += dt * n
+    return tape.lin(val, xs, cs)
+
+
 def objective_ttt(result: SimResult, links=None):
-    """Total travel time (veh*s): on-link time plus origin queue time.
+    """Total travel time (veh*s): on-link time plus origin queue time, as
+    one entry.
 
     With a link subset, only those links' terms are summed (no queue term).
     """
-    tape = result.tape
     if links is None:
-        total = result.ttt_queue
-        for v in result.ttt_link.values():
-            total = tape.add(total, v)
-        return total
-    total = 0.0
+        return result.tape.sum([result.ttt_queue, *result.ttt_link.values()])
     for lid in links:
         if lid not in result.ttt_link:
             raise ScenarioError(f"objective names unknown link {lid!r}")
-        total = tape.add(total, result.ttt_link[lid])
-    return total
+    return result.tape.sum([0.0, *(result.ttt_link[lid] for lid in links)])
 
 
 def objective_att(result: SimResult, link_id: str):
@@ -742,11 +774,9 @@ def build_objective(spec: str, lam: float = 0.0):
             raise ScenarioError(f"toll-J weight lambda={lam} must be finite and >= 0")
 
         def toll_obj(res):
-            tape = res.tape
-            total = objective_ttt(res)
-            for tv in res._sim.all_toll_values():
-                total = tape.add(total, tape.mul(lam, tape.mul(tv, tv)))
-            return total
+            mul = res.tape.mul
+            return res.tape.sum([objective_ttt(res), *(
+                mul(lam, mul(tv, tv)) for tv in res._sim.all_toll_values())])
 
         return toll_obj
     raise ScenarioError(f"unknown objective spec {spec!r}")

@@ -216,13 +216,13 @@ class LinkDyn:
                              dt)
 
     def _sending(self, tape, t: int, tau, dt: float):
-        return tape.div(tape.sub(interp(tape, self.NU, tau), self.ND[t]), dt)
+        return tape.rate(interp(tape, self.NU, tau), self.ND[t], dt)
 
     def _receiving(self, tape, t: int, tau, dt: float):
         room = tape.add(
             interp(tape, self.ND, tau), tape.mul(self.kappa, self.d)
         )
-        return tape.div(tape.sub(room, self.NU[t]), dt)
+        return tape.rate(room, self.NU[t], dt)
 
     def _clamped(self, tape, rate, speed, curve, t: int, dt: float):
         """min2(max2(`rate`, 0.0), qmax) at step t, decided on values.

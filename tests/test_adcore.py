@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diffnet.adcore import (FLOAT, GUARD_EPS, FloatTape, Tape, TapeError, Var,
                             value)
-from diffnet.engine import Simulator, objective_ttt
+from diffnet.engine import Simulator, objective_ttt, time_on_link
 from diffnet.presets import merge_scenario
 from diffnet.scenario import register_parameters
 
@@ -413,6 +413,98 @@ def test_skip_rules_return_the_float_result_signed_zeros_included():
             want = repr(FLOAT.madd(a, c, b))
             for y, x in ((tape.input(a), b), (a, tape.input(b))):
                 assert repr(value(tape.madd(y, c, x))) == want, (a, c, b)
+
+
+# Property test: each folded entry against the chain it replaces.  The
+# operands are plain floats (signed zeros, 0.0 and 1.0 among them) or `Var`
+# leaves; a first operand's leaf comes from one pool and a second operand's
+# from another, repeats allowed, as a link's NU and ND are different
+# entries that may each repeat from step to step.  The coefficients are
+# nonzero and shared where the engine shares them (the queue's dt), and
+# 1.0 is drawn for the exact-one skips.
+FOLD_NUMBER = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0]))
+FOLD_OPERAND = st.one_of(st.tuples(st.just("var"), st.integers(0, 3)),
+                         st.tuples(st.just("const"), FOLD_NUMBER))
+FOLD_COEF = st.one_of(st.just(1.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
+FOLD = st.tuples(
+    st.lists(FOLD_NUMBER, min_size=8, max_size=8),
+    st.lists(st.tuples(FOLD_OPERAND, FOLD_OPERAND), min_size=1, max_size=8),
+    FOLD_COEF,
+)
+
+
+def chains_and_folds(tape, form, pairs, c):
+    """(chain, folded entry) of `form` over `pairs`, on `tape`: one for
+    each pair for "rate", else one over every pair."""
+    if form == "rate":
+        return [(tape.div(tape.sub(a, b), c), tape.rate(a, b, c))
+                for a, b in pairs]
+    if form == "sum":
+        xs = [x for pair in pairs for x in pair]
+        chain = xs[0]
+        for x in xs[1:]:
+            chain = tape.add(chain, x)
+        return [(chain, tape.sum(xs))]
+    if form == "madd":  # the queue term: one coefficient for every step
+        chain, val = 0.0, 0.0
+        for x, _ in pairs:
+            chain = tape.madd(chain, c, x)
+            val += c * value(x)
+        return [(chain, tape.lin(val, [x for x, _ in pairs],
+                                 [c] * len(pairs)))]
+    dt = abs(c)
+    chain = 0.0
+    for a, b in pairs:
+        chain = tape.madd(chain, dt, tape.max2(tape.sub(a, b), 0.0))
+    NU, ND = zip(*pairs)
+    return [(chain, time_on_link(tape, NU, ND, [value(a) for a in NU],
+                                 [value(b) for b in ND], dt))]
+
+
+@pytest.mark.parametrize("form", ["sum", "madd", "rate", "travel time"])
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=FOLD)
+def test_a_folded_entry_equals_the_chain_it_replaces(form, case):
+    # value (by repr, on the tape and on FLOAT), Var-ness, the adjoints of
+    # every leaf and each leaf's one-hot tangent, all bit for bit
+    pool, ops, c = case
+    taped = []
+    for tape in (Tape(), Tape()):
+        leaves = [tape.input(v) for v in pool]
+        pairs = [tuple(leaves[4 * side + k] if kind == "var" else k
+                       for side, (kind, k) in enumerate(pair))
+                 for pair in ops]
+        taped.append((tape, leaves, chains_and_folds(tape, form, pairs, c)))
+    (tc, leaves_c, outs_c), (tf, leaves_f, outs_f) = taped
+    floats = [tuple(pool[4 * side + k] if kind == "var" else k
+                    for side, (kind, k) in enumerate(pair)) for pair in ops]
+    assert len(tf) <= len(tc)
+    for (chain, _), (_, fold), (want, got) in zip(
+            outs_c, outs_f, chains_and_folds(FLOAT, form, floats, c)):
+        assert repr(value(fold)) == repr(value(chain)) == repr(want) == repr(
+            got)
+        assert (type(fold) is Var) == (type(chain) is Var)
+        assert list(map(repr, tf.grad(fold, leaves_f))) == list(
+            map(repr, tc.grad(chain, leaves_c)))
+        for xc, xf in zip(leaves_c, leaves_f):
+            assert repr(tf.jvp(fold, {xf.idx: 1.0})) == repr(
+                tc.jvp(chain, {xc.idx: 1.0}))
+
+
+def test_a_folded_entry_checks_its_tape_and_sweeps_every_term():
+    tape, other = Tape(), Tape()
+    xs = [tape.input(v) for v in (1.0, 2.0, 3.0, 4.0)]
+    out = tape.sum(xs)
+    assert tape._p1[out.idx] == -2 and len(tape._np[tape._p2[out.idx]]) == 4
+    assert list(tape.backward(out)[:4]) == [1.0] * 4
+    assert tape.jvp(out, {x.idx: 2.0 for x in xs}) == 8.0
+    for fold in (lambda t: t.sum(xs), lambda t: t.rate(xs[0], 1.0, 5.0),
+                 lambda t: t.rate(2.0, xs[0], 5.0),
+                 lambda t: t.lin(1.0, [1.0, xs[1]], [2.0, 3.0])):
+        with pytest.raises(TapeError):
+            fold(other)
+    with pytest.raises(ZeroDivisionError):
+        tape.rate(xs[0], xs[1], 0.0)
 
 
 def test_float_tape_takes_no_input():

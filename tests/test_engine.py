@@ -303,14 +303,11 @@ def test_conservation_error_sees_a_sink_link_that_delivers_more_than_it_received
     assert res.conservation_error >= 5.0
 
 
-def accumulation(tape, v):
-    """The entries of the `madd` accumulation that ends at `v`."""
-    chain = []
-    i = v.idx
-    while i >= 0:
-        chain.append(i)
-        i = tape._p1[i]
-    return chain
+def parents(tape, i):
+    """The parent indices of tape entry i."""
+    if tape._p1[i] == -2:  # an entry with more than two parents
+        return tape._np[tape._p2[i]]
+    return [j for j in (tape._p1[i], tape._p2[i]) if j >= 0]
 
 
 @pytest.mark.parametrize("make, tokens", [
@@ -318,17 +315,28 @@ def accumulation(tape, v):
     (toll_grid_scenario, "toll:*"),
 ], ids=["merge", "toll grid"])
 def test_the_scan_records_no_travel_time_term(make, tokens):
-    # the travel time is a reduction over the curves after the scan: every
-    # entry of each link's and of the queue accumulation is recorded after
-    # every curve entry
+    # the travel time is a reduction over the state after the scan: each
+    # link's term and the queue term is one entry, recorded after every
+    # curve entry, that reads only curve entries (queue entries for the
+    # queue term), together more than n_steps of them
     scn = make()
     res = Simulator(scn, params=register_parameters(scn, tokens)).run()
-    last = max(x.idx for lk in res.links.values() for x in lk.NU + lk.ND
-               if type(x) is Var)
-    entries = [i for v in [*res.ttt_link.values(), res.ttt_queue]
-               if type(v) is Var for i in accumulation(res.tape, v)]
-    assert len(entries) > scn.config.n_steps
-    assert min(entries) > last
+    tape = res.tape
+    curve = {x.idx for lk in res.links.values() for x in lk.NU + lk.ND
+             if type(x) is Var}
+    queue = {x.idx for per_dest in res.queues.values()
+             for h in per_dest.values() for x in h if type(x) is Var}
+    read = 0
+    for v in res.ttt_link.values():
+        if type(v) is Var:
+            assert v.idx > max(curve)
+            assert set(parents(tape, v.idx)) <= curve
+            read += len(parents(tape, v.idx))
+    assert read > scn.config.n_steps
+    if type(res.ttt_queue) is Var:
+        assert res.ttt_queue.idx > max(curve)
+        assert set(parents(tape, res.ttt_queue.idx)) <= queue
+        assert len(parents(tape, res.ttt_queue.idx)) > scn.config.n_steps
 
 
 def test_origin_state_lists_only_demanded_od_pairs():
@@ -407,6 +415,38 @@ def test_an_empty_queue_does_not_feed_a_fraction_of_at_most_b_eps():
     assert after is not q and q.tape.grad(after, [q]) == [0.0]
     assert type(flows["fa"]) is Var
     assert flows["sa"] == 0.0 and type(flows["sa"]) is float
+
+
+@pytest.mark.parametrize("grad", [False, True])
+def test_per_destination_inflows_follow_the_fed_outlinks(grad):
+    # a second origin o2 of the two-destination network, whose outlinks g1
+    # and g2 both keep per-destination counts, sends its 3-vehicle queue
+    # toward d1 over the row [1 - B_EPS, B_EPS]: the node model does not
+    # feed g2, so neither does the per-destination split, and each
+    # outlink's per-destination inflows sum to its inflow.  Imported here:
+    # tools/fingerprint.py loads this module without tests/ on the path
+    from test_parity import _lk, two_destination_scenario
+
+    doc = two_destination_scenario().to_dict()
+    doc["nodes"].append({"id": "o2", "kind": "origin"})
+    doc["links"] += [_lk("g1", "o2", "m", 600.0), _lk("g2", "o2", "n", 700.0)]
+    doc["demands"] += [{"origin": "o2", "destination": s,
+                        "profile": [[0.0, 400.0, 0.2]]} for s in ("d1", "d2")]
+    scn = Scenario.from_dict(doc)
+    sim = Simulator(scn, params=register_parameters(scn, "q3"), grad=grad)
+    sim._refresh_routing(0)
+    plan = next(p for p in sim._plans if p.node == "o2")
+    assert plan.keeps == [True, True]
+    plan.set_row("d1", plan.hops["d1"], [1.0 - B_EPS, B_EPS])
+    sim.queue["o2"] = {"d1": 3.0, "d2": 0.0}
+    L = len(sim.links)
+    f_in, f_in_s = [0.0] * L, [{} for _ in range(L)]
+    sim._origin_step(plan, scn.config.n_steps - 1, scn.config.dt, [1.0] * L,
+                     f_in, f_in_s)
+    for o in plan.outs:
+        assert sum(map(value, f_in_s[o].values())) == value(f_in[o])
+    g1, g2 = plan.outs
+    assert value(f_in[g1]) > 0.0 and f_in_s[g2] == {}
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,9 @@ and injections (`queues`), the absorbed vehicles (`absorbed`), the travel
 time terms of every link and of the queues (`ttt`), the conservation error,
 the tape length, the number of tape entries with a nonzero adjoint in the
 objective's sweep (`tape_live`, 0 on float runs) and a SHA-256 of the
-tape's four entry lists.  A change that only drops dead entries (ones
-nothing reads) shows `tape_len` falling while `tape_live` stays the same.
+tape's four entry lists and of the terms of its entries with more than two
+parents.  A change that only drops dead entries (ones nothing reads) shows
+`tape_len` falling while `tape_live` stays the same.
 The CLI entry holds a SHA-256 of every CSV file that a fixed list of
 subcommands writes, with the wall-time column of `trace.csv` dropped.
 
@@ -77,9 +78,13 @@ def float_bits(dn, xs) -> bytes:
 
 
 def tape_sha(tape) -> str:
-    # the four parallel entry lists (parents and partials)
+    # the four parallel entry lists (parents and partials), then the
+    # parents and partials of each entry with more than two parents
+    terms = getattr(tape, "_np", ())
     return sha([array("q", tape._p1).tobytes(), array("q", tape._p2).tobytes(),
-                array("d", tape._d1).tobytes(), array("d", tape._d2).tobytes()])
+                array("d", tape._d1).tobytes(), array("d", tape._d2).tobytes(),
+                *(array("q", [len(ps), *ps]).tobytes() + array("d", ds).tobytes()
+                  for ps, ds in zip(terms, getattr(tape, "_nd", ())))])
 
 
 def grads(tape, J, inputs) -> list:
