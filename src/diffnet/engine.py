@@ -4,7 +4,10 @@ One `Simulator` owns one tape and executes the full scan
 x_{t+1} = g(x_t, t; theta).  Registered parameters become tape inputs; with
 `grad=False`, or with no parameter, every input is a plain float and the run
 uses a `FloatTape`: the same scan on plain float operations, recording
-nothing (the finite-difference and SPSA paths).
+nothing (the finite-difference and SPSA paths).  A float run steps its links
+as one `LinkLayer`: each step's sending and receiving rates of every link,
+and every link's boundary update, are a few array operations; routing
+weights, compositions and the node stage stay per link.
 
 Derived outputs (total travel time, absorbed vehicles, per-link travel-time
 averages, virtual vehicle trips) are recorded on the same tape after the
@@ -19,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .adcore import FLOAT, FloatTape, Tape, Var, value
-from .ltm import LinkDyn, interp
+from .ltm import LinkDyn, LinkLayer, interp
 from .nodemodel import B_EPS, inm_fixed
 from .routing import (
     build_routing,
@@ -146,9 +149,9 @@ class _NodePlan:
     outlink leads there and mu > 0 (empty under mu = 0).  `rows[s]` is the
     turning row toward s, by outlink position, built at a refresh for the
     next hop `hops[s]`, and `nz[s]` its (position, fraction) pairs that are
-    not a plain 0.0, in position order.  `routes[s]` are the (outlink
-    number, fraction) pairs of that row over which the vehicles toward s
-    are counted per destination: those of outlinks that keep `NU_s`, at
+    not a plain 0.0, in position order.  `routes[s]` are the (position,
+    fraction) pairs of that row over which the vehicles toward s are
+    counted per destination: those of outlinks that keep `NU_s`, at
     fractions above `B_EPS` on values, the node model's connections.
     """
 
@@ -178,8 +181,7 @@ class _NodePlan:
         self.rows[s] = row
         self.nz[s] = [(j, p) for j, p in enumerate(row)
                       if type(p) is Var or p != 0.0]
-        self.routes[s] = [(self.outs[j], p) for j, p in self.nz[s]
-                          if self.keeps[j]
+        self.routes[s] = [(j, p) for j, p in self.nz[s] if self.keeps[j]
                           and (p.val if type(p) is Var else p) > B_EPS]
 
 
@@ -279,8 +281,10 @@ class Simulator:
         self._reads = {s: read for s, read in reads.items() if read}
         self._weights = None  # the link weights of the last refresh
         # each link's forward values: its `LinkValues`, or the link itself
-        # on a float run
+        # on a float run, whose links step together as one layer
         self._values = [lk.vals or lk for lk in self.links]
+        self._layer = (LinkLayer(self.links, scenario.config.n_steps)
+                       if isinstance(self.tape, FloatTape) else None)
 
     # ------------------------------------------------------------------
     # parameter-aware accessors
@@ -322,10 +326,6 @@ class Simulator:
             else:
                 total += value(over) * self._demand_seconds(i, t_sec)
         return total
-
-    def toll_value(self, link: int, t: int):
-        """Toll of link number `link` during step t."""
-        return self._tolls[t // self._toll_steps][link]
 
     def all_toll_values(self):
         """Every toll scalar (Var where registered), for regularization terms:
@@ -395,7 +395,7 @@ class Simulator:
         dt = cfg.dt
         T = cfg.n_steps
         rs = cfg.route_steps
-        links = self.links
+        links, layer = self.links, self._layer
         L = len(links)
 
         for t in range(T):
@@ -405,9 +405,13 @@ class Simulator:
                 for s, q in per_dest.items():
                     self.queue_hist[orig][s].append(q)
 
-            # --- demand / supply ---------------------------------------
-            D = [lk.demand(tape, t, dt) for lk in links]
-            S = [lk.supply(tape, t, dt) for lk in links]
+            # --- demand / supply: per link, or for the float run's layer
+            if layer is None:
+                D = [lk.demand(tape, t, dt) for lk in links]
+                S = [lk.supply(tape, t, dt) for lk in links]
+            else:
+                D = LinkDyn.demand(layer, tape, t, dt)
+                S = LinkDyn.supply(layer, tape, t, dt)
 
             f_in: list = [0.0] * L
             f_out: list = [0.0] * L
@@ -424,8 +428,12 @@ class Simulator:
 
             # --- boundary updates --------------------------------------
             try:
-                for lk, fi, fo, fs in zip(links, f_in, f_out, f_in_s):
-                    lk.update_boundaries(tape, dt, fi, fo, fs)
+                if layer is None:
+                    for lk, fi, fo, fs in zip(links, f_in, f_out, f_in_s):
+                        lk.update_boundaries(tape, dt, fi, fo, fs)
+                else:
+                    LinkDyn.update_boundaries(layer, tape, dt, f_in, f_out,
+                                              f_in_s)
             except ValueError as exc:  # a flow that is NaN, inf or negative
                 raise EngineError(str(exc)) from None
             for per_dest in self.inj.values():
@@ -454,11 +462,13 @@ class Simulator:
         adds the aggregate inflows to the outlinks.  With `split`, it also
         records each inflow's per-destination outflows and adds them,
         routed over `plan.routes`, to the outlinks that keep per-destination
-        counts.  The node model feeds an outlink where the inflow's row is
-        above `B_EPS`, so the per-destination inflows an outlink gets from
-        a one-destination inflow sum to its inflow; from a mixed inflow
-        they differ from it by at most what fractions of at most `B_EPS`
-        carry.  Returns the per-inflow totals and, with `split`, the
+        counts; the node's only inflow, of the plain share 1.0, adds the
+        outlink inflows the node model recorded, B[o] * q, rather than
+        recording q * p again.  The node model feeds an outlink where the
+        inflow's row is above `B_EPS`, so the per-destination inflows an
+        outlink gets from a one-destination inflow sum to its inflow; from a
+        mixed inflow they differ from it by at most what fractions of at
+        most `B_EPS` carry.  Returns the per-inflow totals and, with `split`, the
         per-inflow per-destination outflows (else `None`).
         """
         tape = self.tape
@@ -485,12 +495,18 @@ class Simulator:
 
         per_dest = []
         routes = plan.routes
-        for q, c in zip(qin, comps):
+        for q, c, row in zip(qin, comps, B):
             out = {}
             for s, cs in c.items():
                 fs = out[s] = mul(q, cs)
-                for o, p in routes[s]:
-                    f_in_s[o][s] = add(f_in_s[o].get(s, 0.0), mul(fs, p))
+                # the node's only inflow, of the plain share 1.0: the node
+                # model recorded its flow to each fed outlink, B[o] * q, as
+                # that outlink's inflow
+                alone = len(B) == 1 and row is rows[s]
+                for j, p in routes[s]:
+                    o = outs[j]
+                    f_in_s[o][s] = add(f_in_s[o].get(s, 0.0),
+                                       qout[j] if alone else mul(fs, p))
             per_dest.append(out)
         return qin, per_dest
 

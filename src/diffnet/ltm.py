@@ -6,16 +6,25 @@ units internally (index i corresponds to i * dt seconds).  A link on a
 taped run keeps its forward values in a `LinkValues`, on which the clamps of
 its sending and receiving rates and its Newell counts are decided before
 anything is recorded, whichever of its parameters are registered.
+
+A float run steps every link at once: its `LinkLayer` holds the boundary
+curves of all links as one pair of (L, T+1) arrays, and `LinkDyn.demand`,
+`supply` and `update_boundaries` run on it as a few array operations per
+step, each elementwise the float operations of the per-link code, so they
+give its values bit for bit (Yperman 2007's link model, whose min/max
+operations are elementwise over links).
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .adcore import FLOAT, FloatTape, Tape, Var, value
 
-__all__ = ["LinkDyn", "LinkValues", "interp", "fd_speed", "free_occupancy",
-           "V_MIN", "K_TINY"]
+__all__ = ["LinkDyn", "LinkValues", "LinkLayer", "interp", "interp_rows",
+           "fd_speed", "free_occupancy", "V_MIN", "K_TINY"]
 
 # congested-branch speed floor (m/s): caps travel time at jam density
 V_MIN = 0.01
@@ -55,6 +64,26 @@ def interp(tape: Tape, curve: list, tau):
     if type(lo) is Var or lo != 0.0:  # else (1 - delta) * N[i] is 0.0
         lo = tape.mul(tape.sub(1.0, delta), lo)
     return tape.add(lo, tape.mul(delta, curve[i + 1]))
+
+
+def interp_rows(curves: np.ndarray, tau: np.ndarray, last: int) -> np.ndarray:
+    """`interp` on `FLOAT` of every row of `curves` at once, row l at the
+    index `tau[l]`, over the columns up to `last`.
+
+    The same rules, elementwise: 0.0 at tau <= 0, N[last] at tau >= last,
+    N[i] itself at a whole tau = i, else (1 - delta) * N[i] + delta *
+    N[i+1] with delta = tau - i, so each row's value is `interp`'s, bit for
+    bit.
+    """
+    i = np.minimum(np.maximum(np.floor(tau), 0.0), max(last - 1, 0))
+    delta = tau - i
+    at = i.astype(np.intp)
+    rows = np.arange(len(tau))
+    lo = curves[rows, at]
+    out = (1.0 - delta) * lo + delta * curves[rows, np.minimum(at + 1, last)]
+    out = np.where(delta == 0.0, lo, out)
+    out = np.where(tau >= last, curves[:, last], out)
+    return np.where(tau <= 0.0, 0.0, out)
 
 
 def moves_with_index(curve: list, tv: float) -> bool:
@@ -119,8 +148,10 @@ class LinkDyn:
     upstream count of each of them, only when there are two or more; with
     one, `NU` is that destination's curve and its share is a plain 1.0.
     `vals` holds the link's forward values on a taped run, a `LinkValues`;
-    it is `None` on a float run, whose link holds nothing else.  `free_n`
-    is the link's `free_occupancy` over its forward values.
+    it is `None` on a float run, whose link holds nothing else and whose
+    `LinkLayer` steps it: `demand`, `supply` and `update_boundaries` run on
+    a taped link or on a float run's layer, never on a float run's link.
+    `free_n` is the link's `free_occupancy` over its forward values.
     """
 
     __slots__ = (
@@ -206,13 +237,16 @@ class LinkDyn:
 
     def demand(self, tape, t: int, dt: float):
         """Maximum sending rate at the downstream boundary during step t:
-        the sending rate clamped to [0, qmax], decided on values."""
-        return self._clamped(tape, LinkDyn._sending, self.u, self.NU, t, dt)
+        the sending rate clamped to [0, qmax], decided on values (on a
+        `LinkLayer`, every link's, as a list in link order)."""
+        return self._clamped(tape, type(self)._sending, self.u, self.NU, t,
+                             dt)
 
     def supply(self, tape, t: int, dt: float):
         """Maximum receiving rate at the upstream boundary during step t:
-        the receiving rate clamped to [0, qmax], decided on values."""
-        return self._clamped(tape, LinkDyn._receiving, self.w, self.ND, t,
+        the receiving rate clamped to [0, qmax], decided on values (on a
+        `LinkLayer`, every link's, as a list in link order)."""
+        return self._clamped(tape, type(self)._receiving, self.w, self.ND, t,
                              dt)
 
     def _sending(self, tape, t: int, tau, dt: float):
@@ -229,50 +263,123 @@ class LinkDyn:
 
         `rate` reads `curve` at the index `tau`, one travel time at wave
         speed `speed` before the end of step t.  It is first evaluated on
-        `FLOAT` (over `vals` on a taped link); 0.0 or `qmax` is returned as
-        it is if it wins, and on a float run the rate is the answer.  A
-        taped link records the rate, reading a `Var` speed only where the
-        value moves with the index.
+        `FLOAT` over `vals`; 0.0 or `qmax` is returned as it is if it wins.
+        Else the link records the rate, reading a `Var` speed only where
+        the value moves with the index.
         """
         vals = self.vals
         tau = float(t + 1) - self.d / dt / (
             speed.val if type(speed) is Var else speed)
-        raw = rate(self if vals is None else vals, FLOAT, t, tau, dt)
+        raw = rate(vals, FLOAT, t, tau, dt)
         qmax = self.qmax
         qv = qmax.val if type(qmax) is Var else qmax
         # the rate wins max2 and min2 alike at a tie, as their first operand
         if not 0.0 <= raw <= qv:
             return qmax if raw > qv else 0.0
-        if vals is None:
-            return raw
         if type(speed) is Var and moves_with_index(curve, tau):
             tau = tape.sub(float(t + 1), tape.div(self.d / dt, speed))
         return rate(self, tape, t, tau, dt)
 
     def update_boundaries(self, tape, dt: float, f_in, f_out, f_in_s):
         """Extend both boundary curves one step and advance the
-        per-destination upstream counts.
+        per-destination upstream counts (on a `LinkLayer`, every link's,
+        from lists of flows in link order).
 
         The one check on the flows a run produces: both must be finite and
         not below -1e-12, else a `ValueError` names the link, the step and
-        the flows.
+        the flows (on a layer, the first such link in link order).
         """
+        self._extend(tape, dt, f_in, f_out, f_in_s)
+
+    def _extend(self, tape, dt: float, f_in, f_out, f_in_s):
         vi = f_in.val if type(f_in) is Var else f_in
         vo = f_out.val if type(f_out) is Var else f_out
         if not (-1e-12 <= vi < math.inf and -1e-12 <= vo < math.inf):
-            raise ValueError(f"link {self.id} at step {len(self.ND) - 1}: "
-                             f"boundary flows in {vi!r} and out {vo!r} must "
-                             "be finite and >= 0")
+            raise ValueError(_bad_flows(self.id, len(self.ND) - 1, vi, vo))
         nu = tape.madd(self.NU[-1], dt, f_in)
         nd = tape.madd(self.ND[-1], dt, f_out)
         self.NU.append(nu)
         self.ND.append(nd)
         vals = self.vals
-        if vals is not None:
-            vals.NU.append(nu.val if type(nu) is Var else nu)
-            vals.ND.append(nd.val if type(nd) is Var else nd)
+        vals.NU.append(nu.val if type(nu) is Var else nu)
+        vals.ND.append(nd.val if type(nd) is Var else nd)
         for s, n in self.NU_s.items():
             self.NU_s[s] = tape.madd(n, dt, f_in_s.get(s, 0.0))
+
+
+def _bad_flows(link_id, t: int, vi: float, vo: float) -> str:
+    return (f"link {link_id} at step {t}: boundary flows in {vi!r} and out "
+            f"{vo!r} must be finite and >= 0")
+
+
+class LinkLayer:
+    """Every link of a float run at once, in link order.
+
+    `d`, `u`, `w`, `kappa` and `qmax` are float64 arrays of the links'
+    parameters, and `NU` and `ND` (L, T+1) float64 arrays of their boundary
+    curves, column t the counts at step t, filled up to column `last`.
+    `LinkDyn.demand`, `supply` and `update_boundaries` run on it over its
+    own `_clamped`, `_sending`, `_receiving` and `_extend`: the per-link
+    formulas as array operations, elementwise the same float operations, so
+    each link gets what the per-link code on `FLOAT` gives it, bit for bit.
+    `update_boundaries` also extends each link's own float curves and
+    advances its per-destination counts, which routing, compositions,
+    segment travel times and the results read.
+    """
+
+    __slots__ = ("links", "d", "u", "w", "kappa", "qmax", "NU", "ND", "last",
+                 "_split")
+
+    def __init__(self, links: list, n_steps: int):
+        self.links = links
+        self.d, self.u, self.w, self.kappa, self.qmax = (
+            np.array([getattr(lk, a) for lk in links], dtype=np.float64)
+            for a in ("d", "u", "w", "kappa", "qmax"))
+        self.NU = np.zeros((len(links), n_steps + 1))
+        self.ND = np.zeros((len(links), n_steps + 1))
+        self.last = 0
+        # the links that keep per-destination counts
+        self._split = [(i, lk.NU_s) for i, lk in enumerate(links) if lk.NU_s]
+
+    def _sending(self, tape, t: int, tau, dt: float):
+        return tape.rate(interp_rows(self.NU, tau, self.last), self.ND[:, t],
+                         dt)
+
+    def _receiving(self, tape, t: int, tau, dt: float):
+        room = tape.add(interp_rows(self.ND, tau, self.last),
+                        tape.mul(self.kappa, self.d))
+        return tape.rate(room, self.NU[:, t], dt)
+
+    def _clamped(self, tape, rate, speed, curve, t: int, dt: float):
+        # `LinkDyn._clamped`'s clamp elementwise: the rate wins a tie and
+        # keeps a -0.0, a rate above qmax gives qmax, and one below 0 or
+        # NaN gives 0.0
+        raw = rate(self, FLOAT, t, float(t + 1) - self.d / dt / speed, dt)
+        qmax = self.qmax
+        return np.where(raw > qmax, qmax,
+                        np.where(raw >= 0.0, raw, 0.0)).tolist()
+
+    def _extend(self, tape, dt: float, f_in, f_out, f_in_s):
+        vi, vo = np.array(f_in), np.array(f_out)
+        ok = (vi >= -1e-12) & (vi < math.inf) & (vo >= -1e-12) & (vo < math.inf)
+        t = self.last
+        if not ok.all():
+            k = int(ok.argmin())
+            raise ValueError(_bad_flows(self.links[k].id, t, f_in[k],
+                                        f_out[k]))
+        nu = self.NU[:, t + 1] = self.NU[:, t] + dt * vi
+        nd = self.ND[:, t + 1] = self.ND[:, t] + dt * vo
+        self.last = t + 1
+        for lk, a, b in zip(self.links, nu.tolist(), nd.tolist()):
+            lk.NU.append(a)
+            lk.ND.append(b)
+        for i, counts in self._split:
+            # a link with no per-destination inflow keeps its counts: none is
+            # ever -0.0, so n + dt * 0.0 is n
+            f = f_in_s[i]
+            if f:
+                for s, n in counts.items():
+                    counts[s] = n + dt * f.get(s, 0.0)
 
 
 class LinkValues:

@@ -10,18 +10,17 @@ import random
 import pytest
 
 import diffnet.engine
-import diffnet.ltm
 import diffnet.nodemodel
-from diffnet.adcore import FloatTape, Tape, Var, value
+from diffnet.adcore import FLOAT, FloatTape, Tape, Var, value
 from diffnet.engine import Simulator, build_objective, run
-from diffnet.ltm import LinkDyn
+from diffnet.ltm import LinkDyn, LinkLayer
 from diffnet.nodemodel import inm_fixed
 from diffnet.presets import merge_scenario, toll_grid_scenario, two_route_scenario
 from diffnet.routing import build_routing, turning_probs
 from diffnet.scenario import register_parameters
 
 from test_engine import random_scenario
-from test_parity import two_destination_scenario
+from test_parity import toll_at, two_destination_scenario
 
 
 class SiteTape(Tape):
@@ -180,7 +179,7 @@ def refresh_on_the_tape(sim, t):
     weighed and the table built on the run's tape."""
     tape = sim.tape
     weights = [tape.add(sim.link_travel_time(tape, lk, t),
-                        sim.toll_value(i, t))
+                        toll_at(sim, i, t))
                for i, lk in enumerate(sim.links)]
     table = build_routing(tape, sim.net.reverse, weights, sim.dests, {})
     for plan in sim._plans:
@@ -219,20 +218,39 @@ def test_routing_on_values_gives_the_answers_of_routing_on_the_tape(
 
 
 @pytest.mark.parametrize("make", [toll_grid_scenario, two_route_scenario])
-def test_a_float_run_interpolates_once_per_clamp(monkeypatch, make):
-    calls = []
-    interp = diffnet.ltm.interp
-
-    def counting(*args):
-        calls.append(1)
-        return interp(*args)
-
-    monkeypatch.setattr(diffnet.ltm, "interp", counting)
+def test_a_float_run_steps_each_link_as_the_per_link_code_would(monkeypatch,
+                                                                 make):
+    # at every step of a float run, the layer's sending and receiving rate
+    # of each link is, by hex, what `LinkDyn.demand` and `supply` give on
+    # `FLOAT` for a taped link with the same curves, and each link's own
+    # curves are its rows of the layer's
     scn = make()
+    twins = [LinkDyn(Tape(), lp, ["s"]) for lp in scn.links]
+    seen = []
+
+    def check(name):
+        rates = getattr(LinkDyn, name)
+
+        def checked(link, tape, t, dt):
+            out = rates(link, tape, t, dt)
+            if isinstance(link, LinkLayer):
+                for i, (lk, twin) in enumerate(zip(link.links, twins)):
+                    NU = link.NU[i, :t + 1].tolist()
+                    ND = link.ND[i, :t + 1].tolist()
+                    assert (lk.NU, lk.ND) == (NU, ND)
+                    twin.NU, twin.ND = NU, ND
+                    twin.vals.NU, twin.vals.ND = NU, ND
+                    want = rates(twin, FLOAT, t, dt)
+                    assert out[i].hex() == want.hex(), (name, lk.id, t)
+                seen.append(name)
+            return out
+
+        monkeypatch.setattr(LinkDyn, name, checked)
+
+    check("demand")
+    check("supply")
     run(scn, grad=False)
-    # one sending and one receiving rate per link-step, each interpolated
-    # once
-    assert len(calls) == 2 * len(scn.links) * scn.config.n_steps
+    assert seen == ["demand", "supply"] * scn.config.n_steps
 
 
 def random_draws(n):

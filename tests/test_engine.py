@@ -17,7 +17,7 @@ from diffnet.engine import (
     objective_ttt,
     run,
 )
-from diffnet.ltm import LinkDyn
+from diffnet.ltm import LinkDyn, LinkLayer
 from diffnet.nodemodel import ACTIVE_EPS, B_EPS
 from diffnet.presets import (
     bottleneck_scenario,
@@ -263,6 +263,26 @@ def test_conservation_on_50_random_scenarios():
         built += 1
 
 
+def leak_in_the_last_step(monkeypatch, scn, lid):
+    """Make link `lid` send 1 veh/s more than the node model gave it in the
+    last step.  The leak is added where `LinkDyn.update_boundaries` takes
+    the flows: a taped run's per link, a float run's for its whole layer."""
+    T = scn.config.n_steps
+    number = [lp.id for lp in scn.links].index(lid)
+    update = LinkDyn.update_boundaries
+
+    def leaky(link, tape, dt, f_in, f_out, f_in_s):
+        if isinstance(link, LinkLayer):
+            if link.last == T - 1:
+                f_out = list(f_out)
+                f_out[number] += 1.0
+        elif link.id == lid and len(link.ND) == T:
+            f_out = tape.add(f_out, 1.0)
+        update(link, tape, dt, f_in, f_out, f_in_s)
+
+    monkeypatch.setattr(LinkDyn, "update_boundaries", leaky)
+
+
 @pytest.mark.parametrize("grad", [False, True])
 def test_conservation_error_checks_the_state_after_the_last_step(
         monkeypatch, grad):
@@ -270,15 +290,7 @@ def test_conservation_error_checks_the_state_after_the_last_step(
     # 5 lost vehicles (dt = 5 s) show only in the state after that step,
     # and no boundary flow check fires, the flow being positive
     scn = merge_scenario()
-    T = scn.config.n_steps
-    update = LinkDyn.update_boundaries
-
-    def leaky(link, tape, dt, f_in, f_out, f_in_s):
-        if link.id == "1" and len(link.ND) == T:
-            f_out = tape.add(f_out, 1.0)
-        update(link, tape, dt, f_in, f_out, f_in_s)
-
-    monkeypatch.setattr(LinkDyn, "update_boundaries", leaky)
+    leak_in_the_last_step(monkeypatch, scn, "1")
     res = run(scn, register_parameters(scn, "q1"), grad=grad)
     assert res.conservation_error >= 5.0
 
@@ -290,15 +302,7 @@ def test_conservation_error_sees_a_sink_link_that_delivers_more_than_it_received
     # step: its `ND` is both its outflow and the absorbed count, so the
     # balance holds, but 5 vehicles (dt = 5 s) end below zero on the link
     scn = merge_scenario()
-    T = scn.config.n_steps
-    update = LinkDyn.update_boundaries
-
-    def leaky(link, tape, dt, f_in, f_out, f_in_s):
-        if link.id == "3" and len(link.ND) == T:
-            f_out = tape.add(f_out, 1.0)
-        update(link, tape, dt, f_in, f_out, f_in_s)
-
-    monkeypatch.setattr(LinkDyn, "update_boundaries", leaky)
+    leak_in_the_last_step(monkeypatch, scn, "3")
     res = run(scn, register_parameters(scn, "q1"), grad=grad)
     assert res.conservation_error >= 5.0
 
@@ -734,7 +738,7 @@ def test_demand_interval_and_toll_period_follow_the_step_index():
     res = sim.run()
     assert [sim.demand_rate(0, t) for t in range(30)] == (
         [0.1] * 3 + [0.3] * 12 + [0.0] * 15)
-    assert [sim.toll_value(1, t) for t in range(30)] == (
+    assert [sim._tolls[t // sim._toll_steps][1] for t in range(30)] == (
         [0.0] * 3 + [100.0] * 3) * 5
     assert res.conservation_error <= 1e-9
 

@@ -5,8 +5,11 @@ import random
 
 import pytest
 
-from diffnet.adcore import Tape, value
-from diffnet.ltm import LinkDyn, V_MIN, fd_speed, interp
+import numpy as np
+
+from diffnet.adcore import FLOAT, Tape, value
+from diffnet.ltm import (LinkDyn, LinkLayer, V_MIN, fd_speed, interp,
+                         interp_rows)
 from diffnet.scenario import LinkParams
 
 
@@ -207,3 +210,78 @@ def test_negative_flow_rejected():
     lk = make_link(tape)
     with pytest.raises(ValueError):
         lk.update_boundaries(tape, 5.0, -0.1, 0.0, {})
+
+
+# ----------------------------------------------------------------------
+# the float run's layer on hand-built curves, against the per-link code
+
+
+def test_interp_rows_takes_each_branch_of_interp():
+    # one row per case, curves valid up to column 4 (a fifth, unfilled
+    # column is never read); each value is `interp`'s on `FLOAT`, by hex
+    cases = [  # (row, tau)
+        ([0.0, 1.0, 2.0, 3.0, 4.0], -0.5),  # tau < 0: 0.0
+        ([5.0, 1.0, 2.0, 3.0, 4.0], 0.0),  # tau = 0: 0.0, not N[0]
+        ([0.0, 1.0, 2.0, 3.0, 4.5], 4.0),  # tau = last: N[last]
+        ([0.0, 1.0, 2.0, 3.0, 4.5], 7.25),  # tau > last: N[last]
+        ([0.0, 1.0, -0.0, 3.0, 4.0], 2.0),  # whole: N[i] itself, -0.0 kept
+        ([0.0, 0.1, 0.7, 3.0, 4.0], 1.3),  # inside: the blend
+        ([0.0, 0.1, 0.7, 3.0, 4.0], 0.6),  # inside, N[i] = 0.0
+    ]
+    curves = np.array([row + [9.0] for row, _ in cases])
+    tau = np.array([tv for _, tv in cases])
+    got = interp_rows(curves, tau, 4)
+    want = [interp(FLOAT, row, tv) for row, tv in cases]
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+    assert want[4].hex() == "-0x0.0p+0"
+    # one filled column: every index is at or beyond the last
+    got = interp_rows(curves, np.array([-1.0, 0.0, 0.5] + [3.0] * 4), 0)
+    want = [interp(FLOAT, row[:1], tv) for row, tv in zip(
+        [row for row, _ in cases], [-1.0, 0.0, 0.5] + [3.0] * 4)]
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+
+def test_layer_rates_take_each_branch_of_the_clamp():
+    # d / (u dt) = 2 steps: at t = 4 the sending rate reads NU at the whole
+    # index 3, minus ND[4]; qmax 1.0.  One link per branch of the clamp;
+    # the receiving rates (w = 10, also a whole index) are checked as well
+    dt, t = 1.0, 4
+    cases = [  # (NU, ND, sending rate after the clamp)
+        ([0.0, 0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0, 2.0], 0.0),  # < 0
+        ([0.0, 1.0, 3.0, 5.0, 5.0], [0.0, 0.0, 0.0, 0.0, 0.0], 1.0),  # > qmax
+        ([0.0, 0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0], -0.0),
+        ([0.0, 0.0, 0.0, math.nan, 0.0], [0.0] * 5, 0.0),  # NaN
+        ([0.0, 0.2, 0.4, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0, 0.25], 0.25),
+    ]
+    tape = Tape()
+    links = [make_link(tape, d=20.0, u=10.0, qmax=1.0, kappa=0.2)
+             for _ in cases]
+    layer = LinkLayer(links, 6)
+    for i, (lk, (NU, ND, _)) in enumerate(zip(links, cases)):
+        layer.NU[i, :5], layer.ND[i, :5] = NU, ND
+        lk.NU, lk.ND = NU, ND
+        lk.vals.NU, lk.vals.ND = NU, ND
+    layer.last = 4
+    D = LinkDyn.demand(layer, FLOAT, t, dt)
+    S = LinkDyn.supply(layer, FLOAT, t, dt)
+    assert [x.hex() for x in D] == [want.hex() for _, _, want in cases]
+    assert [x.hex() for x in D] == [lk.demand(FLOAT, t, dt).hex()
+                                    for lk in links]
+    assert [x.hex() for x in S] == [lk.supply(FLOAT, t, dt).hex()
+                                    for lk in links]
+
+
+def test_layer_boundary_update_checks_the_flows_in_link_order():
+    tape = Tape()
+    links = [make_link(tape, id=lid) for lid in ("a", "b", "c")]
+    layer = LinkLayer(links, 3)
+    LinkDyn.update_boundaries(layer, FLOAT, 5.0, [0.1, 0.2, 0.3],
+                              [0.0, 0.05, 0.0], [{}, {}, {}])
+    assert [lk.NU for lk in links] == [[0.0, 0.5], [0.0, 1.0], [0.0, 1.5]]
+    assert layer.ND[:, 1].tolist() == [0.0, 0.25, 0.0]
+    with pytest.raises(ValueError) as err:
+        LinkDyn.update_boundaries(layer, FLOAT, 5.0, [0.1, math.inf, -0.1],
+                                  [0.0, 0.0, math.nan], [{}, {}, {}])
+    assert str(err.value) == ("link b at step 1: boundary flows in inf and "
+                              "out 0.0 must be finite and >= 0")
+    assert layer.last == 1 and len(links[0].NU) == 2

@@ -275,11 +275,17 @@ def test_replanned_grid_rows_are_rebuilt_only_where_next_hops_change(
     assert 0 < n_moved < (len(tables) - 1) * len(pairs)
 
 
+def toll_at(sim, link, t):
+    """Toll of link number `link` during step t: its period's entry of the
+    run's toll table."""
+    return sim._tolls[t // sim._toll_steps][link]
+
+
 def fresh_routing(sim, t):
     """Each visited node's next hops and rows as a table built anew over
     the link weights of step t gives them, on `FLOAT` over forward values."""
     weights = [FLOAT.add(sim.link_travel_time(FLOAT, lk.vals or lk, t),
-                         value(sim.toll_value(i, t)))
+                         value(toll_at(sim, i, t)))
                for i, lk in enumerate(sim.links)]
     table = diffnet.routing.build_routing(FLOAT, sim.net.reverse, weights,
                                           sim.dests, sim._reads)
