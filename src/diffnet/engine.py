@@ -9,6 +9,12 @@ as one `LinkLayer`: each step's sending and receiving rates of every link,
 and every link's boundary update, are a few array operations; routing
 weights, compositions and the node stage stay per link.
 
+One routine, `Simulator._node_step`, steps every node: an origin is a node
+whose inflows are its queues, as a junction's are its inlinks.  Each inflow
+group goes through the node model and is booked where it belongs: a
+junction's inlinks into the links' outflows, an origin's queues into those
+queues and their injection curves.
+
 Derived outputs (total travel time, absorbed vehicles, per-link travel-time
 averages, virtual vehicle trips) are recorded on the same tape after the
 scan, which carries only state, so one backward sweep gives their adjoints.
@@ -16,8 +22,10 @@ scan, which carries only state, so one backward sweep gives their adjoints.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -142,21 +150,24 @@ class _NodePlan:
 
     `ins` and `inlinks` are the node's inlink numbers and `LinkDyn`s, and
     `alpha` their merge priorities.  `outs` are the outlink numbers,
-    `keeps[j]` says whether outlink j keeps per-destination counts (`NU_s`),
-    and `nu_s` whether any of them does.  `dests` are the destinations the
-    outlinks lead to, in scenario order.  `choice` holds those where a logit
-    row has a choice, the only rows that read tree costs: more than one
-    outlink leads there and mu > 0 (empty under mu = 0).  `rows[s]` is the
-    turning row toward s, by outlink position, built at a refresh for the
-    next hop `hops[s]`, and `nz[s]` its (position, fraction) pairs that are
-    not a plain 0.0, in position order.  `routes[s]` are the (position,
-    fraction) pairs of that row over which the vehicles toward s are
-    counted per destination: those of outlinks that keep `NU_s`, at
-    fractions above `B_EPS` on values, the node model's connections.
+    `keeps[j]` says whether outlink j keeps per-destination counts (`NU_s`).
+    `split` says whether the node step records each inflow's per-destination
+    outflows: at an origin, whose queues they leave, and at a junction with
+    an outlink that keeps `NU_s`, the one place a junction's are read.
+    `dests` are the destinations the outlinks lead to, in scenario order.
+    `choice` holds those where a logit row has a choice, the only rows that
+    read tree costs: more than one outlink leads there and mu > 0 (empty
+    under mu = 0).  `rows[s]` is the turning row toward s, by outlink
+    position, built at a refresh for the next hop `hops[s]`, and `nz[s]`
+    its (position, fraction) pairs that are not a plain 0.0, in position
+    order.  `routes[s]` are the (position, fraction) pairs of that row over
+    which the vehicles toward s are counted per destination: those of
+    outlinks that keep `NU_s`, at fractions above `B_EPS` on values, the
+    node model's connections.
     """
 
     __slots__ = ("node", "kind", "ins", "inlinks", "alpha", "outs", "keeps",
-                 "nu_s", "dests", "choice", "rows", "nz", "routes", "hops")
+                 "split", "dests", "choice", "rows", "nz", "routes", "hops")
 
     def __init__(self, node, kind, net, links, dests, mu):
         self.node = node
@@ -166,7 +177,7 @@ class _NodePlan:
         self.alpha = [lk.alpha for lk in self.inlinks]
         self.outs = net.outlinks[node]
         self.keeps = [bool(links[o].NU_s) for o in self.outs]
-        self.nu_s = any(self.keeps)
+        self.split = kind == "origin" or any(self.keeps)
         leads = {s: sum(s in links[o].dests for o in self.outs) for s in dests}
         self.dests = [s for s in dests if leads[s]]
         self.choice = {s for s in dests if leads[s] > 1 and mu > 0.0}
@@ -388,9 +399,7 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def run(self) -> SimResult:
-        import time as _time
-
-        t_start = _time.perf_counter()
+        t_start = time.perf_counter()
         tape, cfg = self.tape, self.scn.config
         dt = cfg.dt
         T = cfg.n_steps
@@ -401,9 +410,6 @@ class Simulator:
         for t in range(T):
             if t % rs == 0:
                 self._refresh_routing(t)
-            for orig, per_dest in self.queue.items():
-                for s, q in per_dest.items():
-                    self.queue_hist[orig][s].append(q)
 
             # --- demand / supply: per link, or for the float run's layer
             if layer is None:
@@ -421,10 +427,7 @@ class Simulator:
 
             # --- node transfers ----------------------------------------
             for plan in self._plans:
-                if plan.kind == "origin":
-                    self._origin_step(plan, t, dt, S, f_in, f_in_s)
-                else:
-                    self._junction_step(plan, D, S, f_in, f_out, f_in_s)
+                self._node_step(plan, t, dt, D, S, f_in, f_out, f_in_s)
 
             # --- boundary updates --------------------------------------
             try:
@@ -436,19 +439,80 @@ class Simulator:
                                               f_in_s)
             except ValueError as exc:  # a flow that is NaN, inf or negative
                 raise EngineError(str(exc)) from None
-            for per_dest in self.inj.values():
-                for cur in per_dest.values():
-                    if len(cur) == t + 1:
-                        cur.append(cur[-1])
 
-        self.forward_time = _time.perf_counter() - t_start
+        self.forward_time = time.perf_counter() - t_start
         return SimResult(self)
 
     # ------------------------------------------------------------------
 
-    def _transfer(self, plan, D, comps, S, f_in, f_in_s, split=True):
+    def _node_step(self, plan, t, dt, D, S, f_in, f_out, f_in_s):
+        """Step t of one node: each inflow group through `_transfer`,
+        booked where it belongs.
+
+        A junction's inlinks are one group (skipped when every demand is
+        <= 0), booked into `f_out`.  An origin records its queues, pads each
+        injection curve with a copy of its last entry and adds the step's
+        arrivals; each inflow's outflow toward s then leaves queue s and
+        books into the last entry of curve s.  An exactly-empty `Var` queue
+        may still carry sensitivities (it was positive under an
+        infinitesimal parameter change): it is an inflow of its own, of
+        share `{s: 1.0}` and demand q / dt, served first.  Where no outlink
+        it feeds is spent, the sensitivity leaves with the flow and none of
+        it reaches the positive queues' total; where one is, the queue keeps
+        its very Var.  The positive queues then leave as one inflow whose
+        shares are their queue shares.
+        """
+        tape = self.tape
+        if plan.kind != "origin":
+            ins = plan.ins
+            D_in = [D[i] for i in ins]
+            for d in D_in:
+                if not (d.val if type(d) is Var else d) <= 0.0:
+                    break
+            else:
+                return  # no inlink has demand
+            comps = [composition(tape, lk) for lk in plan.inlinks]
+            qin, _ = self._transfer(plan, D_in, comps, S, f_in, f_in_s)
+            for i, q in zip(ins, qin):
+                f_out[i] = q
+            return
+
+        node, madd = plan.node, tape.madd
+        queue, hist, inj = (self.queue[node], self.queue_hist[node],
+                            self.inj[node])
+        for s, q in queue.items():
+            hist[s].append(q)
+            inj[s].append(inj[s][-1])
+        # arrivals join the per-destination vertical queue
+        for i in self.net.origin_demands[node]:
+            s = self.scn.demands[i].destination
+            queue[s] = madd(queue[s], dt, self.demand_rate(i, t))
+
+        # the inflows in turn: each exactly-empty Var queue, then (None) the
+        # positive queues, whose total reads what the first ones left
+        empty = [s for s, q in queue.items() if type(q) is Var and q.val == 0.0]
+        for e in empty + [None]:
+            if e is not None:
+                comp, d = {e: 1.0}, tape.div(queue[e], dt)
+            else:
+                total = 0.0
+                for q in queue.values():
+                    total = tape.add(total, q)
+                if not (total.val if type(total) is Var else total) > 0.0:
+                    break
+                comp = normalized_shares(tape, {
+                    s: q for s, q in queue.items()
+                    if (q.val if type(q) is Var else q) > 0.0}, total)
+                d = tape.div(total, dt)
+            _, (out,) = self._transfer(plan, [d], [comp], S, f_in, f_in_s)
+            for s, out_s in out.items():
+                queue[s] = madd(queue[s], -dt, out_s)
+                cur = inj[s]
+                cur[-1] = madd(cur[-2], dt, out_s)
+
+    def _transfer(self, plan, D, comps, S, f_in, f_in_s):
         """Node model at one node with outlinks, for a junction's inlinks
-        or for one origin inflow (see `_origin_step`).
+        or for one origin inflow (see `_node_step`).
 
         Builds one turning-fraction row per inflow from the node's rows,
         built at the routing refresh.  An inflow with a single plain-float
@@ -459,8 +523,8 @@ class Simulator:
         sum here reads only the rows' other fractions, `plan.nz`.
         Allocates flow with the INM, at the inlinks' priorities
         `plan.alpha` (an origin has none, and one inflow reads none), and
-        adds the aggregate inflows to the outlinks.  With `split`, it also
-        records each inflow's per-destination outflows and adds them,
+        adds the aggregate inflows to the outlinks.  Where `plan.split`, it
+        also records each inflow's per-destination outflows and adds them,
         routed over `plan.routes`, to the outlinks that keep per-destination
         counts; the node's only inflow, of the plain share 1.0, adds the
         outlink inflows the node model recorded, B[o] * q, rather than
@@ -468,8 +532,8 @@ class Simulator:
         inflow's row is above `B_EPS`, so the per-destination inflows an
         outlink gets from a one-destination inflow sum to its inflow; from a
         mixed inflow they differ from it by at most what fractions of at
-        most `B_EPS` carry.  Returns the per-inflow totals and, with `split`, the
-        per-inflow per-destination outflows (else `None`).
+        most `B_EPS` carry.  Returns the per-inflow totals and, where
+        `plan.split`, the per-inflow per-destination outflows (else `None`).
         """
         tape = self.tape
         add, mul = tape.add, tape.mul
@@ -490,7 +554,7 @@ class Simulator:
         qin, qout = inm_fixed(tape, D, [S[o] for o in outs], B, plan.alpha)
         for o, q in zip(outs, qout):
             f_in[o] = add(f_in[o], q)
-        if not split:
+        if not plan.split:
             return qin, None
 
         per_dest = []
@@ -509,77 +573,6 @@ class Simulator:
                                        qout[j] if alone else mul(fs, p))
             per_dest.append(out)
         return qin, per_dest
-
-    def _origin_step(self, plan, t, dt, S, f_in, f_in_s):
-        tape, node = self.tape, plan.node
-
-        # arrivals join the per-destination vertical queue
-        pre = dict(self.queue[node])
-        for i in self.net.origin_demands[node]:
-            s = self.scn.demands[i].destination
-            pre[s] = tape.madd(pre[s], dt, self.demand_rate(i, t))
-
-        # Every queue leaves through the node model.  An exactly-empty queue
-        # may still carry sensitivities (it was positive under an
-        # infinitesimal parameter change): it is an inflow of its own,
-        # served first.  Where no outlink it feeds is spent, the
-        # sensitivity leaves with the flow instead of lingering on the node,
-        # and none of it reaches the total below; where one is, the queue
-        # keeps its very Var.
-        for s, q in list(pre.items()):
-            if type(q) is Var and q.val == 0.0:
-                self._serve(plan, tape.div(q, dt), {s: 1.0}, pre, dt, S,
-                            f_in, f_in_s)
-        # the positive queues then leave as one inflow whose composition is
-        # their queue shares
-        total = 0.0
-        for q in pre.values():
-            total = tape.add(total, q)
-        if (total.val if type(total) is Var else total) > 0.0:
-            comp = normalized_shares(tape, {
-                s: q for s, q in pre.items()
-                if (q.val if type(q) is Var else q) > 0.0}, total)
-            self._serve(plan, tape.div(total, dt), comp, pre, dt, S, f_in,
-                        f_in_s)
-        self.queue[node] = pre
-
-    def _serve(self, plan, d, comp, pre, dt, S, f_in, f_in_s):
-        """One origin inflow, of demand rate `d` and shares `comp`, through
-        the node model; each destination's outflow leaves its queue in `pre`
-        and joins its injection curve."""
-        madd = self.tape.madd
-        _, (out,) = self._transfer(plan, [d], [comp], S, f_in, f_in_s)
-        for s, out_s in out.items():
-            pre[s] = madd(pre[s], -dt, out_s)
-            inj = self.inj[plan.node][s]
-            inj.append(madd(inj[-1], dt, out_s))
-
-    def _junction_step(self, plan, D, S, f_in, f_out, f_in_s):
-        ins = plan.ins
-        if len(ins) == 1:  # a series or diverge node: no lists to gather
-            i = ins[0]
-            d = D[i]
-            if (d.val if type(d) is Var else d) <= 0.0:
-                return  # no demand
-            qin, _ = self._transfer(
-                plan, [d], [composition(self.tape, plan.inlinks[0])], S,
-                f_in, f_in_s, plan.nu_s)
-            f_out[i] = qin[0]
-            return
-        D_in = [D[i] for i in ins]
-        for d in D_in:
-            if not (d.val if type(d) is Var else d) <= 0.0:
-                break
-        else:
-            return  # no inlink has demand
-
-        comps = [composition(self.tape, lk) for lk in plan.inlinks]
-        # the per-destination outflows of a junction are only read where an
-        # outlink keeps per-destination counts
-        qin, _ = self._transfer(plan, D_in, comps, S, f_in, f_in_s,
-                                plan.nu_s)
-        for i, q in zip(ins, qin):
-            f_out[i] = q
 
     # ------------------------------------------------------------------
     # virtual vehicle tracing (post-scan, same tape)
@@ -615,8 +608,6 @@ class Simulator:
         )
 
         # earliest-arrival label setting on realized exit times (FIFO links)
-        import heapq
-
         arrival: dict[str, object] = {origin: t_enter}
         back: dict[str, tuple[str, object]] = {}
         heap = [(value(t_enter), origin)]

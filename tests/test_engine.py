@@ -361,6 +361,18 @@ def test_origin_state_lists_only_demanded_od_pairs():
             assert all(len(c) == length for c in per_dest.values())
 
 
+def last_step(sim, plan, supply):
+    """One step of `plan`, after every demand has ended, at link supplies
+    `supply` (link id -> veh/s, 1.0 for the others); returns the links'
+    inflows and per-destination inflows, by link number."""
+    L = len(sim.links)
+    S = [supply.get(lk.id, 1.0) for lk in sim.links]
+    f_in, f_out, f_in_s = [0.0] * L, [0.0] * L, [{} for _ in range(L)]
+    sim._node_step(plan, sim.scn.config.n_steps - 1, sim.scn.config.dt,
+                   [0.0] * L, S, f_in, f_out, f_in_s)
+    return f_in, f_in_s
+
+
 def empty_queue_step(scn, origin, supply, row=None):
     """One origin step, after every demand has ended, of `origin` whose
     queue is a fresh exactly-empty `Var` q, with outlink supplies `supply`
@@ -378,11 +390,7 @@ def empty_queue_step(scn, origin, supply, row=None):
     if row is not None:
         plan.set_row(s, plan.hops[s], row)
     q = sim.queue[origin][s] = sim.tape.input(0.0)
-    L = len(sim.links)
-    S = [supply.get(lk.id, 1.0) for lk in sim.links]
-    f_in, f_in_s = [0.0] * L, [{} for _ in range(L)]
-    t = scn.config.n_steps - 1
-    sim._origin_step(plan, t, scn.config.dt, S, f_in, f_in_s)
+    f_in, _ = last_step(sim, plan, supply)
     flows = {sim.links[o].id: f_in[o] for o in plan.outs}
     return q, sim.queue[origin][s], flows, sim.inj[origin][s]
 
@@ -421,14 +429,13 @@ def test_an_empty_queue_does_not_feed_a_fraction_of_at_most_b_eps():
     assert flows["sa"] == 0.0 and type(flows["sa"]) is float
 
 
-@pytest.mark.parametrize("grad", [False, True])
-def test_per_destination_inflows_follow_the_fed_outlinks(grad):
-    # a second origin o2 of the two-destination network, whose outlinks g1
-    # and g2 both keep per-destination counts, sends its 3-vehicle queue
-    # toward d1 over the row [1 - B_EPS, B_EPS]: the node model does not
-    # feed g2, so neither does the per-destination split, and each
-    # outlink's per-destination inflows sum to its inflow.  Imported here:
-    # tools/fingerprint.py loads this module without tests/ on the path
+def second_origin(grad):
+    """A simulator of the two-destination network with a second origin o2,
+    whose outlinks g1 and g2 both keep per-destination counts, taped or
+    not as `grad` says, after its first routing refresh; and o2's plan.
+    """
+    # imported here: tools/fingerprint.py loads this module without tests/
+    # on the path
     from test_parity import _lk, two_destination_scenario
 
     doc = two_destination_scenario().to_dict()
@@ -441,16 +448,50 @@ def test_per_destination_inflows_follow_the_fed_outlinks(grad):
     sim._refresh_routing(0)
     plan = next(p for p in sim._plans if p.node == "o2")
     assert plan.keeps == [True, True]
+    return sim, plan
+
+
+@pytest.mark.parametrize("grad", [False, True])
+def test_per_destination_inflows_follow_the_fed_outlinks(grad):
+    # o2 sends its 3-vehicle queue toward d1 over the row [1 - B_EPS,
+    # B_EPS]: the node model does not feed g2, so neither does the
+    # per-destination split, and each outlink's per-destination inflows
+    # sum to its inflow
+    sim, plan = second_origin(grad)
     plan.set_row("d1", plan.hops["d1"], [1.0 - B_EPS, B_EPS])
     sim.queue["o2"] = {"d1": 3.0, "d2": 0.0}
-    L = len(sim.links)
-    f_in, f_in_s = [0.0] * L, [{} for _ in range(L)]
-    sim._origin_step(plan, scn.config.n_steps - 1, scn.config.dt, [1.0] * L,
-                     f_in, f_in_s)
+    f_in, f_in_s = last_step(sim, plan, {})
     for o in plan.outs:
         assert sum(map(value, f_in_s[o].values())) == value(f_in[o])
     g1, g2 = plan.outs
     assert value(f_in[g1]) > 0.0 and f_in_s[g2] == {}
+
+
+def test_an_origin_serves_its_empty_queue_then_its_positive_ones():
+    # o2's queue toward d1 is an exactly-empty Var q and its queue toward
+    # d2 holds 3 vehicles: q leaves first, as an inflow of its own that
+    # takes its sensitivity along, and the positive queue then leaves as
+    # one inflow of the plain share {d2: 1.0}; every queue history and
+    # injection curve of o2 gains exactly one entry
+    sim, plan = second_origin(grad=True)
+    q = sim.tape.input(0.0)
+    sim.queue["o2"] = {"d1": q, "d2": 3.0}
+    hist, inj = sim.queue_hist["o2"], sim.inj["o2"]
+    lengths = {s: (len(hist[s]), len(inj[s])) for s in ("d1", "d2")}
+    comps, transfer = [], sim._transfer
+
+    def spy(plan, D, cs, *rest):
+        comps.append(cs)
+        return transfer(plan, D, cs, *rest)
+
+    sim._transfer = spy
+    last_step(sim, plan, {})
+    assert comps == [[{"d1": 1.0}], [{"d2": 1.0}]]
+    assert type(comps[1][0]["d2"]) is float
+    after = sim.queue["o2"]["d1"]
+    assert after is not q and sim.tape.grad(after, [q]) == [0.0]
+    assert {s: (len(hist[s]), len(inj[s])) for s in lengths} == {
+        s: (h + 1, i + 1) for s, (h, i) in lengths.items()}
 
 
 # ----------------------------------------------------------------------
