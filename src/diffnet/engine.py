@@ -13,7 +13,11 @@ One routine, `Simulator._node_step`, steps every node: an origin is a node
 whose inflows are its queues, as a junction's are its inlinks.  Each inflow
 group goes through the node model and is booked where it belongs: a
 junction's inlinks into the links' outflows, an origin's queues into those
-queues and their injection curves.
+queues and their injection curves.  The node stage also owns the links'
+per-destination counts `NU_s`, which DUO's diverge ratios read: it books a
+step's per-destination inflows into one sparse map, from which `run`
+advances the counts on the tape's `madd`, for float and taped runs alike,
+and `composition`, `normalized_shares` and `fifo_split` read them as shares.
 
 Derived outputs (total travel time, absorbed vehicles, per-link travel-time
 averages, virtual vehicle trips) are recorded on the same tape after the
@@ -34,9 +38,6 @@ from .ltm import LinkDyn, LinkLayer, interp
 from .nodemodel import B_EPS, inm_fixed
 from .routing import (
     build_routing,
-    composition,
-    fifo_split,
-    normalized_shares,
     travel_time_avg,
     travel_time_segments,
     turning_probs,
@@ -56,6 +57,9 @@ __all__ = [
     "vehicle_exit_time",
     "build_objective",
     "parse_trip",
+    "normalized_shares",
+    "composition",
+    "fifo_split",
 ]
 
 
@@ -263,12 +267,15 @@ class Simulator:
         self.queue_hist = {o: {s: [] for s in q} for o, q in self.queue.items()}
         self.inj = {o: {s: [0.0] for s in q} for o, q in self.queue.items()}
 
-        # demand intervals and toll periods in whole steps (their edges and
-        # widths are validated multiples of dt)
+        # demand intervals and toll periods in whole steps (edges and widths
+        # are validated multiples of dt); a demand rate that is not 0 is its
+        # registered Var, if any
         dt = scenario.config.dt
         self._demand_steps = [
-            [(round(t0 / dt), round(t1 / dt), q) for t0, t1, q in dm.profile]
-            for dm in scenario.demands
+            [(round(t0 / dt), round(t1 / dt),
+              0.0 if q == 0.0 else self._demand_over.get(i, q))
+             for t0, t1, q in dm.profile]
+            for i, dm in enumerate(scenario.demands)
         ]
         self._toll_steps = round(scenario.config.dt_toll / dt)
 
@@ -303,15 +310,10 @@ class Simulator:
     def demand_rate(self, idx: int, t: int):
         """Rate of demand `idx` during step t: its registered Var, if any,
         wherever the profile's rate is not 0."""
-        for k0, k1, base in self._demand_steps[idx]:
+        for k0, k1, rate in self._demand_steps[idx]:
             if k0 <= t < k1:
-                break
-        else:
-            return 0.0
-        if base == 0.0:
-            return 0.0
-        over = self._demand_over.get(idx)
-        return over if over is not None else base
+                return rate
+        return 0.0
 
     def demand_cumulative(self, idx: int, t_sec: float):
         over = self._demand_over.get(idx)
@@ -421,7 +423,7 @@ class Simulator:
 
             f_in: list = [0.0] * L
             f_out: list = [0.0] * L
-            f_in_s: list[dict] = [{} for _ in range(L)]
+            f_in_s: dict[int, dict] = {}  # link number -> dest -> veh/s
             for _, i in self._sinks:
                 f_out[i] = D[i]
 
@@ -432,13 +434,19 @@ class Simulator:
             # --- boundary updates --------------------------------------
             try:
                 if layer is None:
-                    for lk, fi, fo, fs in zip(links, f_in, f_out, f_in_s):
-                        lk.update_boundaries(tape, dt, fi, fo, fs)
+                    for lk, fi, fo in zip(links, f_in, f_out):
+                        lk.update_boundaries(tape, dt, fi, fo)
                 else:
-                    LinkDyn.update_boundaries(layer, tape, dt, f_in, f_out,
-                                              f_in_s)
+                    LinkDyn.update_boundaries(layer, tape, dt, f_in, f_out)
             except ValueError as exc:  # a flow that is NaN, inf or negative
                 raise EngineError(str(exc)) from None
+
+            # --- per-destination counts: a link that booked none keeps its
+            # counts, for none is ever -0.0, so n + dt * 0.0 is n
+            for i, f in f_in_s.items():
+                counts = links[i].NU_s
+                for s, n in counts.items():
+                    counts[s] = tape.madd(n, dt, f.get(s, 0.0))
 
         self.forward_time = time.perf_counter() - t_start
         return SimResult(self)
@@ -524,11 +532,11 @@ class Simulator:
         Allocates flow with the INM, at the inlinks' priorities
         `plan.alpha` (an origin has none, and one inflow reads none), and
         adds the aggregate inflows to the outlinks.  Where `plan.split`, it
-        also records each inflow's per-destination outflows and adds them,
-        routed over `plan.routes`, to the outlinks that keep per-destination
-        counts; the node's only inflow, of the plain share 1.0, adds the
-        outlink inflows the node model recorded, B[o] * q, rather than
-        recording q * p again.  The node model feeds an outlink where the
+        also records each inflow's per-destination outflows and books them,
+        routed over `plan.routes`, into `f_in_s` under the outlinks that
+        keep per-destination counts; the node's only inflow, of the plain
+        share 1.0, books the outlink inflows the node model recorded, B[o] *
+        q, rather than recording q * p again.  The node model feeds an outlink where the
         inflow's row is above `B_EPS`, so the per-destination inflows an
         outlink gets from a one-destination inflow sum to its inflow; from a
         mixed inflow they differ from it by at most what fractions of at
@@ -568,9 +576,9 @@ class Simulator:
                 # that outlink's inflow
                 alone = len(B) == 1 and row is rows[s]
                 for j, p in routes[s]:
-                    o = outs[j]
-                    f_in_s[o][s] = add(f_in_s[o].get(s, 0.0),
-                                       qout[j] if alone else mul(fs, p))
+                    into = f_in_s.setdefault(outs[j], {})
+                    into[s] = add(into.get(s, 0.0),
+                                  qout[j] if alone else mul(fs, p))
             per_dest.append(out)
         return qin, per_dest
 
@@ -662,6 +670,51 @@ class Simulator:
 
 # ----------------------------------------------------------------------
 # free functions
+
+
+def normalized_shares(tape: Tape, parts: dict, total):
+    """Guarded shares parts[s] / total, renormalized to sum to exactly 1.
+
+    A single part has the share 1.0 as a plain float; taped, it would be
+    x/x, whose partials cancel.
+    """
+    if len(parts) == 1:
+        return {s: 1.0 for s in parts}
+    shares = {s: tape.divg(x, total) for s, x in parts.items()}
+    ssum = 0.0
+    for sh in shares.values():
+        ssum = tape.add(ssum, sh)
+    return {s: tape.div(sh, ssum) for s, sh in shares.items()}
+
+
+def composition(tape: Tape, link: LinkDyn):
+    """Per-destination shares of a link's upstream count now.
+
+    A link whose head reaches one destination has the plain float share
+    `{s: 1.0}`, whether it is empty or not.  One that reaches several has
+    the even split `1 / len(dests)` while it has seen no vehicles, and its
+    normalized `NU_s` shares (summing to 1) once it has.
+    """
+    dests = link.dests
+    if len(dests) == 1:
+        return {dests[0]: 1.0}
+    total = link.NU[-1]
+    if (total.val if type(total) is Var else total) <= 0.0:
+        return {s: 1.0 / len(dests) for s in dests}
+    return normalized_shares(tape, link.NU_s, total)
+
+
+def fifo_split(tape: Tape, link: LinkDyn, f_out):
+    """Split aggregate outflow across destinations by upstream composition.
+
+    The splits are `f_out` times the link's `composition`, so they sum to
+    the aggregate; an empty link splits nothing (a plain 0.0 for each
+    destination its head reaches).
+    """
+    total = link.NU[-1]
+    if (total.val if type(total) is Var else total) <= 0.0:
+        return {s: 0.0 for s in link.dests}
+    return {s: tape.mul(f_out, c) for s, c in composition(tape, link).items()}
 
 
 def run(scenario: Scenario, params: ParameterSet | None = None, values=None,

@@ -5,7 +5,8 @@ variables or plain floats interchangeably.  Time is handled in timestep
 units internally (index i corresponds to i * dt seconds).  A link on a
 taped run keeps its forward values in a `LinkValues`, on which the clamps of
 its sending and receiving rates and its Newell counts are decided before
-anything is recorded, whichever of its parameters are registered.
+anything is recorded, whichever of its parameters are registered.  A link
+steps only its curves: the engine's node stage advances its `NU_s`.
 
 A float run steps every link at once: its `LinkLayer` holds the boundary
 curves of all links as one pair of (L, T+1) arrays, and `LinkDyn.demand`,
@@ -147,11 +148,12 @@ class LinkDyn:
     vehicle on the link heads anywhere else.  `NU_s` holds the running
     upstream count of each of them, only when there are two or more; with
     one, `NU` is that destination's curve and its share is a plain 1.0.
-    `vals` holds the link's forward values on a taped run, a `LinkValues`;
-    it is `None` on a float run, whose link holds nothing else and whose
-    `LinkLayer` steps it: `demand`, `supply` and `update_boundaries` run on
-    a taped link or on a float run's layer, never on a float run's link.
-    `free_n` is the link's `free_occupancy` over its forward values.
+    The engine's node stage, not the link, advances `NU_s`.  `vals` holds
+    the link's forward values on a taped run, a `LinkValues`; it is `None`
+    on a float run, whose link holds nothing else and whose `LinkLayer`
+    steps it: `demand`, `supply` and `update_boundaries` run on a taped
+    link or on a float run's layer, never on a float run's link.  `free_n`
+    is the link's `free_occupancy` over its forward values.
     """
 
     __slots__ = (
@@ -280,18 +282,18 @@ class LinkDyn:
             tau = tape.sub(float(t + 1), tape.div(self.d / dt, speed))
         return rate(self, tape, t, tau, dt)
 
-    def update_boundaries(self, tape, dt: float, f_in, f_out, f_in_s):
-        """Extend both boundary curves one step and advance the
-        per-destination upstream counts (on a `LinkLayer`, every link's,
-        from lists of flows in link order).
+    def update_boundaries(self, tape, dt: float, f_in, f_out):
+        """Extend both boundary curves one step by the inflow `f_in` and
+        the outflow `f_out` (on a `LinkLayer`, every link's, from lists of
+        flows in link order).
 
         The one check on the flows a run produces: both must be finite and
         not below -1e-12, else a `ValueError` names the link, the step and
         the flows (on a layer, the first such link in link order).
         """
-        self._extend(tape, dt, f_in, f_out, f_in_s)
+        self._extend(tape, dt, f_in, f_out)
 
-    def _extend(self, tape, dt: float, f_in, f_out, f_in_s):
+    def _extend(self, tape, dt: float, f_in, f_out):
         vi = f_in.val if type(f_in) is Var else f_in
         vo = f_out.val if type(f_out) is Var else f_out
         if not (-1e-12 <= vi < math.inf and -1e-12 <= vo < math.inf):
@@ -303,8 +305,6 @@ class LinkDyn:
         vals = self.vals
         vals.NU.append(nu.val if type(nu) is Var else nu)
         vals.ND.append(nd.val if type(nd) is Var else nd)
-        for s, n in self.NU_s.items():
-            self.NU_s[s] = tape.madd(n, dt, f_in_s.get(s, 0.0))
 
 
 def _bad_flows(link_id, t: int, vi: float, vo: float) -> str:
@@ -322,13 +322,11 @@ class LinkLayer:
     own `_clamped`, `_sending`, `_receiving` and `_extend`: the per-link
     formulas as array operations, elementwise the same float operations, so
     each link gets what the per-link code on `FLOAT` gives it, bit for bit.
-    `update_boundaries` also extends each link's own float curves and
-    advances its per-destination counts, which routing, compositions,
-    segment travel times and the results read.
+    `update_boundaries` also extends each link's own float curves, which
+    routing, compositions, segment travel times and the results read.
     """
 
-    __slots__ = ("links", "d", "u", "w", "kappa", "qmax", "NU", "ND", "last",
-                 "_split")
+    __slots__ = ("links", "d", "u", "w", "kappa", "qmax", "NU", "ND", "last")
 
     def __init__(self, links: list, n_steps: int):
         self.links = links
@@ -338,8 +336,6 @@ class LinkLayer:
         self.NU = np.zeros((len(links), n_steps + 1))
         self.ND = np.zeros((len(links), n_steps + 1))
         self.last = 0
-        # the links that keep per-destination counts
-        self._split = [(i, lk.NU_s) for i, lk in enumerate(links) if lk.NU_s]
 
     def _sending(self, tape, t: int, tau, dt: float):
         return tape.rate(interp_rows(self.NU, tau, self.last), self.ND[:, t],
@@ -359,7 +355,7 @@ class LinkLayer:
         return np.where(raw > qmax, qmax,
                         np.where(raw >= 0.0, raw, 0.0)).tolist()
 
-    def _extend(self, tape, dt: float, f_in, f_out, f_in_s):
+    def _extend(self, tape, dt: float, f_in, f_out):
         vi, vo = np.array(f_in), np.array(f_out)
         ok = (vi >= -1e-12) & (vi < math.inf) & (vo >= -1e-12) & (vo < math.inf)
         t = self.last
@@ -373,13 +369,6 @@ class LinkLayer:
         for lk, a, b in zip(self.links, nu.tolist(), nd.tolist()):
             lk.NU.append(a)
             lk.ND.append(b)
-        for i, counts in self._split:
-            # a link with no per-destination inflow keeps its counts: none is
-            # ever -0.0, so n + dt * 0.0 is n
-            f = f_in_s[i]
-            if f:
-                for s, n in counts.items():
-                    counts[s] = n + dt * f.get(s, 0.0)
 
 
 class LinkValues:

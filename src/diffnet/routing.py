@@ -9,7 +9,8 @@ read no tree cost and its callers may build the table on `FLOAT` from
 forward values.  Logit-DUO softens them with a stabilized softmin over
 remaining path costs: the costs its rows read, and the tree paths beneath
 them, are rebuilt as tape expressions so that gradients flow through link
-travel times and tolls, and no other cost is.
+travel times and tolls, and no other cost is.  The per-destination shares
+that weight the rows at a node are the engine's (`engine.composition`).
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ __all__ = [
     "RoutingTable",
     "build_routing",
     "turning_probs",
-    "normalized_shares",
-    "composition",
-    "fifo_split",
 ]
 
 INF = float("inf")
@@ -203,48 +201,3 @@ def turning_probs(tape: Tape, table: RoutingTable, node: str, outs: list[int],
     for j, e in zip(feasible, z):
         probs[j] = tape.div(e, zsum)
     return probs
-
-
-def normalized_shares(tape: Tape, parts: dict, total):
-    """Guarded shares parts[s] / total, renormalized to sum to exactly 1.
-
-    A single part has the share 1.0 as a plain float; taped, it would be
-    x/x, whose partials cancel.
-    """
-    if len(parts) == 1:
-        return {s: 1.0 for s in parts}
-    shares = {s: tape.divg(x, total) for s, x in parts.items()}
-    ssum = 0.0
-    for sh in shares.values():
-        ssum = tape.add(ssum, sh)
-    return {s: tape.div(sh, ssum) for s, sh in shares.items()}
-
-
-def composition(tape: Tape, link: LinkDyn):
-    """Per-destination shares of a link's upstream count now.
-
-    A link whose head reaches one destination has the plain float share
-    `{s: 1.0}`, whether it is empty or not.  One that reaches several has
-    the even split `1 / len(dests)` while it has seen no vehicles, and its
-    normalized `NU_s` shares (summing to 1) once it has.
-    """
-    dests = link.dests
-    if len(dests) == 1:
-        return {dests[0]: 1.0}
-    total = link.NU[-1]
-    if (total.val if type(total) is Var else total) <= 0.0:
-        return {s: 1.0 / len(dests) for s in dests}
-    return normalized_shares(tape, link.NU_s, total)
-
-
-def fifo_split(tape: Tape, link: LinkDyn, f_out):
-    """Split aggregate outflow across destinations by upstream composition.
-
-    The splits are `f_out` times the link's `composition`, so they sum to
-    the aggregate; an empty link splits nothing (a plain 0.0 for each
-    destination its head reaches).
-    """
-    total = link.NU[-1]
-    if (total.val if type(total) is Var else total) <= 0.0:
-        return {s: 0.0 for s in link.dests}
-    return {s: tape.mul(f_out, c) for s, c in composition(tape, link).items()}

@@ -321,6 +321,42 @@ def test_cross_tape_use_raises():
         t1.grad(out, [a, x])
 
 
+# Every operation of a tape, with a Var of another tape (F) in each operand
+# position, the other operand a plain float or a Var of the tape itself (V)
+F, V = "foreign", "own"
+FOREIGN_CALLS = [
+    *((op, args) for op in ("add", "sub", "mul", "div", "divg", "min2", "max2")
+      for args in ((F, 2.0), (2.0, F), (F, V), (V, F))),
+    *(("rate", args + (5.0,)) for args in ((F, 2.0), (2.0, F), (F, V), (V, F))),
+    *(("madd", args) for args in ((F, 0.5, 2.0), (F, 0.5, V), (V, 0.5, F),
+                                  (2.0, 0.5, F), (V, 0.0, F))),
+    ("exp", (F,)),
+    ("lin", (1.0, [F, V], [1.0, 2.0])),
+    ("lin", (1.0, [V, F], [1.0, 2.0])),
+    ("sum", ([V, F],)),
+    ("backward", (F,)),
+    ("jvp", (F, {0: 1.0})),
+    ("grad", (V, [V, F])),
+]
+
+
+@pytest.mark.parametrize("op, args", FOREIGN_CALLS,
+                         ids=[f"{op}{args}" for op, args in FOREIGN_CALLS])
+def test_every_operation_rejects_a_var_of_another_tape(op, args):
+    tape, other = Tape(), Tape()
+    own, foreign = tape.input(1.5), other.input(0.5)
+
+    def bind(x):
+        if isinstance(x, list):
+            return [bind(y) for y in x]
+        return foreign if x == F else own if x == V else x
+
+    n0 = len(tape)
+    with pytest.raises(TapeError):
+        getattr(tape, op)(*map(bind, args))
+    assert len(tape) == n0
+
+
 def test_backward_of_float_output_is_zero():
     tape = Tape()
     a = tape.input(1.0)

@@ -7,7 +7,7 @@ import os
 import pytest
 import yaml
 
-from diffnet.cli import main
+from diffnet.cli import main, write_csv
 from diffnet.engine import build_objective
 from diffnet.optimize import evaluate
 from diffnet.presets import (
@@ -31,6 +31,19 @@ def read_csv(path):
     with open(path) as f:
         assert f.readline().startswith("# diffnet ")
         return list(csv.DictReader(f))
+
+
+def test_write_csv_leaves_no_file_when_the_rows_fail(tmp_path):
+    # the rows fail after one is written: the error reaches the caller, and
+    # neither the target nor the temporary file it was written to is left
+    def rows():
+        yield {"t": 0}
+        raise RuntimeError("row source failed")
+
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(str(out / "flows.csv"), rows(), ["t"])
+    assert list(out.iterdir()) == []
 
 
 def test_run_subcommand(merge_file, tmp_path, capsys):

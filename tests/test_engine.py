@@ -15,6 +15,7 @@ from diffnet.engine import (
     build_objective,
     inverse_cumcount,
     objective_ttt,
+    parse_trip,
     run,
 )
 from diffnet.ltm import LinkDyn, LinkLayer
@@ -271,14 +272,14 @@ def leak_in_the_last_step(monkeypatch, scn, lid):
     number = [lp.id for lp in scn.links].index(lid)
     update = LinkDyn.update_boundaries
 
-    def leaky(link, tape, dt, f_in, f_out, f_in_s):
+    def leaky(link, tape, dt, f_in, f_out):
         if isinstance(link, LinkLayer):
             if link.last == T - 1:
                 f_out = list(f_out)
                 f_out[number] += 1.0
         elif link.id == lid and len(link.ND) == T:
             f_out = tape.add(f_out, 1.0)
-        update(link, tape, dt, f_in, f_out, f_in_s)
+        update(link, tape, dt, f_in, f_out)
 
     monkeypatch.setattr(LinkDyn, "update_boundaries", leaky)
 
@@ -364,10 +365,11 @@ def test_origin_state_lists_only_demanded_od_pairs():
 def last_step(sim, plan, supply):
     """One step of `plan`, after every demand has ended, at link supplies
     `supply` (link id -> veh/s, 1.0 for the others); returns the links'
-    inflows and per-destination inflows, by link number."""
+    inflows, by link number, and the sparse map of per-destination inflows
+    (link number -> dest -> veh/s) of the links that booked any."""
     L = len(sim.links)
     S = [supply.get(lk.id, 1.0) for lk in sim.links]
-    f_in, f_out, f_in_s = [0.0] * L, [0.0] * L, [{} for _ in range(L)]
+    f_in, f_out, f_in_s = [0.0] * L, [0.0] * L, {}
     sim._node_step(plan, sim.scn.config.n_steps - 1, sim.scn.config.dt,
                    [0.0] * L, S, f_in, f_out, f_in_s)
     return f_in, f_in_s
@@ -462,9 +464,9 @@ def test_per_destination_inflows_follow_the_fed_outlinks(grad):
     sim.queue["o2"] = {"d1": 3.0, "d2": 0.0}
     f_in, f_in_s = last_step(sim, plan, {})
     for o in plan.outs:
-        assert sum(map(value, f_in_s[o].values())) == value(f_in[o])
+        assert sum(map(value, f_in_s.get(o, {}).values())) == value(f_in[o])
     g1, g2 = plan.outs
-    assert value(f_in[g1]) > 0.0 and f_in_s[g2] == {}
+    assert value(f_in[g1]) > 0.0 and g2 not in f_in_s
 
 
 def test_an_origin_serves_its_empty_queue_then_its_positive_ones():
@@ -532,6 +534,35 @@ def test_trace_trip_free_flow():
     assert value(tr.exit_times[0]) == pytest.approx(150.0)
     assert value(tr.exit_times[1]) == pytest.approx(200.0)
     assert value(tr.travel_time) == pytest.approx(100.0)
+
+
+def test_trace_trip_skips_outlinks_that_cannot_reach_the_destination(
+        monkeypatch):
+    # toward d1, the trace never times a vehicle over b2 or e2, whose heads
+    # reach only d2
+    from test_parity import two_destination_scenario
+
+    res = run(two_destination_scenario(), grad=False)
+    timed = []
+    exit_time = diffnet.engine.vehicle_exit_time
+
+    def timing(tape, link, t_enter, dt):
+        timed.append(link.id)
+        return exit_time(tape, link, t_enter, dt)
+
+    monkeypatch.setattr(diffnet.engine, "vehicle_exit_time", timing)
+    tr = res.trace_trip(100.0, "orig", "d1")
+    assert tr.links == ["a", "b1"]
+    assert set(timed) == {"a", "b1", "c", "e1"}
+
+
+@pytest.mark.parametrize("spec", ["x:orig:d1", ":orig:d1", "1e3s:orig:d1"])
+def test_a_trip_spec_with_a_departure_time_that_is_not_a_number_is_rejected(
+        spec):
+    with pytest.raises(ScenarioError) as err:
+        parse_trip(spec)
+    assert str(err.value) == (f"malformed trip spec {spec!r}: expected "
+                              "T0:ORIGIN:DEST")
 
 
 def test_trace_trip_congested():

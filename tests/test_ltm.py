@@ -107,7 +107,7 @@ def test_alternate_parameterization_derives_qmax():
 
 def fill_constant_inflow(tape, lk, rate, steps, dt):
     for _ in range(steps):
-        lk.update_boundaries(tape, dt, rate, 0.0, {"s": rate})
+        lk.update_boundaries(tape, dt, rate, 0.0)
 
 
 def test_demand_zero_before_first_vehicle_arrives():
@@ -126,7 +126,7 @@ def test_demand_equals_arrival_rate_in_steady_state():
     # inflow 0.3 veh/s, outflow served at the sending rate each step
     for t in range(30):
         fo = value(lk.demand(tape, t, dt))
-        lk.update_boundaries(tape, dt, 0.3, fo, {"s": 0.3})
+        lk.update_boundaries(tape, dt, 0.3, fo)
     # past the d/(u dt) = 10 step lead time the link passes the inflow through
     assert value(lk.demand(tape, 30, dt)) == pytest.approx(0.3)
     assert value(lk.NU[30]) - value(lk.ND[30]) == pytest.approx(0.3 * 50.0)
@@ -152,9 +152,9 @@ def test_supply_zero_when_jammed():
     dt = 5.0
     # stuff the link to jam occupancy kappa*d = 200 veh with no outflow
     for _ in range(50):
-        lk.update_boundaries(tape, dt, 0.8, 0.0, {"s": 0.8})
+        lk.update_boundaries(tape, dt, 0.8, 0.0)
     for _ in range(50):
-        lk.update_boundaries(tape, dt, 0.0, 0.0, {"s": 0.0})
+        lk.update_boundaries(tape, dt, 0.0, 0.0)
     assert value(lk.NU[100]) - value(lk.ND[100]) == pytest.approx(200.0)
     assert value(lk.supply(tape, 100, dt)) == pytest.approx(0.0)
 
@@ -164,11 +164,11 @@ def test_supply_reopens_with_backward_wave_delay():
     lk = make_link(tape)
     dt = 5.0
     for _ in range(50):
-        lk.update_boundaries(tape, dt, 0.8, 0.0, {"s": 0.8})
+        lk.update_boundaries(tape, dt, 0.8, 0.0)
     # drain at capacity from t=50
     t = 50
     while value(lk.supply(tape, t, dt)) <= 0.0 and t < 120:
-        lk.update_boundaries(tape, dt, 0.0, 0.8, {"s": 0.0})
+        lk.update_boundaries(tape, dt, 0.0, 0.8)
         t += 1
     # backward wave needs d/(w dt) = 40 steps to travel the link
     assert t - 50 == 40
@@ -195,7 +195,7 @@ def test_conservation_of_boundary_updates():
     for t in range(60):
         fi = rng.uniform(0.0, 0.5)
         fo = min(rng.uniform(0.0, 0.5), value(lk.demand(tape, t, dt)))
-        lk.update_boundaries(tape, dt, fi, fo, {"s": fi})
+        lk.update_boundaries(tape, dt, fi, fo)
         fin_total += fi * dt
         fout_total += fo * dt
     assert value(lk.NU[-1]) == pytest.approx(fin_total)
@@ -209,7 +209,7 @@ def test_negative_flow_rejected():
     tape = Tape()
     lk = make_link(tape)
     with pytest.raises(ValueError):
-        lk.update_boundaries(tape, 5.0, -0.1, 0.0, {})
+        lk.update_boundaries(tape, 5.0, -0.1, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -276,12 +276,12 @@ def test_layer_boundary_update_checks_the_flows_in_link_order():
     links = [make_link(tape, id=lid) for lid in ("a", "b", "c")]
     layer = LinkLayer(links, 3)
     LinkDyn.update_boundaries(layer, FLOAT, 5.0, [0.1, 0.2, 0.3],
-                              [0.0, 0.05, 0.0], [{}, {}, {}])
+                              [0.0, 0.05, 0.0])
     assert [lk.NU for lk in links] == [[0.0, 0.5], [0.0, 1.0], [0.0, 1.5]]
     assert layer.ND[:, 1].tolist() == [0.0, 0.25, 0.0]
     with pytest.raises(ValueError) as err:
         LinkDyn.update_boundaries(layer, FLOAT, 5.0, [0.1, math.inf, -0.1],
-                                  [0.0, 0.0, math.nan], [{}, {}, {}])
+                                  [0.0, 0.0, math.nan])
     assert str(err.value) == ("link b at step 1: boundary flows in inf and "
                               "out 0.0 must be finite and >= 0")
     assert layer.last == 1 and len(links[0].NU) == 2

@@ -218,3 +218,20 @@ def test_grad_zero_demand_scenario_all_zero():
     rep = grad_fn("ttt", scn, ps)
     assert rep.objective == 0.0
     assert all(g == 0.0 for g in rep.ad)
+
+
+def test_grad_rejects_a_non_finite_adjoint_naming_the_parameters():
+    from diffnet.engine import objective_ttt
+    from diffnet.optimize import grad as grad_fn
+    from diffnet.presets import merge_scenario
+    from diffnet.scenario import register_parameters
+
+    def overflowing(res):
+        # the objective's adjoint is 1e308 * 1e308 = inf
+        mul = res.tape.mul
+        return mul(1e308, mul(1e308, objective_ttt(res)))
+
+    scn = merge_scenario()
+    with pytest.raises(ArithmeticError) as err:
+        grad_fn(overflowing, scn, register_parameters(scn, "q1,u3"))
+    assert str(err.value) == "non-finite adjoint for parameter(s) q1, u3"

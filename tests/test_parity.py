@@ -17,9 +17,9 @@ import pytest
 import diffnet.engine
 import diffnet.routing
 from diffnet.adcore import FLOAT, FloatTape, Var, value
-from diffnet.engine import Simulator, build_objective, objective_ttt
+from diffnet.engine import (Simulator, build_objective, composition,
+                            objective_ttt)
 from diffnet.presets import merge_scenario, toll_grid_scenario, two_route_scenario
-from diffnet.routing import composition
 from diffnet.scenario import Scenario, register_parameters
 
 

@@ -1,4 +1,5 @@
-"""Shortest paths, logit splits, FIFO destination splits."""
+"""Shortest paths, logit splits, and the per-destination compositions and
+FIFO splits the engine reads off the links' counts."""
 
 import itertools
 import math
@@ -7,14 +8,12 @@ import random
 import pytest
 
 from diffnet.adcore import FLOAT, Tape, Var, value
-from diffnet.engine import Simulator
+from diffnet.engine import Simulator, composition, fifo_split
 from diffnet.ltm import V_MIN, LinkDyn, fd_speed
 from diffnet.presets import merge_scenario, toll_grid_scenario
 from diffnet.routing import (
     _avg_speed,
     build_routing,
-    composition,
-    fifo_split,
     turning_probs,
     travel_time_avg,
 )
@@ -310,12 +309,21 @@ def test_logit_cost_gradients_nonzero_deterministic_zero():
 # compositions and FIFO splits
 
 
+def feed(tape, lk, dt, f_in, f_in_s):
+    """One boundary update of `lk` at the inflow `f_in`, then its
+    per-destination counts advanced by `f_in_s` (dest -> veh/s) as
+    `Simulator.run` advances them."""
+    lk.update_boundaries(tape, dt, f_in, 0.0)
+    for s, n in lk.NU_s.items():
+        lk.NU_s[s] = tape.madd(n, dt, f_in_s.get(s, 0.0))
+
+
 @pytest.mark.parametrize("loaded", [False, True])
 def test_composition_of_a_one_destination_link_is_a_plain_one(loaded):
     tape = Tape()
     lk = make_link(tape, "L", "a", "b", dests=("s",))
     if loaded:
-        lk.update_boundaries(tape, 5.0, tape.input(0.3), 0.0, {})
+        lk.update_boundaries(tape, 5.0, tape.input(0.3), 0.0)
     comp = composition(tape, lk)
     assert comp == {"s": 1.0} and type(comp["s"]) is float
 
@@ -340,7 +348,7 @@ def test_composition_of_a_loaded_link_sums_to_one():
         total = 0.0
         for x in f.values():
             total = tape.add(total, x)
-        lk.update_boundaries(tape, 5.0, total, 0.0, f)
+        feed(tape, lk, 5.0, total, f)
     comp = composition(tape, lk)
     assert list(comp) == list(dests)
     assert sum(value(c) for c in comp.values()) == pytest.approx(
@@ -352,8 +360,7 @@ def test_fifo_split_proportional_to_composition():
     lk = make_link(tape, "L", "a", "b", dests=("s1", "s2"))
     # upstream composition 75% s1 / 25% s2
     for _ in range(10):
-        lk.update_boundaries(tape, 5.0, 0.8, 0.0,
-                             {"s1": 0.6, "s2": 0.2})
+        feed(tape, lk, 5.0, 0.8, {"s1": 0.6, "s2": 0.2})
     split = fifo_split(tape, lk, 0.4)
     assert value(split["s1"]) == pytest.approx(0.3)
     assert value(split["s2"]) == pytest.approx(0.1)
@@ -372,7 +379,7 @@ def test_fifo_split_sums_to_aggregate():
     lk = make_link(tape, "L", "a", "b", dests=("s1", "s2", "s3"))
     for _ in range(20):
         f = {s: rng.uniform(0.0, 0.25) for s in ("s1", "s2", "s3")}
-        lk.update_boundaries(tape, 5.0, sum(f.values()), 0.0, f)
+        feed(tape, lk, 5.0, sum(f.values()), f)
     agg = 0.37
     split = fifo_split(tape, lk, agg)
     assert sum(value(x) for x in split.values()) == pytest.approx(agg)

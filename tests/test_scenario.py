@@ -309,6 +309,13 @@ def test_parameter_registration_tokens():
     assert ps.base_values == [0.45, 0.6, 20.0, 0.2, 1.0]
 
 
+def test_a_list_of_tokens_registers_as_its_comma_string():
+    scn = merge_scenario()
+    tokens = ["q2", "u1", "kappa3", "alpha2"]
+    assert (register_parameters(scn, tokens)
+            == register_parameters(scn, ",".join(tokens)))
+
+
 @pytest.mark.parametrize("scn, tokens, message", [
     (merge_scenario, "q1,q1", "parameters 'q1' and 'q1' both register q1"),
     (merge_scenario, "u3,u3", "parameters 'u3' and 'u3' both register u3"),
