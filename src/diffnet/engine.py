@@ -298,8 +298,8 @@ class Simulator:
                  for s in dests}
         self._reads = {s: read for s, read in reads.items() if read}
         self._weights = None  # the link weights of the last refresh
-        # each link's forward values: its `LinkValues`, or the link itself
-        # on a float run, whose links step together as one layer
+        # each link's forward values: its `vals`, or the link itself on a
+        # float run, whose links step together as one layer
         self._values = [lk.vals or lk for lk in self.links]
         self._layer = (LinkLayer(self.links, scenario.config.n_steps)
                        if isinstance(self.tape, FloatTape) else None)
@@ -348,7 +348,7 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def link_travel_time(self, tape: Tape, link, t: int):
-        """Travel time of `link` (a `LinkDyn`, or its `LinkValues` on
+        """Travel time of `link` (a `LinkDyn`, or a taped link's `vals` on
         `FLOAT`) at step t."""
         cfg = self.scn.config
         if cfg.tt_method == "segments":

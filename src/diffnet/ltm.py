@@ -3,10 +3,11 @@
 All quantities live on an AD tape; parameters and curve values may be tape
 variables or plain floats interchangeably.  Time is handled in timestep
 units internally (index i corresponds to i * dt seconds).  A link on a
-taped run keeps its forward values in a `LinkValues`, on which the clamps of
-its sending and receiving rates and its Newell counts are decided before
-anything is recorded, whichever of its parameters are registered.  A link
-steps only its curves: the engine's node stage advances its `NU_s`.
+taped run keeps its forward values in `vals`, a float run's `LinkDyn` of the
+same values, on which the clamps of its sending and receiving rates and its
+Newell counts are decided before anything is recorded, whichever of its
+parameters are registered.  A link steps only its curves: the engine's node
+stage advances its `NU_s`.
 
 A float run steps every link at once: its `LinkLayer` holds the boundary
 curves of all links as one pair of (L, T+1) arrays, and `LinkDyn.demand`,
@@ -24,8 +25,8 @@ import numpy as np
 
 from .adcore import FLOAT, FloatTape, Tape, Var, value
 
-__all__ = ["LinkDyn", "LinkValues", "LinkLayer", "interp", "interp_rows",
-           "fd_speed", "free_occupancy", "V_MIN", "K_TINY"]
+__all__ = ["LinkDyn", "LinkLayer", "interp", "interp_rows", "fd_speed",
+           "free_occupancy", "V_MIN", "K_TINY"]
 
 # congested-branch speed floor (m/s): caps travel time at jam density
 V_MIN = 0.01
@@ -149,16 +150,18 @@ class LinkDyn:
     upstream count of each of them, only when there are two or more; with
     one, `NU` is that destination's curve and its share is a plain 1.0.
     The engine's node stage, not the link, advances `NU_s`.  `vals` holds
-    the link's forward values on a taped run, a `LinkValues`; it is `None`
-    on a float run, whose link holds nothing else and whose `LinkLayer`
-    steps it: `demand`, `supply` and `update_boundaries` run on a taped
-    link or on a float run's layer, never on a float run's link.  `free_n`
-    is the link's `free_occupancy` over its forward values.
+    the link's forward values on a taped run: a float run's `LinkDyn` built
+    from the values of the parameters it was given, which derives `w` (or
+    `qmax`) with the float operations whose results the taped `Var`s hold,
+    and whose curves `update_boundaries` extends with the link's.  `vals` is
+    `None` on a float run, whose link holds nothing else and whose
+    `LinkLayer` steps it: `demand`, `supply` and `update_boundaries` run on
+    a taped link or on a float run's layer, never on a float run's link.
+    `free_n` is the link's `free_occupancy` over its forward values.
     """
 
     __slots__ = (
         "id",
-        "tail",
         "head",
         "d",
         "u",
@@ -177,7 +180,6 @@ class LinkDyn:
     def __init__(self, tape, params, dests, u=None, qmax=None, kappa=None,
                  alpha=None, w=None):
         self.id = params.id
-        self.tail = params.tail
         self.head = params.head
         self.d = params.d
         self.u = params.u if u is None else u
@@ -203,7 +205,10 @@ class LinkDyn:
             self.vals = None
             self.free_n = free_occupancy(self.d, self.u, self.w, self.kappa)
         else:
-            self.vals = LinkValues(self)
+            given = {"u": u, "qmax": qmax, "kappa": kappa, "alpha": alpha,
+                     "w": w}
+            self.vals = LinkDyn(FLOAT, params, (), **{
+                a: value(x) for a, x in given.items() if x is not None})
             self.free_n = self.vals.free_n
 
     # ------------------------------------------------------------------
@@ -370,26 +375,3 @@ class LinkLayer:
             lk.NU.append(a)
             lk.ND.append(b)
 
-
-class LinkValues:
-    """Forward values of a taped link: its parameters as plain floats and
-    its boundary curves as plain float lists, which `update_boundaries`
-    extends with the link's.  The `LinkDyn` methods that read only these
-    attributes run on it under `FLOAT`.  Like a float run's link, it holds
-    nothing but forward values, so its `vals` is `None`; `free_n` is its
-    `free_occupancy`.
-    """
-
-    __slots__ = ("d", "u", "w", "kappa", "NU", "ND", "free_n")
-
-    vals = None
-
-    newell_N = LinkDyn.newell_N
-
-    def __init__(self, link: LinkDyn):
-        self.d = link.d
-        self.u, self.w, self.kappa = (x.val if type(x) is Var else x
-                                      for x in (link.u, link.w, link.kappa))
-        self.NU = [value(x) for x in link.NU]
-        self.ND = [value(x) for x in link.ND]
-        self.free_n = free_occupancy(self.d, self.u, self.w, self.kappa)

@@ -41,11 +41,11 @@ def travel_time_avg(tape: Tape, link, t: int):
     """Instantaneous travel time from the link-average density.
 
     Decided on values, over `link.vals`, or over the link itself where
-    `vals` is `None` (a float run's link, or a `LinkValues`).  An occupancy
-    `NU[t] - ND[t]` within the link's `free_n` is free flow, d / u, with no
-    speed to find.  Else the speed is first found on `FLOAT`, and there it
-    is the answer.  If the floor `V_MIN` wins, d / V_MIN is returned; only
-    a congested speed is recorded whole.
+    `vals` is `None` (a float run's link, or a taped link's `vals`).  An
+    occupancy `NU[t] - ND[t]` within the link's `free_n` is free flow,
+    d / u, with no speed to find.  Else the speed is first found on
+    `FLOAT`, and there it is the answer.  If the floor `V_MIN` wins,
+    d / V_MIN is returned; only a congested speed is recorded whole.
     """
     vals = link.vals
     src = link if vals is None else vals

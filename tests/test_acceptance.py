@@ -42,7 +42,7 @@ from diffnet.scenario import register_parameters
 from conftest import record_acceptance
 from inm_oracle import inm_reference
 from test_engine import random_scenario
-from test_routing import (brute_force_cost, build_table, make_link,
+from test_routing import (brute_force_cost, build_table, link_params,
                           random_graph)
 
 
@@ -266,7 +266,7 @@ def test_criterion_04_shortest_path_oracle(acceptance_report):
     for _ in range(200):
         nodes, raw_links, weights = random_graph(rng)
         tape = Tape()
-        links = [make_link(tape, lid, tail, head)
+        links = [link_params(lid, tail, head)
                  for tail, head, lid in raw_links]
         dest = random.Random(rng.random()).choice(sorted(nodes))
         table = build_table(tape, nodes, links,
@@ -293,7 +293,7 @@ def test_criterion_04_shortest_path_oracle(acceptance_report):
 
 def _two_route(tape, w1, w2):
     nodes = {"a": "intermediate", "b": "intermediate"}
-    links = [make_link(tape, "r1", "a", "b"), make_link(tape, "r2", "a", "b")]
+    links = [link_params("r1", "a", "b"), link_params("r2", "a", "b")]
     table = build_table(tape, nodes, links, [w1, w2], ["b"])
     return table, [0, 1]
 

@@ -849,3 +849,43 @@ def test_bottleneck_capacity_gradient_lies_in_the_one_sided_fd_bracket(rate):
     left = (ttt(base) - ttt(base - eps)) / eps
     slack = 1e-6 * max(abs(left), abs(right))
     assert min(left, right) - slack <= ad <= max(left, right) + slack
+
+
+def diverge_scenario():
+    """Link a (4,000 m at 20 m/s: 200 s) diverges at m to d1 over b1 and to
+    d2 over b2; 0.3 veh/s go to d1 on [0, 100) s, then to d2 on
+    [100, 400) s, so the destination mix at a's head changes at 300 s."""
+    def lk(lid, tail, head, d):
+        return {"id": lid, "from": tail, "to": head, "d": d, "u": 20.0,
+                "qmax": 0.6, "kappa": 0.2, "alpha": 1.0}
+
+    return Scenario.from_dict({
+        "meta": {"dt": 5.0, "T_max": 1500.0, "dt_route": 25.0,
+                 "dt_toll": 1500.0, "mu": 0.0},
+        "nodes": [{"id": "orig", "kind": "origin"},
+                  {"id": "m", "kind": "intermediate"},
+                  {"id": "d1", "kind": "destination"},
+                  {"id": "d2", "kind": "destination"}],
+        "links": [lk("a", "orig", "m", 4000.0), lk("b1", "m", "d1", 1000.0),
+                  lk("b2", "m", "d2", 1000.0)],
+        "demands": [{"origin": "orig", "destination": "d1",
+                     "profile": [[0.0, 100.0, 0.3]]},
+                    {"origin": "orig", "destination": "d2",
+                     "profile": [[100.0, 400.0, 0.3]]}],
+    })
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: `composition` splits a link's outflow by the mix of "
+    "every vehicle that has entered it since t = 0, not by the mix at its "
+    "head, so d1 absorbs 35.98 vehicles of 30 and d2's first vehicles "
+    "enter b2 at 205 s"))
+def test_each_destination_absorbs_its_demand_in_fifo_order():
+    res = run(diverge_scenario(), grad=False)
+    # the aggregate check cannot see a misdelivery
+    assert res.conservation_error <= 1e-9
+    # no vehicle for d2 leaves a before 100 s + 200 s
+    assert res.links["b2"].NU[300 // 5] == 0.0
+    # within one step's inflow of each destination's demand
+    for s, demanded in (("d1", 30.0), ("d2", 90.0)):
+        assert abs(res.absorbed[s] - demanded) <= 0.3 * 5.0, s

@@ -101,6 +101,32 @@ def test_alternate_parameterization_derives_qmax():
     assert value(lk.qmax) == pytest.approx(0.8)
 
 
+@pytest.mark.parametrize("attr, val", [("u", 19.7), ("qmax", 0.83),
+                                       ("kappa", 0.23), ("w", 6.1)])
+def test_a_taped_links_values_are_a_float_run_link_of_the_same_values(attr,
+                                                                      val):
+    # whichever attribute is registered, a taped link decides over `vals`,
+    # a float run's link built from the same values: by hex, its derived
+    # `w` (or `qmax`, under the `w` parameterization) is what the taped
+    # link's `Var` holds, and its curves follow the link's
+    tape = Tape()
+    p = LinkParams(id="L", tail="a", head="b", d=1000.0, u=17.3, qmax=0.71,
+                   kappa=0.19)
+    lk = LinkDyn(tape, p, ["s"], **{attr: tape.input(val)})
+    vals = lk.vals
+    assert type(vals) is LinkDyn and vals.vals is None
+    names = ("d", "u", "w", "kappa", "qmax", "free_n")
+
+    def hexes(link):
+        return [value(getattr(link, a)).hex() for a in names]
+
+    assert hexes(vals) == hexes(LinkDyn(FLOAT, p, (), **{attr: val}))
+    assert hexes(vals) == hexes(lk)
+    lk.update_boundaries(tape, 5.0, tape.input(0.3), 0.1)
+    assert vals.NU == [value(x) for x in lk.NU] == [0.0, 1.5]
+    assert vals.ND == lk.ND == [0.0, 0.5]
+
+
 # ----------------------------------------------------------------------
 # demand / supply on hand-built curves
 

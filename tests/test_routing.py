@@ -23,11 +23,15 @@ from test_engine import random_scenario
 from test_scenario import grid_scenario
 
 
-def make_link(tape, lid, tail, head, dests=("s",), **kw):
+def link_params(lid, tail, head, **kw):
     p = dict(id=lid, tail=tail, head=head, d=1000.0, u=20.0, qmax=0.8,
              kappa=0.2, alpha=1.0)
     p.update(kw)
-    return LinkDyn(tape, LinkParams(**p), list(dests))
+    return LinkParams(**p)
+
+
+def make_link(tape, lid, tail, head, dests=("s",), **kw):
+    return LinkDyn(tape, link_params(lid, tail, head, **kw), list(dests))
 
 
 def build_table(tape, nodes, links, weights, dests):
@@ -124,7 +128,7 @@ def check_against_references(rng, integer):
     Returns the number of equal-cost alternatives to a chosen next hop."""
     nodes, raw_links, weights = random_graph(rng, integer)
     tape = Tape()
-    links = [make_link(tape, lid, tail, head) for tail, head, lid in raw_links]
+    links = [link_params(lid, tail, head) for tail, head, lid in raw_links]
     weights_f = [weights[lid] for _, _, lid in raw_links]
     dests = sorted(nodes)
     table = build_table(tape, nodes, links, weights_f, dests)
@@ -161,7 +165,7 @@ def test_shortest_paths_match_bellman_ford_with_equal_cost_ties():
 def test_negative_routing_weight_raises():
     tape = Tape()
     nodes = {"a": "intermediate", "b": "intermediate"}
-    links = [make_link(tape, "e1", "a", "b")]
+    links = [link_params("e1", "a", "b")]
     with pytest.raises(ValueError, match="negative routing weight"):
         build_table(tape, nodes, links, [-1.0], ["b"])
 
@@ -171,7 +175,7 @@ def test_tree_cost_expressions_match_float_costs():
     for _ in range(20):
         nodes, raw_links, weights = random_graph(rng)
         tape = Tape()
-        links = [make_link(tape, lid, tail, head)
+        links = [link_params(lid, tail, head)
                  for tail, head, lid in raw_links]
         wvars = [tape.input(weights[lid]) for _, _, lid in raw_links]
         dest = sorted(nodes)[0]
@@ -191,7 +195,7 @@ def test_tree_costs_are_built_only_where_a_row_reads_them():
     for _ in range(50):
         nodes, raw_links, weights = random_graph(rng)
         tape = Tape()
-        links = [make_link(tape, lid, tail, head)
+        links = [link_params(lid, tail, head)
                  for tail, head, lid in raw_links]
         wvars = [tape.input(weights[lid]) for _, _, lid in raw_links]
         dest = sorted(nodes)[0]
@@ -219,7 +223,7 @@ def test_tree_costs_are_built_only_where_a_row_reads_them():
 def test_deterministic_tie_breaks_to_lowest_link_id():
     tape = Tape()
     nodes = {"a": "intermediate", "b": "intermediate"}
-    links = [make_link(tape, "e2", "a", "b"), make_link(tape, "e1", "a", "b")]
+    links = [link_params("e2", "a", "b"), link_params("e1", "a", "b")]
     table = build_table(tape, nodes, links, [3.0, 3.0], ["b"])
     # e1 has the lower id but the higher link number
     assert links[table.next_link["b"]["a"]].id == "e1"
@@ -231,7 +235,7 @@ def test_deterministic_tie_breaks_to_lowest_link_id():
 
 def two_route_table(tape, w1, w2, mu):
     nodes = {"a": "intermediate", "b": "intermediate"}
-    links = [make_link(tape, "r1", "a", "b"), make_link(tape, "r2", "a", "b")]
+    links = [link_params("r1", "a", "b"), link_params("r2", "a", "b")]
     table = build_table(tape, nodes, links, [w1, w2], ["b"])
     return table, [0, 1]
 
@@ -270,7 +274,7 @@ def test_deterministic_indicator():
 def test_no_outlink_towards_destination_gives_none():
     tape = Tape()
     nodes = {"a": "intermediate", "b": "intermediate", "c": "intermediate"}
-    links = [make_link(tape, "ab", "a", "b"), make_link(tape, "cb", "c", "b")]
+    links = [link_params("ab", "a", "b"), link_params("cb", "c", "b")]
     table = build_table(tape, nodes, links, [1.0, 1.0], ["c"])
     assert turning_probs(tape, table, "a", [0], "c", 0.5) is None
 
@@ -280,8 +284,8 @@ def test_row_follows_outlink_numbers_with_zero_at_a_dead_end():
     nodes = {n: "intermediate" for n in ("a", "b", "c", "t")}
     # node a's outlinks are numbers 1, 2, 3 with ids r3, r1, r2; r1 leads
     # to the dead end c
-    links = [make_link(tape, "k", "b", "t"), make_link(tape, "r3", "a", "b"),
-             make_link(tape, "r1", "a", "c"), make_link(tape, "r2", "a", "b")]
+    links = [link_params("k", "b", "t"), link_params("r3", "a", "b"),
+             link_params("r1", "a", "c"), link_params("r2", "a", "b")]
     outs = [3, 2, 1]
     table = build_table(tape, nodes, links, [1.0, 5.0, 1.0, 7.0], ["t"])
     probs = turning_probs(tape, table, "a", outs, "t", 0.5)

@@ -190,6 +190,12 @@ def fixtures(dn):
                 trips=MERGE_TRIPS)),
             (f"two-route qmaxfb {tag}", lambda g=grad: simulate(
                 dn, presets.two_route_scenario(), "qmaxfb", grad=g)),
+            # registered w (qmax derived) and kappa: the forward values a
+            # taped link decides over derive them from these
+            (f"two-route wfb,kappasa,ufa {tag}", lambda g=grad: simulate(
+                dn, presets.two_route_scenario(), "wfb,kappasa,ufa", grad=g)),
+            (f"merge w3,kappa1,q1 {tag}", lambda g=grad: simulate(
+                dn, presets.merge_scenario(), "w3,kappa1,q1", grad=g)),
             (f"segments merge u1,u3 {tag}", lambda g=grad: simulate(
                 dn, segments_merge(), "u1,u3", grad=g)),
             (f"segments merge logit u1,u3 {tag}", lambda g=grad: simulate(
