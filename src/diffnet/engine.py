@@ -6,18 +6,24 @@ x_{t+1} = g(x_t, t; theta).  Registered parameters become tape inputs; with
 uses a `FloatTape`: the same scan on plain float operations, recording
 nothing (the finite-difference and SPSA paths).  A float run steps its links
 as one `LinkLayer`: each step's sending and receiving rates of every link,
-and every link's boundary update, are a few array operations; routing
-weights, compositions and the node stage stay per link.
+and every link's boundary update, are a few array operations.  Routing
+weights stay per link, and the node model per node.
 
 One routine, `Simulator._node_step`, steps every node: an origin is a node
 whose inflows are its queues, as a junction's are its inlinks.  Each inflow
 group goes through the node model and is booked where it belongs: a
 junction's inlinks into the links' outflows, an origin's queues into those
 queues and their injection curves.  The node stage also owns the links'
-per-destination counts `NU_s`, which DUO's diverge ratios read: it books a
-step's per-destination inflows into one sparse map, from which `run`
-advances the counts on the tape's `madd`, for float and taped runs alike,
-and `composition`, `normalized_shares` and `fifo_split` read them as shares.
+per-destination counts `NU_s`, which DUO's diverge ratios read.  On a taped
+run it books a step's per-destination inflows into one sparse map, from
+which `run` advances the counts on the tape's `madd`, and `composition`,
+`normalized_shares` and `fifo_split` read them as shares.  A float run in
+which some link keeps `NU_s` keeps them in one `_DestLayer` of (S, L)
+arrays: each step every link's shares, every junction inlink's composed
+row, every outlink's booked inflows and the count update are a few array
+operations, equal bit for bit to those scalar routines, which stay the
+taped path, the layer's oracle and a one-destination float run's path;
+each link's `NU_s` is written back once, after the scan.
 
 Derived outputs (total travel time, absorbed vehicles, per-link travel-time
 averages, virtual vehicle trips) are recorded on the same tape after the
@@ -33,7 +39,9 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .adcore import FLOAT, FloatTape, Tape, Var, value
+import numpy as np
+
+from .adcore import FLOAT, GUARD_EPS, FloatTape, Tape, Var, value
 from .ltm import LinkDyn, LinkLayer, interp
 from .nodemodel import B_EPS, inm_fixed
 from .routing import (
@@ -200,6 +208,121 @@ class _NodePlan:
                           and (p.val if type(p) is Var else p) > B_EPS]
 
 
+class _DestLayer:
+    """A float run's per-destination bookkeeping, for every link at once.
+
+    Arrays are (S, L): a row per destination, in `Scenario.destinations`
+    order, and a column per link.  `counts` holds every link's `NU_s` in
+    the rows that `mask` marks, and `base` every link's shares while it is
+    empty.  Each step `shares` gives every link's `composition`, `compose`
+    every junction inlink's composed row and `book` every outlink's
+    per-destination inflows; `run` then advances `counts + dt * F`.  Each
+    does, elementwise and in the order of its sums, the float operations of
+    the scalar routines (`composition`, `_transfer` and the `tape.madd`
+    loop, which stay the taped path), so it gives their values bit for bit.
+    `P` (S, L, J) holds under each junction inlink its head's rows, and
+    `route` under each outlink that keeps `NU_s` its fraction of its tail's
+    row in `_NodePlan.routes` (else 0.0); `feed` (I, L) are the inlinks of
+    each outlink's tail, and `fed` marks them.
+    """
+
+    __slots__ = ("links", "col", "mask", "multi", "base", "counts", "head",
+                 "P", "route", "feed", "fed", "C", "rows")
+
+    def __init__(self, links, dests, plans):
+        L, S = len(links), len(dests)
+        self.links = links
+        self.col = {s: k for k, s in enumerate(dests)}
+        self.mask = np.zeros((S, L), dtype=bool)
+        self.base = np.zeros((S, L))
+        for l, lk in enumerate(links):
+            self.mask[[self.col[s] for s in lk.NU_s], l] = True
+            if lk.dests:
+                rows = [self.col[s] for s in lk.dests]
+                self.base[rows, l] = 1.0 / len(rows)
+        self.multi = self.mask.any(axis=0)
+        self.counts = np.zeros((S, L))
+        junctions = [p for p in plans if p.kind != "origin"]
+        J = max((len(p.outs) for p in junctions), default=0)
+        I = max((len(p.ins) for p in junctions), default=0)
+        self.P = np.zeros((S, L, J))
+        self.route = np.zeros((S, L))
+        self.feed = np.zeros((I, L), dtype=np.intp)
+        self.fed = np.zeros((I, L), dtype=bool)
+        self.head = [()] * L  # the inlinks of each link's head junction
+        for plan in junctions:
+            for i in plan.ins:
+                self.head[i] = plan.ins
+            for o in plan.outs:
+                self.feed[:len(plan.ins), o] = plan.ins
+                self.fed[:len(plan.ins), o] = True
+
+    def set_row(self, plan, s, row) -> None:
+        k = self.col[s]
+        self.P[k, plan.ins, :len(row)] = row
+        self.route[k, plan.outs] = 0.0
+        for j, p in plan.routes[s]:
+            self.route[k, plan.outs[j]] = p
+
+    def shares(self, total, D):
+        """Every link's `composition` at its upstream count `total`: 1.0
+        for its destination if it reaches one; if several, the even split
+        while `total <= 0.0`, else `divg(n_s, total)` over the share sum
+        added in destination order.  Where that sum is 0.0 it raises
+        `ZeroDivisionError`, as the scalar division does, if the link's
+        head steps (an inlink has demand `D` above 0.0)."""
+        sh = self.counts / np.where(total >= GUARD_EPS, total, GUARD_EPS)
+        # a destination the link does not reach has the count 0.0, and
+        # adding its share 0.0 to the sum moves nothing
+        ssum = np.zeros(len(total))
+        for row in sh:
+            ssum = ssum + row
+        norm = self.multi & ~(total <= 0.0)
+        den = np.where(norm, ssum, 1.0)
+        if not den.all():  # as the scalar path, if a node step reads it
+            for l in np.flatnonzero(den == 0.0):
+                if any(not D[i] <= 0.0 for i in self.head[l]):
+                    raise ZeroDivisionError("float division by zero")
+            den[den == 0.0] = 1.0
+        self.C = np.where(self.mask & norm, sh / den, self.base)
+        return self.C
+
+    def compose(self) -> list:
+        """Each junction inlink's row `sum_s c_s * p_s`, added in
+        destination order over the fractions that are not 0.0: a list per
+        link, as long as the longest outlink list."""
+        B = np.zeros(self.P.shape[1:])
+        for term in np.where(self.P != 0.0, self.C[:, :, None] * self.P, 0.0):
+            B = B + term
+        self.rows = B.tolist()
+        return self.rows
+
+    def book(self, f_out, f_in_s):
+        """The step's per-destination inflows `F`: under each junction
+        outlink that keeps `NU_s`, `(q * c_s) * p` over its tail's inlinks,
+        added in inlink order, q their outflows `f_out`; under an origin's
+        outlinks, what the origin booked into `f_in_s`."""
+        booked = self.fed[None] & (self.mask & (self.route != 0.0))[:, None]
+        fs = np.array(f_out) * self.C
+        terms = np.where(booked, fs.take(self.feed, axis=1)
+                         * self.route[:, None], 0.0)
+        F = np.zeros(self.counts.shape)
+        for i in range(terms.shape[1]):
+            F = F + terms[:, i]
+        col, mask = self.col, self.mask
+        for o, into in f_in_s.items():
+            for s, f in into.items():
+                if mask[col[s], o]:
+                    F[col[s], o] = f
+        return F
+
+    def write_back(self) -> None:
+        col, counts = self.col, self.counts.tolist()
+        for l, lk in enumerate(self.links):
+            for s in lk.NU_s:
+                lk.NU_s[s] = counts[col[s]][l]
+
+
 class Simulator:
     def __init__(self, scenario: Scenario, params: ParameterSet | None = None,
                  values=None, grad: bool = True):
@@ -301,8 +424,11 @@ class Simulator:
         # each link's forward values: its `vals`, or the link itself on a
         # float run, whose links step together as one layer
         self._values = [lk.vals or lk for lk in self.links]
-        self._layer = (LinkLayer(self.links, scenario.config.n_steps)
-                       if isinstance(self.tape, FloatTape) else None)
+        self._layer = self._dests = None
+        if isinstance(self.tape, FloatTape):
+            self._layer = LinkLayer(self.links, scenario.config.n_steps)
+            if any(lk.NU_s for lk in self.links):  # several destinations
+                self._dests = _DestLayer(self.links, dests, self._plans)
 
     # ------------------------------------------------------------------
     # parameter-aware accessors
@@ -390,13 +516,16 @@ class Simulator:
         except ValueError as exc:  # a negative weight
             raise EngineError(f"routing at step {t}: {exc}") from None
         tape, mu, next_link = self.tape, self.scn.config.mu, table.next_link
+        dl = self._dests
         for plan in self._plans:
             node, outs, hops = plan.node, plan.outs, plan.hops
             for s in plan.dests:
                 hop = next_link[s][node]
                 if hop != hops.get(s) or s in plan.choice:
-                    plan.set_row(s, hop, turning_probs(tape, table, node,
-                                                       outs, s, mu))
+                    row = turning_probs(tape, table, node, outs, s, mu)
+                    plan.set_row(s, hop, row)
+                    if dl is not None and plan.kind != "origin":
+                        dl.set_row(plan, s, row)
 
     # ------------------------------------------------------------------
 
@@ -406,7 +535,7 @@ class Simulator:
         dt = cfg.dt
         T = cfg.n_steps
         rs = cfg.route_steps
-        links, layer = self.links, self._layer
+        links, layer, dl = self.links, self._layer, self._dests
         L = len(links)
 
         for t in range(T):
@@ -428,6 +557,9 @@ class Simulator:
                 f_out[i] = D[i]
 
             # --- node transfers ----------------------------------------
+            if dl is not None:  # every link's shares and composed rows
+                dl.shares(layer.NU[:, t], D)
+                dl.compose()
             for plan in self._plans:
                 self._node_step(plan, t, dt, D, S, f_in, f_out, f_in_s)
 
@@ -443,11 +575,16 @@ class Simulator:
 
             # --- per-destination counts: a link that booked none keeps its
             # counts, for none is ever -0.0, so n + dt * 0.0 is n
+            if dl is not None:
+                dl.counts = dl.counts + dt * dl.book(f_out, f_in_s)
+                continue
             for i, f in f_in_s.items():
                 counts = links[i].NU_s
                 for s, n in counts.items():
                     counts[s] = tape.madd(n, dt, f.get(s, 0.0))
 
+        if dl is not None:
+            dl.write_back()
         self.forward_time = time.perf_counter() - t_start
         return SimResult(self)
 
@@ -455,7 +592,9 @@ class Simulator:
 
     def _node_step(self, plan, t, dt, D, S, f_in, f_out, f_in_s):
         """Step t of one node: each inflow group through `_transfer`,
-        booked where it belongs.
+        booked where it belongs (at a junction of a float run with a
+        `_DestLayer`, through `inm_fixed` on the layer's composed rows: the
+        layer books the per-destination inflows).
 
         A junction's inlinks are one group (skipped when every demand is
         <= 0), booked into `f_out`.  An origin records its queues, pads each
@@ -472,17 +611,32 @@ class Simulator:
         """
         tape = self.tape
         if plan.kind != "origin":
-            ins = plan.ins
-            D_in = [D[i] for i in ins]
+            # plain loops: a comprehension is a call of its own
+            ins, D_in = plan.ins, []
+            for i in ins:
+                D_in.append(D[i])
             for d in D_in:
                 if not (d.val if type(d) is Var else d) <= 0.0:
                     break
             else:
                 return  # no inlink has demand
-            comps = [composition(tape, lk) for lk in plan.inlinks]
-            qin, _ = self._transfer(plan, D_in, comps, S, f_in, f_in_s)
-            for i, q in zip(ins, qin):
-                f_out[i] = q
+            if self._dests is None:
+                comps = []
+                for lk in plan.inlinks:
+                    comps.append(composition(tape, lk))
+                qin, _ = self._transfer(plan, D_in, comps, S, f_in, f_in_s)
+            else:  # the layer composed the rows, and books the inflows
+                outs, rows, B = plan.outs, self._dests.rows, []
+                for i in ins:
+                    B.append(rows[i][:len(outs)])
+                qin, qout = inm_fixed(tape, D_in, [S[o] for o in outs], B,
+                                      plan.alpha)
+                for o, q in zip(outs, qout):
+                    f_in[o] += q
+            k = 0
+            for i in ins:
+                f_out[i] = qin[k]
+                k += 1
             return
 
         node, madd = plan.node, tape.madd

@@ -229,6 +229,10 @@ def fixtures(dn):
             (f"grid n=6 3 dests replan q2 {tag}", lambda g=grad: simulate(
                 dn, grid_scn(n=6, n_dest=3, demand=0.10, mu=0.0,
                              dt_route=5.0), "q2", grad=g)),
+            # four destinations over logit rows, re-planned every step
+            (f"grid n=5 4 dests logit {tag}", lambda g=grad: simulate(
+                dn, grid_scn(n=5, n_dest=4, demand=0.10, mu=0.05,
+                             dt_route=5.0), "q2,un1_0-n1_1", grad=g)),
         ]
     scn = presets.toll_grid_scenario()
     n = len(dn.register_parameters(scn, "toll:*"))
