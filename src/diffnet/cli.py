@@ -120,9 +120,7 @@ def link_series_rows(result):
 def gradient_rows(report):
     eps_list = sorted(report.fd, reverse=True)
     for name, ad, fd in report.rows():
-        row = {"parameter": name}
-        if ad is not None:
-            row["ad"] = f"{ad:.6f}"
+        row = {"parameter": name, "ad": f"{ad:.6f}"}
         for e in eps_list:
             row[f"fd_{e:g}"] = f"{fd[e]:.6f}"
         yield row

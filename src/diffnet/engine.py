@@ -427,6 +427,8 @@ class Simulator:
         self._layer = self._dests = None
         if isinstance(self.tape, FloatTape):
             self._layer = LinkLayer(self.links, scenario.config.n_steps)
+            # a one-destination run keeps no per-destination counts, and a
+            # layer would cost it more than it saves (ROADMAP item 10)
             if any(lk.NU_s for lk in self.links):  # several destinations
                 self._dests = _DestLayer(self.links, dests, self._plans)
 

@@ -3,9 +3,12 @@
 `grad` produces all parameter partials of a scalar objective from one
 forward run plus one backward sweep.  `fd_check` computes central finite
 differences of the same objective on gradient-free runs for comparison.
-`adam_optimize` is gradient-based (Adam with global L2 clipping and an
-optional nonnegativity projection); `spsa_optimize` is the derivative-free
-simultaneous-perturbation baseline (two evaluations per iteration).
+`adam_optimize` is gradient-based (Adam with global L2 clipping);
+`spsa_optimize` is the derivative-free simultaneous-perturbation baseline
+(two evaluations per iteration).  Both project every iterate onto
+theta >= 0.  A config holds only what a caller sets: the step size and the
+iteration count, and SPSA's seed; the other settings are the module
+constants below.
 """
 
 from __future__ import annotations
@@ -36,49 +39,43 @@ __all__ = [
 # ----------------------------------------------------------------------
 # configuration
 
+ADAM_BETA1 = 0.9  # Kingma & Ba 2015 (ICLR), first-moment decay
+ADAM_BETA2 = 0.999  # Kingma & Ba 2015, second-moment decay
+ADAM_EPS = 1e-8  # Kingma & Ba 2015, denominator floor
+ADAM_CLIP_NORM = 2e6  # diffnet's default cap on a gradient's L2 norm
+SPSA_C = 1.0  # diffnet's default c of the probe size c_k = c / k^gamma
+SPSA_A = 100.0  # diffnet's default A of the step a_k = a / (A + k)^alpha
+SPSA_ALPHA = 0.602  # Spall 1998 (IEEE TAES 34(3)), step-size decay
+SPSA_GAMMA = 0.101  # Spall 1998, perturbation decay
 
-def _require_positive(config, *fields: str) -> None:
-    """Raise a `ValueError` naming the first field that is not finite and > 0
-    (NaN included)."""
-    for name in fields:
-        v = getattr(config, name)
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"{name} must be finite and > 0 (got {v!r})")
+
+def _validate(config, step: str) -> None:
+    """Raise a `ValueError` if the step-size field `step` is not finite and
+    > 0 (NaN included) or if `iters` is below 1."""
+    v = getattr(config, step)
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{step} must be finite and > 0 (got {v!r})")
+    if config.iters < 1:
+        raise ValueError(f"iters must be at least 1 (got {config.iters})")
 
 
 @dataclass
 class AdamConfig:
     lr: float = 7.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 2e6
     iters: int = 300
-    project_nonneg: bool = True
 
     def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("momentum decay factors must lie in [0, 1)")
-        _require_positive(self, "lr", "eps", "clip_norm")
-        if self.iters < 1:
-            raise ValueError(f"iters must be at least 1 (got {self.iters})")
+        _validate(self, "lr")
 
 
 @dataclass
 class SPSAConfig:
     a: float = 10.0
-    c: float = 1.0
-    A: float = 100.0
-    alpha: float = 0.602
-    gamma: float = 0.101
     iters: int = 300
     seed: int = 0
-    project_nonneg: bool = True
 
     def __post_init__(self):
-        _require_positive(self, "a", "c", "A", "alpha", "gamma")
-        if self.iters < 1:
-            raise ValueError(f"iters must be at least 1 (got {self.iters})")
+        _validate(self, "a")
 
 
 # ----------------------------------------------------------------------
@@ -91,20 +88,15 @@ class GradientReport:
 
     names: list[str]
     objective: float
-    ad: list[float] | None = None
+    ad: list[float]
     fd: dict[float, list[float]] = field(default_factory=dict)
 
     def rows(self):
         """One row per parameter: (name, ad, {eps: fd})."""
-        out = []
-        for i, n in enumerate(self.names):
-            ad_i = self.ad[i] if self.ad is not None else None
-            out.append((n, ad_i, {e: col[i] for e, col in self.fd.items()}))
-        return out
+        return [(n, self.ad[i], {e: col[i] for e, col in self.fd.items()})
+                for i, n in enumerate(self.names)]
 
     def __getitem__(self, name: str) -> float:
-        if self.ad is None:
-            raise KeyError("report has no AD column")
         return self.ad[self.names.index(name)]
 
 
@@ -199,26 +191,24 @@ def project_nonneg(theta: list[float]) -> list[float]:
 
 def adam_optimize(objective, scenario: Scenario, params: ParameterSet,
                   theta0=None, config: AdamConfig | None = None) -> OptTrace:
-    """Adam with bias correction, pre-update global clipping, and projection."""
+    """Adam with bias correction, pre-update global clipping, and projection
+    onto theta >= 0 of the start and of every iterate."""
     cfg = config or AdamConfig()
-    theta = list(theta0) if theta0 is not None else list(params.base_values)
-    if cfg.project_nonneg:
-        theta = project_nonneg(theta)
+    theta = project_nonneg(theta0 if theta0 is not None else params.base_values)
     m = [0.0] * len(theta)
     v = [0.0] * len(theta)
     records = []
     for k in range(1, cfg.iters + 1):
         t0 = time.perf_counter()
         rep = grad(objective, scenario, params, values=theta)
-        g = clip_global_norm(rep.ad, cfg.clip_norm)
+        g = clip_global_norm(rep.ad, ADAM_CLIP_NORM)
         for i, gi in enumerate(g):
-            m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * gi
-            v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * gi * gi
-            mhat = m[i] / (1.0 - cfg.beta1 ** k)
-            vhat = v[i] / (1.0 - cfg.beta2 ** k)
-            theta[i] -= cfg.lr * mhat / (math.sqrt(vhat) + cfg.eps)
-        if cfg.project_nonneg:
-            theta = project_nonneg(theta)
+            m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * gi
+            v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * gi * gi
+            mhat = m[i] / (1.0 - ADAM_BETA1 ** k)
+            vhat = v[i] / (1.0 - ADAM_BETA2 ** k)
+            theta[i] -= cfg.lr * mhat / (math.sqrt(vhat) + ADAM_EPS)
+        theta = project_nonneg(theta)
         records.append({
             "iteration": k,
             "J": rep.objective,
@@ -233,30 +223,28 @@ def spsa_optimize(objective, scenario: Scenario, params: ParameterSet,
     """Simultaneous-perturbation stochastic approximation.
 
     Per iteration k (1-based): step a_k = a/(A+k)^alpha, perturbation
-    c_k = c/k^gamma, simultaneous Bernoulli +-1 direction delta (seeded
+    c_k = c/k^gamma (A, alpha, c and gamma are the `SPSA_*` constants),
+    simultaneous Bernoulli +-1 direction delta (seeded
     Mersenne-Twister draws, reproducible across platforms), and the
     two-evaluation estimate g_i = (J(theta+c_k delta) - J(theta-c_k delta))
-    / (2 c_k delta_i).
+    / (2 c_k delta_i).  The start and every iterate are projected onto
+    theta >= 0.
     """
     cfg = config or SPSAConfig()
     rng = random.Random(cfg.seed)
-    theta = list(theta0) if theta0 is not None else list(params.base_values)
-    if cfg.project_nonneg:
-        theta = project_nonneg(theta)
+    theta = project_nonneg(theta0 if theta0 is not None else params.base_values)
     records = []
     for k in range(1, cfg.iters + 1):
         t0 = time.perf_counter()
-        a_k = cfg.a / (cfg.A + k) ** cfg.alpha
-        c_k = cfg.c / k ** cfg.gamma
+        a_k = cfg.a / (SPSA_A + k) ** SPSA_ALPHA
+        c_k = SPSA_C / k ** SPSA_GAMMA
         delta = [1.0 if rng.random() < 0.5 else -1.0 for _ in theta]
         hi = [t + c_k * d for t, d in zip(theta, delta)]
         lo = [t - c_k * d for t, d in zip(theta, delta)]
         jp = evaluate(objective, scenario, params, values=hi)
         jm = evaluate(objective, scenario, params, values=lo)
         ghat = [(jp - jm) / (2.0 * c_k * d) for d in delta]
-        theta = [t - a_k * g for t, g in zip(theta, ghat)]
-        if cfg.project_nonneg:
-            theta = project_nonneg(theta)
+        theta = project_nonneg([t - a_k * g for t, g in zip(theta, ghat)])
         records.append({
             # midpoint of the two probe evaluations: keeps the method at
             # exactly two runs per iteration

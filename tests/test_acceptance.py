@@ -432,7 +432,7 @@ def test_criterion_08_ad_vs_spsa(toll_opt, acceptance_report):
     # taped run per iteration); SPSA spends two per iteration -> 150 iters
     spsa = spsa_optimize(
         toll_opt["obj"], toll_opt["scn"], toll_opt["ps"],
-        config=SPSAConfig(a=0.5, c=1.0, iters=150, seed=0),
+        config=SPSAConfig(a=0.5, iters=150, seed=0),
     )
     spsa_J = spsa.records[-1]["J"]
     adam_J = toll_opt["final_J"]

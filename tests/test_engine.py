@@ -556,6 +556,64 @@ def test_trace_trip_skips_outlinks_that_cannot_reach_the_destination(
     assert set(timed) == {"a", "b1", "c", "e1"}
 
 
+def one_od_scenario(links, rate):
+    """Origin `o` to destination `d` over `links`, deterministic routing,
+    with demand `rate` (veh/s) for the first 300 s of 1000."""
+    from test_parity import _lk
+
+    nodes = sorted({x for tail, head, *_ in links for x in (tail, head)})
+    kinds = {"o": "origin", "d": "destination"}
+    return Scenario.from_dict({
+        "meta": {"dt": 5.0, "T_max": 1000.0, "dt_route": 25.0,
+                 "dt_toll": 1000.0, "mu": 0.0},
+        "nodes": [{"id": n, "kind": kinds.get(n, "intermediate")}
+                  for n in nodes],
+        "links": [_lk(tail + head, tail, head, *rest)
+                  for tail, head, *rest in links],
+        "demands": [{"origin": "o", "destination": "d",
+                     "profile": [[0.0, 300.0, rate]]}],
+    })
+
+
+def test_trace_trip_takes_an_earlier_arrival_and_skips_the_stale_label(
+        monkeypatch):
+    # node a is reached first over the slow link oa (exit 300 s), then at
+    # 120 s over ob and ba; ad takes 200 s, more than the 180 s between
+    # the two labels, so the stale label of a pops before d
+    res = run(one_od_scenario([("o", "a", 4000.0), ("o", "b", 200.0),
+                               ("b", "a", 200.0), ("a", "d", 4000.0)],
+                              rate=0.2), grad=False)
+    timed = []
+    exit_time = diffnet.engine.vehicle_exit_time
+
+    def timing(tape, link, t_enter, dt):
+        timed.append(link.id)
+        return exit_time(tape, link, t_enter, dt)
+
+    monkeypatch.setattr(diffnet.engine, "vehicle_exit_time", timing)
+    tr = res.trace_trip(100.0, "o", "d")
+    assert tr.links == ["ob", "ba", "ad"]
+    assert [value(t) for t in tr.exit_times] == pytest.approx(
+        [110.0, 120.0, 320.0])
+    # a is expanded once: its stale label is skipped, not expanded again
+    assert sorted(timed) == ["ad", "ba", "oa", "ob"]
+
+
+def test_trace_trip_avoids_a_link_whose_queue_does_not_clear():
+    # the exit link pd of route op-pd passes 0.01 veh/s, so the queue it
+    # holds back on op is still there at T_max: a vehicle entering op at
+    # 50 s never leaves it, and the trip takes the direct link od
+    res = run(one_od_scenario([("o", "p", 400.0), ("p", "d", 200.0, 20.0,
+                                                   0.01),
+                               ("o", "d", 1200.0)], rate=0.3), grad=False)
+    tr = res.trace_trip(50.0, "o", "d")
+    assert tr.links == ["od"]
+    assert value(tr.travel_time) == pytest.approx(60.0)
+    with pytest.raises(TripIncompleteError, match="does not clear link op"):
+        diffnet.engine.vehicle_exit_time(res.tape, res.links["op"], 50.0,
+                                         res.config.dt)
+
+
 @pytest.mark.parametrize("spec", ["x:orig:d1", ":orig:d1", "1e3s:orig:d1"])
 def test_a_trip_spec_with_a_departure_time_that_is_not_a_number_is_rejected(
         spec):

@@ -22,7 +22,9 @@ objective's sweep (`tape_live`, 0 on float runs) and a SHA-256 of the
 tape's four entry lists and of the terms of its entries with more than two
 parents.  A change that only drops dead entries (ones nothing reads) shows
 `tape_len` falling while `tape_live` stays the same.
-The CLI entry holds a SHA-256 of every CSV file that a fixed list of
+The two optimizer entries hold the `repr` of every objective of a
+three-iteration Adam and SPSA trace on the toll grid, and of its final
+tolls.  The CLI entry holds a SHA-256 of every CSV file that a fixed list of
 subcommands writes, with the wall-time column of `trace.csv` dropped.
 
 `--compare OLD NEW` prints each fixture whose record differs, the fields
@@ -250,6 +252,26 @@ def fixtures(dn):
                         dn, configured(presets.toll_grid_scenario(), mu=0.0),
                         "toll:*", values=tolls, grad=g, objective="toll-J",
                         lam=1e-3)))
+
+    # the optimizers at the settings their callers use: Adam at the
+    # benchmark's step size from its seed-0 tolls, SPSA at criterion 08's
+    def optimized(optimizer, config, theta0):
+        toll = presets.toll_grid_scenario()
+        trace = optimizer(dn.build_objective("toll-J", 1e-3), toll,
+                          dn.register_parameters(toll, "toll:*"),
+                          theta0=theta0, config=config)
+        return {"objectives": [repr(J) for J in trace.objectives],
+                "theta": [repr(x) for x in trace.theta]}
+
+    rng = random.Random(0)
+    adam_tolls = [rng.uniform(0.0, 20.0) for _ in range(n)]
+    out += [
+        ("toll grid adam lr=3 3 iters", lambda: optimized(
+            dn.adam_optimize, dn.AdamConfig(lr=3.0, iters=3), adam_tolls)),
+        ("toll grid spsa a=0.5 3 iters", lambda: optimized(
+            dn.spsa_optimize, dn.SPSAConfig(a=0.5, iters=3, seed=0),
+            [0.0] * n)),
+    ]
 
     rng = random.Random(1234)
     draws = []
